@@ -45,6 +45,54 @@ class ScenarioError(ValueError):
     pass
 
 
+class UsageError(ValueError):
+    """A command line argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # Usage errors exit 1 like any other error; argparse's own status 2 would
+    # read as "not well-configured".
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+_JSON_KINDS = {
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "an array",
+    dict: "an object",
+    type(None): "null",
+}
+
+
+def _expect(value, where: str, *kinds: type):
+    """value itself if its JSON kind is one of kinds (a boolean is no number)."""
+    if type(value) not in kinds:
+        wanted = " or ".join(_JSON_KINDS[k] for k in kinds)
+        raise ScenarioError(f"{where} must be {wanted}, got {_JSON_KINDS.get(type(value), type(value).__name__)}")
+    return value
+
+
+def _number(value, where: str) -> float:
+    return float(_expect(value, where, int, float))
+
+
+def _arcs(value, where: str) -> tuple[tuple[int, int], ...]:
+    pairs = _expect(value, where, list)
+    if not all(type(pair) is list and len(pair) == 2 for pair in pairs):
+        raise ScenarioError(f"{where} must be an array of [j, i] pairs")
+    return tuple((_expect(j, where, int), _expect(i, where, int)) for j, i in pairs)
+
+
+def _array(value, where: str) -> np.ndarray:
+    try:
+        return np.asarray(_expect(value, where, list), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where} must be a numeric array") from exc
+
+
 def _check_keys(obj: dict, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
     if not isinstance(obj, dict):
         raise ScenarioError(f"{where} must be a JSON object")
@@ -77,12 +125,12 @@ def load_scenario(path: Path) -> dict:
 
 
 def _build_graph(section: dict, base_dir: Path) -> DirectedGraph:
-    if "path" in section:
+    if isinstance(section, dict) and "path" in section:
         _check_keys(section, "graph", required=("path",))
-        text = (base_dir / section["path"]).read_text()
+        text = (base_dir / _expect(section["path"], "graph.path", str)).read_text()
         return DirectedGraph.from_text(text)
     _check_keys(section, "graph", required=("m", "arcs"))
-    return DirectedGraph(int(section["m"]), tuple((int(j), int(i)) for j, i in section["arcs"]))
+    return DirectedGraph(_expect(section["m"], "graph.m", int), _arcs(section["arcs"], "graph.arcs"))
 
 
 def _build_weights(section: dict, g: DirectedGraph, n: int, base_dir: Path) -> WeightedNeighborGraph:
@@ -91,19 +139,24 @@ def _build_weights(section: dict, g: DirectedGraph, n: int, base_dir: Path) -> W
         raise ScenarioError("weights: exactly one of 'explicit' or 'synthesize' is required")
     if "explicit" in section:
         table = {}
-        for entry in section["explicit"]:
+        for entry in _expect(section["explicit"], "weights.explicit", list):
             _check_keys(entry, "weights.explicit[]", required=("j", "i", "C"))
-            table[(int(entry["j"]), int(entry["i"]))] = np.asarray(entry["C"], dtype=float)
+            arc = (_expect(entry["j"], "weights.explicit[].j", int), _expect(entry["i"], "weights.explicit[].i", int))
+            table[arc] = _array(entry["C"], "weights.explicit[].C")
         return WeightedNeighborGraph(g, n, table)
     cfg = section["synthesize"]
     _check_keys(cfg, "weights.synthesize", required=(), optional=("mode", "symmetric", "decomposition"))
     mode = cfg.get("mode", "free")
-    symmetric = bool(cfg.get("symmetric", False))
+    symmetric = _expect(cfg.get("symmetric", False), "weights.synthesize.symmetric", bool)
     dec_cfg = cfg.get("decomposition", "auto")
     decomposition = None
     if dec_cfg != "auto":
         _check_keys(dec_cfg, "weights.synthesize.decomposition", required=("path",))
-        raw = json.loads((base_dir / dec_cfg["path"]).read_text())
+        dec_path = base_dir / _expect(dec_cfg["path"], "weights.synthesize.decomposition.path", str)
+        raw = _expect(json.loads(dec_path.read_text()), f"{dec_path}", list)
+        for ear in raw:
+            _check_keys(ear, f"{dec_path}: ear", required=("kind", "arcs"))
+            _arcs(ear["arcs"], f"{dec_path}: ear arcs")
         decomposition = EarDecomposition.from_json(raw)
     if symmetric:
         return synthesize_symmetric_weights(g, n, decomposition, mode)
@@ -119,7 +172,7 @@ def _build_initial_state(section: dict, m: int, n: int, seed_override: int | Non
     if kind == "explicit":
         if seed_override is not None:
             raise ScenarioError("--seed given but the initial state is explicit")
-        state = np.asarray(section["explicit"], dtype=float)
+        state = _array(section["explicit"], "initial_state.explicit")
         if state.shape != (m, n):
             raise ScenarioError(f"initial_state.explicit must be {m} rows of {n} values")
         return state
@@ -128,7 +181,7 @@ def _build_initial_state(section: dict, m: int, n: int, seed_override: int | Non
             raise ScenarioError("--seed given but the initial state is a consensus state")
         cfg = section["consensus"]
         _check_keys(cfg, "initial_state.consensus", required=(), optional=("value",))
-        value = np.asarray(cfg.get("value", np.zeros(n)), dtype=float)
+        value = _array(cfg["value"], "initial_state.consensus.value") if "value" in cfg else np.zeros(n)
         if value.shape != (n,):
             raise ScenarioError(f"initial_state.consensus.value must have {n} entries")
         return np.tile(value, (m, 1))
@@ -137,7 +190,7 @@ def _build_initial_state(section: dict, m: int, n: int, seed_override: int | Non
     seed = seed_override if seed_override is not None else cfg.get("seed")
     if seed is None:
         raise ScenarioError("random initial state needs a seed (scenario key or --seed)")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_expect(seed, "initial_state.random.seed", int))
     return rng.standard_normal((m, n))
 
 
@@ -147,18 +200,22 @@ def _build_stepsize(section: dict | None) -> StepsizeSchedule:
     _check_keys(section, "algorithm.stepsize", required=("kind",), optional=("a", "b", "value", "values"))
     kind = section["kind"]
     if kind == "harmonic":
-        return StepsizeSchedule.harmonic(float(section.get("a", 1.0)), float(section.get("b", 2.0)))
+        return StepsizeSchedule.harmonic(
+            _number(section.get("a", 1.0), "algorithm.stepsize.a"), _number(section.get("b", 2.0), "algorithm.stepsize.b")
+        )
     if kind == "constant":
-        return StepsizeSchedule.constant(float(section["value"]))
+        return StepsizeSchedule.constant(_number(section["value"], "algorithm.stepsize.value"))
     if kind == "scripted":
-        return StepsizeSchedule.scripted(section["values"])
+        values = _expect(section["values"], "algorithm.stepsize.values", list)
+        return StepsizeSchedule.scripted([_number(v, "algorithm.stepsize.values[]") for v in values])
     raise ScenarioError(f"algorithm.stepsize.kind must be harmonic|constant|scripted, got {kind!r}")
 
 
 def _build_schedule(section: dict, m: int) -> Schedule:
     _check_keys(section, "algorithm.schedule", required=("mode", "subgraphs"), optional=("script",))
     subgraphs = tuple(
-        DirectedGraph(m, tuple((int(j), int(i)) for j, i in arcs)) for arcs in section["subgraphs"]
+        DirectedGraph(m, _arcs(arcs, "algorithm.schedule.subgraphs[]"))
+        for arcs in _expect(section["subgraphs"], "algorithm.schedule.subgraphs", list)
     )
     mode = section["mode"]
     if mode == "fixed":
@@ -170,7 +227,8 @@ def _build_schedule(section: dict, m: int) -> Schedule:
     if mode == "scripted":
         if "script" not in section:
             raise ScenarioError("scripted schedule needs a script")
-        return Schedule.scripted(subgraphs, section["script"])
+        script = _expect(section["script"], "algorithm.schedule.script", list)
+        return Schedule.scripted(subgraphs, [_expect(s, "algorithm.schedule.script[]", int) for s in script])
     raise ScenarioError(f"algorithm.schedule.mode must be fixed|periodic|scripted, got {mode!r}")
 
 
@@ -190,7 +248,7 @@ def _algorithm_section(data: dict) -> dict:
 
 
 def _resolve(data: dict, base_dir: Path) -> tuple[DirectedGraph, int, WeightedNeighborGraph]:
-    n = int(data["n"])
+    n = _expect(data["n"], "n", int)
     g = _build_graph(data["graph"], base_dir)
     w = _build_weights(data["weights"], g, n, base_dir)
     return g, n, w
@@ -201,7 +259,7 @@ def _out_dir(args, data: dict) -> Path:
         return Path(args.out)
     if "output" in data:
         _check_keys(data["output"], "output", required=("dir",))
-        return Path(data["output"]["dir"])
+        return Path(_expect(data["output"]["dir"], "output.dir", str))
     return Path("out")
 
 
@@ -252,10 +310,11 @@ def _run_scenario(data: dict, base_dir: Path, args) -> tuple[dict, object]:
     g, n, w = _resolve(data, base_dir)
     section = _algorithm_section(data)
     name = section["name"]
-    steps = int(args.steps if args.steps is not None else section["steps"])
+    steps = args.steps if args.steps is not None else _expect(section["steps"], "algorithm.steps", int)
     if "initial_state" not in data:
         raise ScenarioError("scenario has no 'initial_state' section")
     x0 = _build_initial_state(data["initial_state"], g.m, n, args.seed)
+    project_init = _expect(section.get("project_init", False), "algorithm.project_init", bool)
     if name == "gradient":
         traj = run_gradient(w, x0, steps, _build_stepsize(section.get("stepsize")))
     elif name == "fixed_step":
@@ -265,7 +324,7 @@ def _run_scenario(data: dict, base_dir: Path, args) -> tuple[dict, object]:
             raise ScenarioError("metropolis_tv needs an algorithm.schedule section")
         traj = run_metropolis_tv(w, x0, _build_schedule(section["schedule"], g.m), steps)
     elif name == "cycle_projection":
-        traj = run_cycle_projection(w, x0, steps, bool(section.get("project_init", False)))
+        traj = run_cycle_projection(w, x0, steps, project_init)
     else:
         traj = run_general_projection(w, x0, steps)
     spectral = spectral_report(_round_matrix_for_summary(name, w), n)
@@ -326,20 +385,21 @@ def cmd_counterexample(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="limcon", description=__doc__)
+    parser = _Parser(prog="limcon", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True):
+    def common(p, scenario=True, tol=False):
         if scenario:
             p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--tol", type=float, default=RANK_RTOL, help="relative rank tolerance")
+        if tol:
+            p.add_argument("--tol", type=float, default=RANK_RTOL, help="relative rank tolerance")
 
     p_verify = sub.add_parser("verify", help="check well-configuration; exit 0/2/1")
-    common(p_verify)
+    common(p_verify, tol=True)
     p_verify.set_defaults(func=cmd_verify)
 
     p_synth = sub.add_parser("synth", help="synthesize weights from an ear decomposition")
-    common(p_synth)
+    common(p_synth, tol=True)
     p_synth.add_argument("--out", help="output directory")
     p_synth.set_defaults(func=cmd_synth)
 
@@ -366,9 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,6 +3,7 @@ incidence matrices, and (symmetric) ear decompositions."""
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -164,22 +165,37 @@ def is_directed_cycle(g: DirectedGraph) -> bool:
     return is_strongly_connected(g)
 
 
-def _without_pair(g: DirectedGraph, a: int, b: int) -> DirectedGraph:
-    dropped = {(a, b), (b, a)}
-    return DirectedGraph(g.m, tuple(arc for arc in g.arcs if arc not in dropped))
-
-
 def is_2_connected(g: DirectedGraph) -> bool:
     """True iff removing any single two-length cycle leaves g strongly connected.
 
     Only defined for symmetric graphs; a two-length cycle is the arc pair
-    (a, b), (b, a).
+    (a, b), (b, a).  On a symmetric graph this means connected and
+    bridgeless, which one depth-first search with low points decides in
+    O(m + d) (Tarjan, 1974).  The search keeps an explicit stack, so long
+    paths cannot exhaust the interpreter's recursion limit.
     """
     if not is_symmetric(g):
         raise ValueError("2-connectivity is defined for symmetric graphs only")
-    if not is_strongly_connected(g):
-        return False
-    return all(is_strongly_connected(_without_pair(g, a, b)) for a, b in g.undirected_pairs)
+    adj = g._out_neighbors
+    disc = {1: 0}  # discovery time
+    low = {1: 0}  # earliest discovery time reachable via one back edge
+    stack = [(1, 0, iter(adj[1]))]
+    while stack:
+        v, parent, nbrs = stack[-1]
+        for w in nbrs:
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, v, iter(adj[w])))
+                break
+            if w != parent:
+                low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if parent:
+                if low[v] > disc[parent]:
+                    return False  # the pair {parent, v} is a bridge
+                low[parent] = min(low[parent], low[v])
+    return len(disc) == g.m
 
 
 def incidence_matrix(g: DirectedGraph) -> np.ndarray:
@@ -284,101 +300,61 @@ def _walk_vertices(arcs: tuple[Arc, ...]) -> list[int]:
     return verts
 
 
+def _edge_walk(ear: Ear) -> tuple[Arc, ...]:
+    # A symmetric ear walks its undirected edges, each stored as the arc along
+    # the traversal followed by its reverse.
+    if not _is_paired(ear):
+        raise ValueError("symmetric ear arcs must come in forward/reverse pairs")
+    return ear.arcs[::2]
+
+
 def validate_ear_decomposition(g: DirectedGraph, dec: EarDecomposition) -> None:
     """Structural validity oracle; raises ValueError on any violation.
 
     Checks the arc partition, that ear 0 is a cycle, that each later cycle-ear
     shares exactly one vertex with the union of prior ears and each later
-    path-ear exactly its two end-vertices, and the ear-count formula.
+    path-ear exactly its two end-vertices, and the ear-count formula.  A
+    symmetric decomposition is checked on the walk of undirected edges of each
+    ear, and its cycles must span at least three pairs.
     """
-    if dec.symmetric:
-        _validate_symmetric(g, dec)
-        return
+    label = "symmetric " if dec.symmetric else ""
     seen_arcs: set[Arc] = set()
     covered: set[int] = set()
     for idx, ear in enumerate(dec.ears):
+        walk = _edge_walk(ear) if dec.symmetric else ear.arcs
         if any(arc not in g.arc_index for arc in ear.arcs):
             raise ValueError(f"ear {idx} uses arcs not in the graph")
         if seen_arcs & set(ear.arcs):
             raise ValueError(f"ear {idx} reuses arcs of earlier ears")
-        verts = _walk_vertices(ear.arcs)
+        verts = _walk_vertices(walk)
         if ear.kind == "cycle":
             if verts[0] != verts[-1]:
-                raise ValueError(f"cycle ear {idx} does not close")
-            interior = verts[:-1]
-        else:
-            if verts[0] == verts[-1]:
-                raise ValueError(f"path ear {idx} closes on itself")
-            interior = verts
-        if len(set(interior)) != len(interior):
-            raise ValueError(f"ear {idx} revisits a vertex")
-        if idx == 0:
-            if ear.kind != "cycle":
-                raise ValueError("ear 0 must be a cycle")
-        elif ear.kind == "cycle":
-            shared = set(verts) & covered
-            if shared != {verts[0]}:
-                raise ValueError(f"cycle ear {idx} must share exactly its anchor vertex, shares {sorted(shared)}")
-        else:
-            shared = set(verts) & covered
-            if shared != {verts[0], verts[-1]}:
-                raise ValueError(f"path ear {idx} must share exactly its two end-vertices, shares {sorted(shared)}")
-        seen_arcs |= set(ear.arcs)
-        covered |= set(verts)
-    if seen_arcs != set(g.arcs):
-        raise ValueError("ears do not partition the arc set")
-    if len(dec.ears) != g.d - g.m + 1:
-        raise ValueError(f"expected {g.d - g.m + 1} ears, found {len(dec.ears)}")
-
-
-def _undirected_edges_of_ear(ear: Ear) -> list[tuple[int, int]]:
-    # Symmetric ears pair each arc with its reverse along the traversal.
-    if len(ear.arcs) % 2 != 0:
-        raise ValueError("symmetric ear must have an even arc count")
-    edges = []
-    for t in range(0, len(ear.arcs), 2):
-        (j, i), (j2, i2) = ear.arcs[t], ear.arcs[t + 1]
-        if (j2, i2) != (i, j):
-            raise ValueError("symmetric ear arcs must come in forward/reverse pairs")
-        edges.append((j, i))
-    return edges
-
-
-def _validate_symmetric(g: DirectedGraph, dec: EarDecomposition) -> None:
-    seen_arcs: set[Arc] = set()
-    covered: set[int] = set()
-    for idx, ear in enumerate(dec.ears):
-        edges = _undirected_edges_of_ear(ear)
-        if any(arc not in g.arc_index for arc in ear.arcs):
-            raise ValueError(f"ear {idx} uses arcs not in the graph")
-        if seen_arcs & set(ear.arcs):
-            raise ValueError(f"ear {idx} reuses arcs of earlier ears")
-        verts = _walk_vertices(tuple(edges))
-        if ear.kind == "cycle":
-            if verts[0] != verts[-1] or len(edges) < 3:
+                raise ValueError(f"{label}cycle ear {idx} does not close")
+            if dec.symmetric and len(walk) < 3:
                 raise ValueError(f"symmetric cycle ear {idx} must close over >= 3 pairs")
             interior = verts[:-1]
         else:
             if verts[0] == verts[-1]:
-                raise ValueError(f"symmetric path ear {idx} closes on itself")
+                raise ValueError(f"{label}path ear {idx} closes on itself")
             interior = verts
         if len(set(interior)) != len(interior):
             raise ValueError(f"ear {idx} revisits a vertex")
+        shared = set(verts) & covered
         if idx == 0:
             if ear.kind != "cycle":
-                raise ValueError("ear 0 must be a symmetric cycle")
+                raise ValueError(f"ear 0 must be a {label}cycle")
         elif ear.kind == "cycle":
-            if set(verts) & covered != {verts[0]}:
-                raise ValueError(f"symmetric cycle ear {idx} must share exactly one vertex")
-        else:
-            if set(verts) & covered != {verts[0], verts[-1]}:
-                raise ValueError(f"symmetric path ear {idx} must share exactly its end-vertices")
+            if shared != {verts[0]}:
+                raise ValueError(f"{label}cycle ear {idx} must share exactly its anchor vertex, shares {sorted(shared)}")
+        elif shared != {verts[0], verts[-1]}:
+            raise ValueError(f"{label}path ear {idx} must share exactly its two end-vertices, shares {sorted(shared)}")
         seen_arcs |= set(ear.arcs)
         covered |= set(verts)
     if seen_arcs != set(g.arcs):
-        raise ValueError("symmetric ears do not partition the arc set")
-    if len(dec.ears) != g.d // 2 - g.m + 1:
-        raise ValueError(f"expected {g.d // 2 - g.m + 1} symmetric ears, found {len(dec.ears)}")
+        raise ValueError(f"{label}ears do not partition the arc set")
+    expected = (g.d // 2 if dec.symmetric else g.d) - g.m + 1
+    if len(dec.ears) != expected:
+        raise ValueError(f"expected {expected} {label}ears, found {len(dec.ears)}")
 
 
 def _shortest_cycle_through(g: DirectedGraph, root: int) -> list[Arc]:
@@ -444,9 +420,20 @@ def ear_decomposition(g: DirectedGraph) -> EarDecomposition:
     first = _shortest_cycle_through(g, 1)
     ears = [Ear("cycle", tuple(first))]
     used = set(first)
-    visited = {v for arc in first for v in arc}
+    visited: set[int] = set()
+    ready: list[int] = []  # heap of canonical indices of arcs with a covered tail
+
+    def cover(arcs):
+        for v in {v for arc in arcs for v in arc} - visited:
+            visited.add(v)
+            for w in g.out_neighbors(v):
+                heapq.heappush(ready, g.arc_index[(v, w)])
+
+    cover(first)
     while len(used) < g.d:
-        start_arc = next(a for a in g.arcs if a not in used and a[0] in visited)
+        start_arc = g.arcs[heapq.heappop(ready)]
+        if start_arc in used:
+            continue
         j, i = start_arc
         arcs = [start_arc]
         if i not in visited:
@@ -454,7 +441,7 @@ def ear_decomposition(g: DirectedGraph) -> EarDecomposition:
         kind = "cycle" if arcs[-1][1] == j else "path"
         ears.append(Ear(kind, tuple(arcs)))
         used |= set(arcs)
-        visited |= {v for arc in arcs for v in arc}
+        cover(arcs)
     return EarDecomposition(tuple(ears))
 
 
@@ -465,43 +452,77 @@ def _symmetrize(edges: list[tuple[int, int]]) -> tuple[Arc, ...]:
     return tuple(arcs)
 
 
-def _shortest_undirected_cycle_through(pairs: list[tuple[int, int]], adj: dict[int, list[int]], root: int) -> list[tuple[int, int]]:
-    # Iterative deepening over simple cycles root -> ... -> root (>= 3 edges);
-    # the first hit is a shortest cycle, deterministic by neighbor order.
-    n_edges = len(pairs)
-
-    def dfs(v, budget, trail):
+def _shortest_undirected_cycle_through(adj: dict[int, tuple[int, ...]], root: int) -> list[tuple[int, int]]:
+    # The first shortest cycle root -> ... -> root (>= 3 edges) in
+    # lexicographic vertex order, from one BFS in sorted neighbor order.  A
+    # shortest cycle of length L is two shortest paths from the root with
+    # different first hops, joined at its turn: a vertex at level L // 2
+    # followed by a neighbor at level L - L // 2 - 1.  BFS reaches every
+    # vertex first along its lexicographically first shortest path, and
+    # visits each level in that order, so the cycle leaves along the tree
+    # path to the first turn vertex in BFS order, then takes its smallest
+    # fitting neighbor and the smallest neighbor one level down from there.
+    dist = {root: 0}
+    parent: dict[int, int] = {}
+    hop: dict[int, int] = {}  # first vertex after the root on the tree path
+    order = [root]
+    for v in order:
         for w in adj[v]:
-            if w == root and len(trail) >= 2 and budget == 1:
-                return trail + [(v, w)]
-            if budget > 1 and w != root and w not in {x for e in trail for x in e}:
-                found = dfs(w, budget - 1, trail + [(v, w)])
-                if found:
-                    return found
-        return None
-
-    for total in range(3, n_edges + 1):
-        found = dfs(root, total, [])
-        if found:
-            return found
-    raise ValueError(f"no undirected cycle through vertex {root}")
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                parent[w] = v
+                hop[w] = hop.get(v, w)
+                order.append(w)
+    length = min(
+        (dist[u] + dist[w] + 1 for u in order[1:] for w in adj[u] if w != root and hop[w] != hop[u]),
+        default=0,
+    )
+    if not length:
+        raise ValueError(f"no undirected cycle through vertex {root}")
+    far, near = length // 2, length - length // 2 - 1
+    turn, v = next(
+        (u, w)
+        for u in order
+        if dist[u] == far
+        for w in adj[u]
+        if dist[w] == near and w != root and hop[w] != hop[u]
+    )
+    walk = [turn]
+    while walk[-1] != root:
+        walk.append(parent[walk[-1]])
+    walk.reverse()
+    while v != root:
+        walk.append(v)
+        v = next(w for w in adj[v] if dist[w] == dist[v] - 1)
+    walk.append(root)
+    return list(zip(walk, walk[1:]))
 
 
 def symmetric_ear_decomposition(g: DirectedGraph) -> EarDecomposition:
     """A symmetric ear decomposition of a 2-connected symmetric graph.
 
     Works on the underlying undirected graph and lifts every traversed edge
-    to its two arcs; pair_count per ear counts the two-length cycles.
+    to its two arcs; pair_count per ear counts the two-length cycles.  The
+    first ear is a shortest cycle through vertex 1; each later ear starts
+    from the first unused pair (canonical order) that touches the covered
+    vertices.
     """
     if not is_symmetric(g):
         raise ValueError("symmetric ear decomposition needs a symmetric graph")
     if g.m < 2 or not is_2_connected(g):
         raise ValueError("symmetric ear decomposition exists iff the graph is 2-connected")
-    adj = {v: sorted(set(g.out_neighbors(v))) for v in range(1, g.m + 1)}
-    first = _shortest_undirected_cycle_through(list(g.undirected_pairs), adj, 1)
+    adj = g._out_neighbors
+    first = _shortest_undirected_cycle_through(adj, 1)
     ears = [Ear("cycle", _symmetrize(first))]
     used_pairs = {(min(a, b), max(a, b)) for a, b in first}
-    visited = {v for e in first for v in e}
+    visited: set[int] = set()
+    ready: list[tuple[int, int]] = []  # heap of the pairs touching covered vertices
+
+    def cover(edges):
+        for v in {v for e in edges for v in e} - visited:
+            visited.add(v)
+            for w in adj[v]:
+                heapq.heappush(ready, (min(v, w), max(v, w)))
 
     def extend(start, blocked):
         parent: dict[int, int] = {start: 0}
@@ -525,8 +546,11 @@ def symmetric_ear_decomposition(g: DirectedGraph) -> EarDecomposition:
                     queue.append(w)
         raise ValueError(f"vertex {start} cannot reach the visited set")
 
-    while used_pairs != set(g.undirected_pairs):
-        a, b = next(p for p in g.undirected_pairs if p not in used_pairs and (p[0] in visited or p[1] in visited))
+    cover(first)
+    while len(used_pairs) < len(g.undirected_pairs):
+        a, b = heapq.heappop(ready)
+        if (a, b) in used_pairs:
+            continue
         u = a if a in visited else b
         v = b if u == a else a
         edges = [(u, v)]
@@ -535,7 +559,7 @@ def symmetric_ear_decomposition(g: DirectedGraph) -> EarDecomposition:
         kind = "cycle" if edges[-1][1] == u else "path"
         ears.append(Ear(kind, _symmetrize(edges)))
         used_pairs |= {(min(x, y), max(x, y)) for x, y in edges}
-        visited |= {x for e in edges for x in e}
+        cover(edges)
     return EarDecomposition(tuple(ears), symmetric=True)
 
 

@@ -4,7 +4,9 @@ Kronecker/block-diagonal assembly, spectra, subspace independence, and the
 
 Subspaces are plain ndarrays whose columns form an orthonormal basis; the
 trivial subspace of R^n is an (n, 0) array.  All rank decisions flow through
-one relative tolerance (RANK_RTOL), overridable per call.
+one tolerance (RANK_RTOL), overridable per call: relative to the largest
+singular value for general matrices, and absolute for the principal-angle
+sines of subspace_intersection, whose orthonormal inputs fix the scale.
 """
 
 from __future__ import annotations
@@ -134,24 +136,15 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(eigenvalues(a)))) if np.size(a) else 0.0
 
 
-def subspace_from_vectors(vectors, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis of the span of the given column vectors."""
-    return column_space_basis(vectors, rtol)
-
-
-def subspace_sum(bases, rtol: float = RANK_RTOL) -> np.ndarray:
-    bases = [np.asarray(b, dtype=float) for b in bases]
-    if not bases:
-        raise ValueError("need at least one subspace")
-    return column_space_basis(np.hstack(bases), rtol)
-
-
 def subspace_intersection(a, b, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal basis of the intersection of two subspaces.
 
-    A vector lies in both spans iff it is annihilated by both complementary
-    projections, so the intersection is the kernel of the stacked residual
-    maps I - aa' and I - bb'.
+    The singular values of (I - bb')a are the sines of the principal angles
+    between the spans, and its right singular vectors pick the matching
+    principal vectors of a.  The intersection is spanned by the principal
+    vectors at angle zero.  Orthonormal inputs fix the scale of the sines at
+    one, so rtol bounds them absolutely: a relative cut-off would count
+    roundoff as rank when the spans coincide and every sine is noise.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -160,9 +153,8 @@ def subspace_intersection(a, b, rtol: float = RANK_RTOL) -> np.ndarray:
         raise ValueError("subspaces must share the ambient dimension")
     if a.shape[1] == 0 or b.shape[1] == 0:
         return np.zeros((n, 0))
-    eye = np.eye(n)
-    stacked = np.vstack([eye - a @ a.T, eye - b @ b.T])
-    return kernel_basis(stacked, rtol)
+    _, sines, vh = np.linalg.svd(a - b @ (b.T @ a), full_matrices=False)
+    return a @ vh[sines <= rtol].T
 
 
 def subspaces_equal(a, b, tol: float = 1e-9) -> bool:
@@ -210,9 +202,6 @@ def mixed_norm_2_inf(q, block: int) -> float:
     if block < 1 or q.shape[0] % block:
         raise ValueError(f"matrix of size {q.shape[0]} does not split into {block}-blocks")
     m = q.shape[0] // block
-    gauge = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            blk = q[i * block : (i + 1) * block, j * block : (j + 1) * block]
-            gauge[i, j] = np.linalg.norm(blk, 2)
+    blocks = q.reshape(m, block, m, block).transpose(0, 2, 1, 3)
+    gauge = np.linalg.svd(blocks, compute_uv=False)[..., 0]
     return float(np.max(gauge.sum(axis=1)))

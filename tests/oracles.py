@@ -137,3 +137,14 @@ def exact_nullity(rows):
         if rank == n_rows:
             break
     return n_cols - rank
+
+
+def mixed_norm_2_inf_loop(q, block):
+    """Mixed (2, inf) norm with one spectral norm per block, in a plain loop."""
+    m = q.shape[0] // block
+    gauge = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            blk = q[i * block : (i + 1) * block, j * block : (j + 1) * block]
+            gauge[i, j] = np.linalg.norm(blk, 2)
+    return float(np.max(gauge.sum(axis=1)))

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from limcon import ear_decomposition, symmetric_cycle, weights_from_json, is_well_configured
 from limcon.cli import bundled_scenario_path, main
@@ -330,3 +336,114 @@ def test_project_init_via_cli(tmp_path, capsys):
 def test_tol_flag_accepted(capsys):
     scenario = str(bundled_scenario_path("broadcast_pair"))
     assert main(["verify", "--scenario", scenario, "--tol", "1e-8"]) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "analyze", "counterexample"])
+def test_tol_flag_rejected_where_unused(command, tmp_path, capsys):
+    argv = [command, "--tol", "1e-8", "--out", str(tmp_path / "o")]
+    if command != "counterexample":
+        argv += ["--scenario", write_scenario(tmp_path, "sq.json", symmetric_square_scenario())]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--tol" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_usage_errors_exit_one(capsys):
+    assert main(["verify"]) == 1  # --scenario is required
+    assert main(["frobnicate"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _set(data, path, value):
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
+
+
+SCHEDULED = {
+    "name": "metropolis_tv",
+    "steps": 3,
+    "schedule": {"mode": "scripted", "subgraphs": [[[1, 2], [2, 1], [3, 4], [4, 3]]], "script": [0, 0, 0]},
+    "stepsize": {"kind": "constant", "value": 0.1},
+}
+WRONG_TYPES = [
+    (("graph", "arcs"), 5),
+    (("graph", "arcs"), [[1, 2, 3]]),
+    (("graph", "arcs", 0), [1, "2"]),
+    (("graph", "m"), "4"),
+    (("graph", "m"), 4.0),
+    (("graph",), 7),
+    (("n",), [2]),
+    (("n",), True),
+    (("weights", "synthesize", "symmetric"), "yes"),
+    (("weights", "synthesize", "decomposition"), {"path": 3}),
+    (("weights",), {"explicit": 5}),
+    (("weights",), {"explicit": [{"j": 1, "i": 2, "C": "I"}]}),
+    (("weights",), {"explicit": [{"j": 1, "i": 2, "C": [[1, "x"]]}]}),
+    (("weights",), {"explicit": [{"j": [1], "i": 2, "C": [[1, 0]]}]}),
+    (("algorithm", "steps"), "10"),
+    (("algorithm", "steps"), None),
+    (("algorithm",), {**SCHEDULED, "project_init": "no"}),
+    (("algorithm",), {**SCHEDULED, "schedule": {**SCHEDULED["schedule"], "subgraphs": 5}}),
+    (("algorithm",), {**SCHEDULED, "schedule": {**SCHEDULED["schedule"], "subgraphs": [[1, 2]]}}),
+    (("algorithm",), {**SCHEDULED, "schedule": {**SCHEDULED["schedule"], "script": [0.5]}}),
+    (("algorithm",), {**SCHEDULED, "name": "gradient", "stepsize": {"kind": "harmonic", "a": "1"}}),
+    (("algorithm",), {**SCHEDULED, "name": "gradient", "stepsize": {"kind": "constant", "value": [1]}}),
+    (("algorithm",), {**SCHEDULED, "name": "gradient", "stepsize": {"kind": "scripted", "values": 0.1}}),
+    (("algorithm",), {**SCHEDULED, "name": "gradient", "stepsize": {"kind": "scripted", "values": [{}]}}),
+    (("initial_state", "random", "seed"), 1.5),
+    (("initial_state",), {"explicit": {"rows": 4}}),
+    (("initial_state",), {"consensus": {"value": "zero"}}),
+    (("output",), {"dir": 5}),
+]
+
+
+@pytest.mark.parametrize("path, value", WRONG_TYPES, ids=[f"{'.'.join(map(str, p))}-{k}" for k, (p, _) in enumerate(WRONG_TYPES)])
+def test_wrong_typed_fields_exit_one(path, value, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the default output directory is ./out
+    data = _set(symmetric_square_scenario(), path, value)
+    assert main(["run", "--scenario", write_scenario(tmp_path, "s.json", data)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_wrong_typed_decomposition_file_exits_one(tmp_path, capsys):
+    for bad in ({"ears": []}, [5], [{"kind": "cycle", "arcs": 3}], [{"kind": "cycle"}]):
+        (tmp_path / "dec.json").write_text(json.dumps(bad))
+        data = symmetric_square_scenario(weights={"synthesize": {"decomposition": {"path": "dec.json"}}})
+        assert main(["synth", "--scenario", write_scenario(tmp_path, "s.json", data), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats(-3, 3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+FUZZED_PATHS = [
+    ("graph",), ("graph", "m"), ("graph", "arcs"), ("graph", "arcs", 0), ("n",),
+    ("weights",), ("weights", "synthesize"), ("weights", "synthesize", "mode"),
+    ("weights", "synthesize", "symmetric"), ("weights", "synthesize", "decomposition"),
+    ("algorithm",), ("algorithm", "name"), ("algorithm", "steps"), ("algorithm", "stepsize"),
+    ("algorithm", "schedule"), ("algorithm", "schedule", "subgraphs"), ("algorithm", "schedule", "script"),
+    ("initial_state",), ("initial_state", "random", "seed"), ("output",),
+]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(path=st.sampled_from(FUZZED_PATHS), value=JSON_VALUES, command=st.sampled_from(["verify", "run", "analyze"]))
+def test_fuzzed_scenarios_fail_cleanly(path, value, command):
+    data = symmetric_square_scenario(algorithm={**SCHEDULED, "steps": 2})
+    _set(data, path, value)
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = write_scenario(Path(tmp), "s.json", data)
+        out = ["--out", str(Path(tmp) / "o")] if command == "run" else []
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([command, "--scenario", scenario, *out])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert stderr.getvalue().startswith("error:")

@@ -1,5 +1,8 @@
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limcon import (
     DirectedGraph,
@@ -19,6 +22,7 @@ from limcon import (
     is_symmetric,
     is_weakly_connected,
     spanning_incidence_matrix,
+    symmetric_closure,
     symmetric_cycle,
     symmetric_ear_decomposition,
     symmetric_path,
@@ -274,3 +278,93 @@ def test_decomposition_json_keeps_pair_cycle_decompositions_ordinary():
     again = EarDecomposition.from_json(dec.to_json())
     assert not again.symmetric
     validate_ear_decomposition(tree, again)
+
+
+@st.composite
+def symmetric_graphs(draw, max_m=9):
+    m = draw(st.integers(1, max_m))
+    pairs = draw(st.sets(st.tuples(st.integers(1, m), st.integers(1, m)).filter(lambda e: e[0] < e[1])))
+    return DirectedGraph(m, tuple(arc for a, b in pairs for arc in ((a, b), (b, a))))
+
+
+def _undirected(g):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(1, g.m + 1))
+    graph.add_edges_from(g.undirected_pairs)
+    return graph
+
+
+def _shortest_cycle_length_through(graph, root):
+    # close a shortest detour around each edge at the root
+    lengths = []
+    for w in list(graph.neighbors(root)):
+        graph.remove_edge(root, w)
+        if nx.has_path(graph, w, root):
+            lengths.append(nx.shortest_path_length(graph, w, root) + 1)
+        graph.add_edge(root, w)
+    return min(lengths)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_graphs())
+def test_two_connectivity_is_connected_and_bridgeless(g):
+    graph = _undirected(g)
+    assert is_2_connected(g) == (nx.is_connected(graph) and not nx.has_bridges(graph))
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_graphs())
+def test_symmetric_ear_decomposition_properties(g):
+    if g.m < 2 or not is_2_connected(g):
+        with pytest.raises(ValueError, match="2-connected"):
+            symmetric_ear_decomposition(g)
+        return
+    dec = symmetric_ear_decomposition(g)
+    validate_ear_decomposition(g, dec)
+    first = dec.ears[0]
+    assert first.arcs[0][0] == 1
+    assert first.pair_count == _shortest_cycle_length_through(_undirected(g), 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda m: st.tuples(st.permutations(range(1, m + 1)), st.lists(st.tuples(st.integers(1, m), st.integers(1, m)), max_size=12))))
+def test_ear_decomposition_validates_on_random_strongly_connected(case):
+    perm, extra = case
+    m = len(perm)
+    arcs = {(perm[k], perm[(k + 1) % m]) for k in range(m)} | {(j, i) for j, i in extra if j != i}
+    g = DirectedGraph(m, tuple(arcs))
+    validate_ear_decomposition(g, ear_decomposition(g))
+
+
+def test_long_cycle_decomposes_without_recursion():
+    g = symmetric_cycle(5000)
+    assert is_2_connected(g)
+    dec = symmetric_ear_decomposition(g)
+    assert len(dec) == 1 and dec.ears[0].pair_count == 5000
+    validate_ear_decomposition(g, dec)
+    assert not is_2_connected(symmetric_path(5000))
+
+
+def test_shortest_first_ear_follows_lexicographic_order():
+    # two triangles through vertex 1: (1, 2, 3) and (1, 4, 5); the ear takes
+    # the smaller first hop, then the smaller way back
+    g = symmetric_closure(DirectedGraph(5, ((1, 2), (2, 3), (3, 1), (1, 4), (4, 5), (5, 1))))
+    assert symmetric_ear_decomposition(g).ears[0].arcs[::2] == ((1, 2), (2, 3), (3, 1))
+    # even length: square 1-2-4-3-1 with the apex 4 reached from both sides
+    square = symmetric_closure(DirectedGraph(4, ((1, 2), (1, 3), (2, 4), (3, 4))))
+    assert symmetric_ear_decomposition(square).ears[0].arcs[::2] == ((1, 2), (2, 4), (4, 3), (3, 1))
+
+
+def test_validator_rejects_bad_symmetric_decompositions():
+    from limcon import Ear
+
+    g = symmetric_cycle(4)
+    good = symmetric_ear_decomposition(g)
+    unpaired = Ear("cycle", good.ears[0].arcs[1:] + good.ears[0].arcs[:1])
+    with pytest.raises(ValueError, match="forward/reverse pairs"):
+        validate_ear_decomposition(g, EarDecomposition((unpaired,), symmetric=True))
+    two_pairs = Ear("cycle", ((1, 2), (2, 1), (2, 1), (1, 2)))
+    with pytest.raises(ValueError, match="must close over >= 3 pairs"):
+        validate_ear_decomposition(g, EarDecomposition((two_pairs,), symmetric=True))
+    with pytest.raises(ValueError, match="symmetric ears do not partition"):
+        validate_ear_decomposition(complete_symmetric(4), good)

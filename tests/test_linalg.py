@@ -17,7 +17,7 @@ from limcon import (
 from limcon.linalg import column_space_basis, matrix_rank, spectral_radius
 
 from conftest import random_subspace
-from oracles import brute_force_independent, symmetric_3x3_eigenvalues
+from oracles import brute_force_independent, mixed_norm_2_inf_loop, symmetric_3x3_eigenvalues
 
 
 def test_kernel_of_identity_is_trivial():
@@ -195,6 +195,34 @@ def test_subspace_intersection():
     assert subspace_intersection(e[:, [0]], e[:, [1]]).shape == (3, 0)
 
 
+def test_subspace_intersection_of_rotated_copies_is_whole_span():
+    # every residual I - QQ' is pure roundoff here; the intersection is all of Q
+    from scipy.stats import ortho_group
+
+    q = ortho_group.rvs(3, random_state=1)
+    inter = subspace_intersection(q, q)
+    assert inter.shape == (3, 3)
+    assert subspaces_equal(inter, np.eye(3))
+    rng = np.random.default_rng(13)
+    for n, dim in ((3, 2), (5, 3), (6, 6)):
+        basis = random_subspace(rng, n, dim)
+        rotated = basis @ np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        inter = subspace_intersection(basis, rotated)
+        assert inter.shape == (n, dim)
+        assert np.allclose(inter.T @ inter, np.eye(dim), atol=1e-12)
+        assert subspaces_equal(inter, basis)
+
+
+def test_subspace_intersection_of_random_planes_in_space():
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        a, b = random_subspace(rng, 3, 2), random_subspace(rng, 3, 2)
+        line = subspace_intersection(a, b)
+        assert line.shape == (3, 1)
+        assert subspaces_equal(a @ (a.T @ line), line) and subspaces_equal(b @ (b.T @ line), line)
+        assert subspace_intersection(a, random_subspace(rng, 3, 1)).shape == (3, 0)
+
+
 def test_subspaces_equal_is_basis_free():
     rng = np.random.default_rng(10)
     basis = random_subspace(rng, 4, 2)
@@ -221,6 +249,14 @@ def test_mixed_norm_bounds_spectral_radius():
     for _ in range(20):
         q = rng.standard_normal((6, 6))
         assert spectral_radius(q) <= mixed_norm_2_inf(q, 3) + 1e-12
+
+
+def test_mixed_norm_matches_blockwise_loop():
+    rng = np.random.default_rng(15)
+    for m, block in ((1, 1), (7, 1), (1, 5), (4, 2), (5, 3), (3, 4)):
+        for _ in range(5):
+            q = rng.standard_normal((m * block, m * block))
+            assert mixed_norm_2_inf(q, block) == mixed_norm_2_inf_loop(q, block)
 
 
 def test_mixed_norm_dimension_mismatch():
