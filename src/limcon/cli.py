@@ -121,6 +121,10 @@ def load_scenario(path: Path) -> dict:
     )
     if data["schema_version"] != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema_version {data['schema_version']!r}; expected {SCHEMA_VERSION}")
+    if "output" in data:
+        # checked here, not where it is read: --out would skip that
+        _check_keys(data["output"], "output", required=("dir",))
+        _expect(data["output"]["dir"], "output.dir", str)
     return data
 
 
@@ -257,20 +261,16 @@ def _resolve(data: dict, base_dir: Path) -> tuple[DirectedGraph, int, WeightedNe
 def _out_dir(args, data: dict) -> Path:
     if getattr(args, "out", None):
         return Path(args.out)
-    if "output" in data:
-        _check_keys(data["output"], "output", required=("dir",))
-        return Path(_expect(data["output"]["dir"], "output.dir", str))
-    return Path("out")
+    return Path(data["output"]["dir"] if "output" in data else "out")
 
 
 def _write_trajectory_csv(path: Path, traj) -> None:
     rounds, m, n = traj.states.shape
-    lines = ["t,agent," + ",".join(f"comp_{c + 1}" for c in range(n))]
-    for t in range(rounds):
-        for a in range(m):
-            comps = ",".join(f"{v:.17g}" for v in traj.states[t, a])
-            lines.append(f"{t},{a + 1},{comps}")
-    path.write_text("\n".join(lines) + "\n")
+    row = "%d,%d," + ",".join(["%.17g"] * n) + "\n"
+    with path.open("w") as out:
+        out.write("t,agent," + ",".join(f"comp_{c + 1}" for c in range(n)) + "\n")
+        for t in range(rounds):
+            out.write("".join(row % (t, a, *x) for a, x in enumerate(traj.states[t].tolist(), 1)))
 
 
 def _round_matrix_for_summary(name: str, w: WeightedNeighborGraph) -> np.ndarray:

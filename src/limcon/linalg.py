@@ -55,7 +55,7 @@ def column_space_basis(a, rtol: float = RANK_RTOL) -> np.ndarray:
     a = _as_matrix(a)
     if a.shape[1] == 0 or not a.any():
         return np.zeros((a.shape[0], 0))
-    u, s, _ = np.linalg.svd(a)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
     rank = int(np.sum(s > rtol * s[0]))
     return u[:, :rank].copy()
 

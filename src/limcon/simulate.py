@@ -2,10 +2,10 @@
 weights, time-varying schedules, and spectral diagnostics.
 
 Every engine advances the whole network one round at a time: the t+1 state
-of each agent depends only on round-t states.  Iterations are applied in a
-factored matrix-free form (differences first), so exact-consensus states are
-exact fixed points; `build_update_matrix` exposes the equivalent dense
-round map for diagnostics.
+of each agent depends only on round-t states.  Each round map is one
+`RoundOperator`, applied matrix-free per arc (differences first), so
+exact-consensus states are exact fixed points; `build_update_matrix` asks the
+same operator for the equivalent dense round map for diagnostics.
 """
 
 from __future__ import annotations
@@ -14,15 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (
-    DirectedGraph,
-    incidence_matrix,
-    is_directed_cycle,
-    is_symmetric,
-    spanning_incidence_matrix,
-)
-from .linalg import kernel_basis, mixed_norm_2_inf
-from .wellconfig import WeightedNeighborGraph, agreement_map, stacked_weights
+from .graphs import DirectedGraph, is_directed_cycle, is_symmetric
+from .linalg import matrix_rank, mixed_norm_2_inf
+from .wellconfig import WeightedNeighborGraph
 
 # A run counts as converged after this many consecutive rounds below tolerance.
 CONSENSUS_TOL = 1e-9
@@ -177,10 +171,22 @@ def consensus_error(x, n: int | None = None) -> float:
     return float(np.max(np.linalg.norm(x - x.mean(axis=0), axis=1)))
 
 
+def _arc_ends(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-based head and tail agents of the arcs, in canonical order."""
+    ends = np.array(g.arcs, dtype=np.intp).reshape(g.d, 2) - 1
+    return ends[:, 1], ends[:, 0]
+
+
+def _agreement_residual(c: np.ndarray, heads: np.ndarray, tails: np.ndarray, x: np.ndarray) -> float:
+    # norm of the stacked C_k (x_i - x_j); the Gram form sqrt(diff' P_k diff) loses half the digits near zero
+    return float(np.linalg.norm(np.matmul(c, (x[heads] - x[tails])[:, :, None])))
+
+
 def local_agreement_residual(w: WeightedNeighborGraph, x) -> float:
     """||C Jbar' x||_2: zero iff every transmitted view of the state agrees."""
-    flat = np.asarray(x, dtype=float).reshape(-1)
-    return float(np.linalg.norm(agreement_map(w) @ flat))
+    heads, tails = _arc_ends(w.graph)
+    state = np.asarray(x, dtype=float).reshape(w.m, w.n)
+    return _agreement_residual(w.padded_weights(), heads, tails, state)
 
 
 def _coerce_state(x0, m: int, n: int) -> np.ndarray:
@@ -199,99 +205,115 @@ def _require_symmetric(g: DirectedGraph, what: str) -> None:
         raise ValueError(f"{what} is defined for symmetric graphs")
 
 
-def _damping(g: DirectedGraph, n: int, half: bool) -> np.ndarray:
-    scale = np.array([1.0 / ((2.0 if half else 1.0) * (g.degree(i) + 1)) for i in range(1, g.m + 1)])
-    return np.repeat(scale, n)
+def _damping(g: DirectedGraph, half: bool) -> np.ndarray:
+    return np.array([1.0 / ((2.0 if half else 1.0) * (g.degree(i) + 1)) for i in range(1, g.m + 1)])
 
 
-def _block_rows(w: WeightedNeighborGraph) -> np.ndarray:
-    return np.array([w.weight(arc).shape[0] for arc in w.graph.arcs], dtype=int)
+class RoundOperator:
+    """One round x -> x - Delta x of the (m, n) state, held per arc in
+    canonical order: arc k from tail j to head i pulls u_k = P_k (x_i - x_j)
+    with its (n, n) block, then the head moves by -head_scale[k] u_k and the
+    tail by -tail_scale[k] u_k (not at all if tail_scale is None).  `delta`
+    is one gather, one batched matmul and one bincount scatter, O(d n^2 + m n)
+    per round; `dense` assembles the same map as an mn x mn matrix.
+    """
+
+    def __init__(self, m: int, heads, tails, blocks, head_scale, tail_scale=None):
+        self.m = m
+        self.n = blocks.shape[-1]
+        self.heads, self.tails, self.blocks = heads, tails, blocks
+        self.head_scale, self.tail_scale = head_scale, tail_scale
+        if tail_scale is None:
+            self._movers, scales = heads[None], head_scale[None]
+        else:
+            self._movers, scales = np.stack([heads, tails]), np.stack([head_scale, tail_scale])
+        self._scales = scales[:, :, None]  # (sides, d, 1)
+        self._slots = (self._movers[:, :, None] * self.n + np.arange(self.n)).ravel()
+
+    @classmethod
+    def from_weights(cls, w: WeightedNeighborGraph, agent_scale, two_sided=True, sub=None, arc_weights=None):
+        """Blocks arc_weights[k] C_k'C_k on w's arcs, only those of sub if given.
+
+        The move of agent v is scaled by agent_scale[v] (a scalar applies to
+        every agent); a two-sided round moves the tail by the opposite sign.
+        """
+        if sub is not None and not sub.is_spanning_subgraph_of(w.graph):
+            raise ValueError("sub must be a spanning subgraph of g")
+        heads, tails = _arc_ends(w.graph)
+        c = w.padded_weights()
+        blocks = np.matmul(c.transpose(0, 2, 1), c)
+        if arc_weights is not None:
+            blocks *= arc_weights[:, None, None]
+        if sub is not None:
+            keep = np.array([sub.has_arc(arc) for arc in w.graph.arcs], dtype=bool)
+            heads, tails, blocks = heads[keep], tails[keep], blocks[keep]
+        scale = np.broadcast_to(np.asarray(agent_scale, dtype=float), (w.m,))
+        return cls(w.m, heads, tails, blocks, scale[heads], -scale[tails] if two_sided else None)
+
+    def delta(self, x: np.ndarray) -> np.ndarray:
+        pulled = np.matmul(self.blocks, (x[self.heads] - x[self.tails])[:, :, None])[:, :, 0]
+        moves = (self._scales * pulled).ravel()
+        return np.bincount(self._slots, weights=moves, minlength=self.m * self.n).reshape(self.m, self.n)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return x - self.delta(x)
+
+    def delta_matrix(self) -> np.ndarray:
+        """Delta as a dense mn x mn matrix, O((mn)^2 + d n^2)."""
+        m, n = self.m, self.n
+        out = np.zeros((m, m, n, n))
+        moved = self._scales[..., None] * self.blocks  # (sides, d, n, n)
+        np.add.at(out, (self._movers, self.heads), moved)
+        np.add.at(out, (self._movers, self.tails), -moved)
+        return out.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+
+    def dense(self) -> np.ndarray:
+        """The round map I - Delta as a dense mn x mn matrix."""
+        return np.eye(self.m * self.n) - self.delta_matrix()
 
 
-class _Pieces:
-    """Stacked factors shared by the factored round maps."""
-
-    def __init__(self, w: WeightedNeighborGraph, sub: DirectedGraph | None = None):
-        g = w.graph
-        eye_n = np.eye(w.n)
-        inc = incidence_matrix(g) if sub is None else spanning_incidence_matrix(g, sub)
-        self.jbar = np.kron(inc, eye_n)
-        self.jplus_bar = np.kron(np.clip(inc, 0.0, None), eye_n)
-        self.c = stacked_weights(w)
-
-
-def _gradient_step(w: WeightedNeighborGraph, stepsize: StepsizeSchedule):
-    p = _Pieces(w)
-
-    def apply(t, flat):
-        pulled = p.c.T @ (p.c @ (p.jbar.T @ flat))
-        return flat - stepsize.alpha(t) * (p.jbar @ pulled)
-
-    return apply
+def _round_operator(algorithm: str, wn: WeightedNeighborGraph, subgraph: DirectedGraph | None = None) -> RoundOperator:
+    """The fixed round map of an algorithm, on normalized weights."""
+    g = wn.graph
+    if algorithm == "fixed_step":
+        _require_symmetric(g, "the fixed-step iteration")
+        return RoundOperator.from_weights(wn, _damping(g, half=True))
+    if algorithm == "metropolis_tv":
+        _require_symmetric(g, "the Metropolis iteration")
+        sub = g if subgraph is None else subgraph
+        weights = metropolis_weights(sub)
+        arc_weights = np.array([weights.get(arc, 0.0) for arc in g.arcs])
+        return RoundOperator.from_weights(wn, 0.5, sub=sub, arc_weights=arc_weights)
+    if algorithm == "cycle_projection" and not is_directed_cycle(g):
+        raise ValueError("cycle projection requires a directed cycle")
+    return RoundOperator.from_weights(wn, _damping(g, half=False), two_sided=False)
 
 
-def _fixed_step(w: WeightedNeighborGraph):
-    wn = w.normalized()
-    p = _Pieces(wn)
-    damp = _damping(w.graph, w.n, half=True)
-
-    def apply(t, flat):
-        pulled = p.c.T @ (p.c @ (p.jbar.T @ flat))
-        return flat - damp * (p.jbar @ pulled)
-
-    return apply
-
-
-def _metropolis_step(w: WeightedNeighborGraph, sub: DirectedGraph):
-    wn = w.normalized()
-    p = _Pieces(wn, sub)
-    weights = spanning_weight_matrix(w.graph, sub).diagonal()
-    wrep = np.repeat(weights, _block_rows(wn))
-
-    def apply(t, flat):
-        signal = wrep * (p.c @ (p.jbar.T @ flat))
-        return flat - 0.5 * (p.jbar @ (p.c.T @ signal))
-
-    return apply
-
-
-def _projection_step(w: WeightedNeighborGraph):
-    wn = w.normalized()
-    p = _Pieces(wn)
-    damp = _damping(w.graph, w.n, half=False)
-
-    def apply(t, flat):
-        projected = p.c.T @ (p.c @ (p.jbar.T @ flat))
-        return flat - damp * (p.jplus_bar @ projected)
-
-    return apply
-
-
-def _run(w: WeightedNeighborGraph, x0, steps: int, apply_round, algorithm: str) -> Trajectory:
+def _run(w: WeightedNeighborGraph, x0, steps: int, step, algorithm: str) -> Trajectory:
+    """Rounds x <- step(t, x) from x0 until `steps` or a consensus streak."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    state = _coerce_state(x0, w.m, w.n)
-    amap = agreement_map(w)
-    flat = state.reshape(-1)
-    states = [flat.copy()]
-    errors = [consensus_error(flat, w.n)]
-    residuals = [float(np.linalg.norm(amap @ flat))]
+    x = _coerce_state(x0, w.m, w.n)
+    heads, tails = _arc_ends(w.graph)
+    c = w.padded_weights()
+    states = [x]
+    errors = [consensus_error(x)]
+    residuals = [_agreement_residual(c, heads, tails, x)]
     streak = 1 if errors[0] < CONSENSUS_TOL else 0
     converged = streak >= CONSENSUS_STREAK
     for t in range(steps):
         if converged:
             break
-        flat = apply_round(t, flat)
-        states.append(flat.copy())
-        err = consensus_error(flat, w.n)
+        x = step(t, x)
+        states.append(x)
+        err = consensus_error(x)
         errors.append(err)
-        residuals.append(float(np.linalg.norm(amap @ flat)))
+        residuals.append(_agreement_residual(c, heads, tails, x))
         streak = streak + 1 if err < CONSENSUS_TOL else 0
         converged = streak >= CONSENSUS_STREAK
-    stacked = np.stack(states).reshape(len(states), w.m, w.n)
     return Trajectory(
         algorithm=algorithm,
-        states=stacked,
+        states=np.stack(states),
         consensus_errors=np.array(errors),
         residuals=np.array(residuals),
         converged=converged,
@@ -309,15 +331,16 @@ def run_gradient(
     x(t+1) = x(t) - alpha(t) Jbar C'C Jbar' x(t), on the raw weights."""
     _require_symmetric(w.graph, "the gradient iteration")
     stepsize = stepsize or StepsizeSchedule.harmonic()
-    return _run(w, x0, steps, _gradient_step(w, stepsize), "gradient")
+    op = RoundOperator.from_weights(w, 1.0)
+    return _run(w, x0, steps, lambda t, x: x - stepsize.alpha(t) * op.delta(x), "gradient")
 
 
 def run_fixed_step(w: WeightedNeighborGraph, x0, steps: int) -> Trajectory:
     """Fully distributed fixed-step iteration on a symmetric graph:
     x(t+1) = (I - Dbar Jbar C'C Jbar') x(t) with per-agent damping
     1/(2(d_i+1)) and row-orthonormalized weights."""
-    _require_symmetric(w.graph, "the fixed-step iteration")
-    return _run(w, x0, steps, _fixed_step(w), "fixed_step")
+    op = _round_operator("fixed_step", w.normalized())
+    return _run(w, x0, steps, lambda t, x: op.apply(x), "fixed_step")
 
 
 def run_metropolis_tv(w: WeightedNeighborGraph, x0, schedule: Schedule, steps: int) -> Trajectory:
@@ -327,15 +350,16 @@ def run_metropolis_tv(w: WeightedNeighborGraph, x0, schedule: Schedule, steps: i
     schedule.validate_for(w.graph)
     if schedule.mode == "scripted" and schedule.script is not None and steps > len(schedule.script):
         raise ValueError(f"schedule script covers {len(schedule.script)} rounds, requested {steps}")
-    cache = {}
+    wn = w.normalized()
+    ops: dict[int, RoundOperator] = {}
 
-    def apply(t, flat):
+    def step(t, x):
         idx = schedule.index_at(t)
-        if idx not in cache:
-            cache[idx] = _metropolis_step(w, schedule.subgraphs[idx])
-        return cache[idx](t, flat)
+        if idx not in ops:
+            ops[idx] = _round_operator("metropolis_tv", wn, schedule.subgraphs[idx])
+        return ops[idx].apply(x)
 
-    return _run(w, x0, steps, apply, "metropolis_tv")
+    return _run(w, x0, steps, step, "metropolis_tv")
 
 
 def run_cycle_projection(w: WeightedNeighborGraph, x0, steps: int, project_init: bool = False) -> Trajectory:
@@ -348,12 +372,13 @@ def run_cycle_projection(w: WeightedNeighborGraph, x0, steps: int, project_init:
     if not is_directed_cycle(w.graph):
         raise ValueError("cycle projection requires a directed cycle")
     state = _coerce_state(x0, w.m, w.n)
+    wn = w.normalized()
     if project_init:
-        wn = w.normalized()
         for j, i in w.graph.arcs:
             c = wn.weight((j, i))
             state[i - 1] = c.T @ (c @ state[i - 1])
-    return _run(w, state, steps, _projection_step(w), "cycle_projection")
+    op = _round_operator("cycle_projection", wn)
+    return _run(w, state, steps, lambda t, x: op.apply(x), "cycle_projection")
 
 
 def run_general_projection(w: WeightedNeighborGraph, x0, steps: int) -> Trajectory:
@@ -363,7 +388,8 @@ def run_general_projection(w: WeightedNeighborGraph, x0, steps: int) -> Trajecto
     No convergence guarantee: the round map can have non-consensus fixed
     points even on well-configured graphs.
     """
-    return _run(w, x0, steps, _projection_step(w), "general_projection")
+    op = _round_operator("general_projection", w.normalized())
+    return _run(w, x0, steps, lambda t, x: op.apply(x), "general_projection")
 
 
 def build_update_matrix(
@@ -373,34 +399,13 @@ def build_update_matrix(
 ) -> np.ndarray:
     """The dense mn x mn linear map applied each round.
 
-    Applying it agrees with the corresponding run operation to machine
-    precision.  The gradient iteration has no fixed round map (its stepsize
-    varies), so it is not listed here.
+    Assembled from the same round operator the run uses.  The gradient
+    iteration has no fixed round map (its stepsize varies), so it is not
+    listed here.
     """
     if algorithm not in ("fixed_step", "metropolis_tv", "cycle_projection", "general_projection"):
         raise ValueError(f"no fixed round matrix for algorithm {algorithm!r}")
-    wn = w.normalized()
-    g = w.graph
-    eye = np.eye(g.m * w.n)
-    cn = stacked_weights(wn)
-    if algorithm == "fixed_step":
-        _require_symmetric(g, "the fixed-step iteration")
-        jbar = np.kron(incidence_matrix(g), np.eye(w.n))
-        damp = np.diag(_damping(g, w.n, half=True))
-        return eye - damp @ jbar @ cn.T @ cn @ jbar.T
-    if algorithm == "metropolis_tv":
-        _require_symmetric(g, "the Metropolis iteration")
-        sub = subgraph if subgraph is not None else g
-        jbar = np.kron(spanning_incidence_matrix(g, sub), np.eye(w.n))
-        wrep = np.diag(np.repeat(spanning_weight_matrix(g, sub).diagonal(), _block_rows(wn)))
-        return eye - 0.5 * jbar @ cn.T @ wrep @ cn @ jbar.T
-    if algorithm == "cycle_projection" and not is_directed_cycle(g):
-        raise ValueError("cycle projection requires a directed cycle")
-    inc = incidence_matrix(g)
-    jbar_t = np.kron(inc, np.eye(w.n)).T
-    jplus_bar = np.kron(np.clip(inc, 0.0, None), np.eye(w.n))
-    damp = np.diag(_damping(g, w.n, half=False))
-    return eye - damp @ jplus_bar @ cn.T @ cn @ jbar_t
+    return _round_operator(algorithm, w.normalized(), subgraph).dense()
 
 
 def stacked_laplacian(
@@ -414,20 +419,12 @@ def stacked_laplacian(
     With no options this is the positive-semidefinite map whose quadratic
     form is ||C Jbar' x||^2; its kernel is the local-agreement set.
     """
-    wn = w.normalized() if normalized else w
-    g = w.graph
-    inc = incidence_matrix(g) if subgraph is None else spanning_incidence_matrix(g, subgraph)
-    jbar = np.kron(inc, np.eye(w.n))
-    c = stacked_weights(wn)
-    if arc_weights is None:
-        middle = c.T @ c
-    else:
+    if arc_weights is not None:
         arc_weights = np.asarray(arc_weights, dtype=float)
-        if arc_weights.shape != (g.d,):
-            raise ValueError(f"arc_weights must have shape ({g.d},)")
-        wrep = np.repeat(arc_weights, _block_rows(wn))
-        middle = c.T @ np.diag(wrep) @ c
-    return jbar @ middle @ jbar.T
+        if arc_weights.shape != (w.graph.d,):
+            raise ValueError(f"arc_weights must have shape ({w.graph.d},)")
+    wn = w.normalized() if normalized else w
+    return RoundOperator.from_weights(wn, 1.0, sub=subgraph, arc_weights=arc_weights).delta_matrix()
 
 
 @dataclass(frozen=True)
@@ -499,6 +496,6 @@ def spectral_report(mat: np.ndarray, n: int, tol: float = EIG_COUNT_TOL) -> Spec
         symmetric=symmetric,
         paracontracting=paracontracting,
         mixed_norm=mixed_norm_2_inf(mat, n),
-        one_eigenspace_dim=kernel_basis(mat - np.eye(mat.shape[0])).shape[1],
+        one_eigenspace_dim=mat.shape[0] - matrix_rank(mat - np.eye(mat.shape[0])),
         degenerate=ones == eig.size,
     )

@@ -32,7 +32,6 @@ from .linalg import (
     column_space_basis,
     kernel_basis,
     matrix_rank,
-    row_space_basis,
     subspace_family_independent,
     subspace_intersection,
 )
@@ -67,7 +66,7 @@ class WeightedNeighborGraph:
                 mat = np.zeros((0, self.n))  # nothing transmitted on this arc
             if mat.shape[1] != self.n:
                 raise ValueError(f"weight for arc {arc} must have {self.n} columns, has {mat.shape[1]}")
-            if not np.all(np.isfinite(mat)):
+            if not np.isfinite(mat).all():
                 raise ValueError(f"weight for arc {arc} has non-finite entries")
             mat.flags.writeable = False
             clean[arc] = mat
@@ -91,11 +90,32 @@ class WeightedNeighborGraph:
         """Replace every weight by an orthonormal basis of its row space.
 
         Kernels are preserved, so the well-configuration verdict is too; the
-        algorithms that use projections assume this form.
+        algorithms that use projections assume this form.  Weights of one
+        shape share one stacked SVD, bit for bit what row_space_basis gives
+        on each of them.
         """
-        return WeightedNeighborGraph(
-            self.graph, self.n, {arc: row_space_basis(c, rtol) for arc, c in self.weights.items()}
-        )
+        by_shape: dict[tuple[int, int], list[Arc]] = {}
+        for arc, c in self.weights.items():
+            by_shape.setdefault(c.shape, []).append(arc)
+        rows: dict[Arc, np.ndarray] = {}
+        for (r, _), arcs in by_shape.items():
+            if r == 0:
+                rows.update((arc, np.zeros((0, self.n))) for arc in arcs)
+                continue
+            _, s, vh = np.linalg.svd(np.stack([self.weights[arc] for arc in arcs]))
+            # an all-zero weight has s[0] = 0 and so rank 0, as in row_space_basis
+            ranks = np.sum(s > rtol * s[:, :1], axis=1)
+            rows.update((arc, vh[k, : ranks[k]]) for k, arc in enumerate(arcs))
+        return WeightedNeighborGraph(self.graph, self.n, {arc: rows[arc] for arc in self.weights})
+
+    def padded_weights(self) -> np.ndarray:
+        """(d, r, n) stack of the weights in canonical arc order, each padded
+        with zero rows to the largest row count r."""
+        mats = [self.weights[arc] for arc in self.graph.arcs]
+        out = np.zeros((len(mats), max((c.shape[0] for c in mats), default=0), self.n))
+        for k, c in enumerate(mats):
+            out[k, : c.shape[0]] = c
+        return out
 
 
 def identity_weights(g: DirectedGraph, n: int) -> WeightedNeighborGraph:
@@ -199,6 +219,23 @@ def is_well_configured(w: WeightedNeighborGraph, rtol: float = RANK_RTOL, arc_or
     return WellConfigReport(ok, dim, w.m, w.n, witness)
 
 
+def _stacked_kernel(w: WeightedNeighborGraph, rtol: float) -> np.ndarray:
+    """Kernel basis of the block-diagonal stacked weights, built from the
+    per-arc kernels.
+
+    The stacked singular values are the union of the per-arc ones, so each
+    arc is cut at rtol times the largest singular value over all arcs: the
+    same rank decision as one SVD of the whole stacked matrix.
+    """
+    c = w.padded_weights()
+    d, r, n = c.shape
+    if r == 0 or not c.any():
+        return np.eye(d * n)
+    _, s, vh = np.linalg.svd(c)
+    ranks = np.sum(s > rtol * s.max(), axis=1)
+    return block_diag([vh[k, ranks[k] :].T for k in range(d)])
+
+
 def disagreement_overlap_dim(w: WeightedNeighborGraph, rtol: float = RANK_RTOL) -> int:
     """Dimension of (image of the lifted incidence transpose) meet (kernel of
     the stacked weights), in per-arc signal space.
@@ -208,7 +245,7 @@ def disagreement_overlap_dim(w: WeightedNeighborGraph, rtol: float = RANK_RTOL) 
     """
     jbar_t = lifted_incidence(w.graph, w.n).T
     image = column_space_basis(jbar_t, rtol)
-    ker = kernel_basis(stacked_weights(w), rtol)
+    ker = _stacked_kernel(w, rtol)
     if image.shape[1] == 0 or ker.shape[1] == 0:
         return 0
     total = matrix_rank(np.hstack([image, ker]), rtol)

@@ -148,3 +148,86 @@ def mixed_norm_2_inf_loop(q, block):
             blk = q[i * block : (i + 1) * block, j * block : (j + 1) * block]
             gauge[i, j] = np.linalg.norm(blk, 2)
     return float(np.max(gauge.sum(axis=1)))
+
+
+def _incidence(m, arcs):
+    inc = np.zeros((m, len(arcs)))
+    for k, (j, i) in enumerate(arcs):
+        inc[i - 1, k] = 1.0
+        inc[j - 1, k] = -1.0
+    return inc
+
+
+def _stacked(w):
+    blocks = [w.weight(arc) for arc in w.graph.arcs]
+    out = np.zeros((sum(b.shape[0] for b in blocks), w.n * len(blocks)))
+    r = 0
+    for k, b in enumerate(blocks):
+        out[r : r + b.shape[0], k * w.n : (k + 1) * w.n] = b
+        r += b.shape[0]
+    return out
+
+
+def stacked_laplacian_kron(w, sub=None, arc_weights=None):
+    """Jbar C' W C Jbar' from Kronecker-lifted incidence matrices; arcs of g
+    outside sub get a zero incidence column."""
+    g = w.graph
+    inc = _incidence(g.m, g.arcs)
+    if sub is not None:
+        inc[:, [not sub.has_arc(arc) for arc in g.arcs]] = 0.0
+    jbar = np.kron(inc, np.eye(w.n))
+    c = _stacked(w)
+    scale = np.ones(g.d) if arc_weights is None else np.asarray(arc_weights, dtype=float)
+    rows = [w.weight(arc).shape[0] for arc in g.arcs]
+    return jbar @ c.T @ np.diag(np.repeat(scale, rows)) @ c @ jbar.T
+
+
+def update_matrix_kron(algorithm, w_norm, sub=None):
+    """Dense round map of a fixed-map algorithm on normalized weights, from
+    the Kronecker formulas: I - Dbar Jbar C'C Jbar' (fixed step),
+    I - 1/2 Jbar(S) C' Wbar(S) C Jbar(S)' (Metropolis on subgraph S) and
+    I - Dbar Jbar+ C'C Jbar' (projections)."""
+    g, n = w_norm.graph, w_norm.n
+    eye = np.eye(g.m * n)
+    degrees = np.array([g.degree(v) for v in range(1, g.m + 1)], dtype=float)
+    if algorithm == "fixed_step":
+        damp = np.diag(np.repeat(1.0 / (2.0 * (degrees + 1.0)), n))
+        return eye - damp @ stacked_laplacian_kron(w_norm)
+    if algorithm == "metropolis_tv":
+        sub = g if sub is None else sub
+        wts = [
+            1.0 / (1.0 + max(sub.degree(i), sub.degree(j))) if sub.has_arc((j, i)) else 0.0 for j, i in g.arcs
+        ]
+        return eye - 0.5 * stacked_laplacian_kron(w_norm, sub, wts)
+    inc = _incidence(g.m, g.arcs)
+    c = _stacked(w_norm)
+    damp = np.diag(np.repeat(1.0 / (degrees + 1.0), n))
+    jplus_bar = np.kron(np.clip(inc, 0.0, None), np.eye(n))
+    return eye - damp @ jplus_bar @ c.T @ c @ np.kron(inc, np.eye(n)).T
+
+
+def disagreement_overlap_dim_dense(w, rtol=1e-10):
+    """dim(image Jbar' meet kernel C) from full SVDs of the dense lifted
+    incidence and the dense stacked weights."""
+    g, n = w.graph, w.n
+    jbar_t = np.kron(_incidence(g.m, g.arcs), np.eye(n)).T
+    c = _stacked(w)
+
+    def rank(s, top):
+        return int(np.sum(s > rtol * top)) if s.size and top > 0 else 0
+
+    if jbar_t.size and jbar_t.any():
+        u, s, _ = np.linalg.svd(jbar_t)
+        image = u[:, : rank(s, s[0])]
+    else:
+        image = np.zeros((jbar_t.shape[0], 0))
+    if c.shape[0] and c.any():
+        _, s, vh = np.linalg.svd(c)
+        ker = vh[rank(s, s[0]) :].T
+    else:
+        ker = np.eye(c.shape[1])
+    if image.shape[1] == 0 or ker.shape[1] == 0:
+        return 0
+    both = np.hstack([image, ker])
+    s = np.linalg.svd(both, compute_uv=False)
+    return image.shape[1] + ker.shape[1] - rank(s, s[0])

@@ -447,3 +447,25 @@ def test_fuzzed_scenarios_fail_cleanly(path, value, command):
     assert code in (0, 1, 2)
     if code == 1:
         assert stderr.getvalue().startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["synth", "run", "analyze"])
+def test_malformed_output_section_rejected_with_out_flag(command, tmp_path, capsys):
+    data = symmetric_square_scenario(output={"dir": 5, "bogus": 1})
+    scenario = write_scenario(tmp_path, "s.json", data)
+    assert main([command, "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: output: unknown keys")
+    assert not (tmp_path / "o").exists()
+
+
+def test_trajectory_csv_matches_repr_formatting(tmp_path):
+    from types import SimpleNamespace
+
+    from limcon.cli import _write_trajectory_csv
+
+    awkward = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -1 / 3, 1e22]
+    states = np.array(awkward * 3).reshape(3, 4, 2)
+    _write_trajectory_csv(tmp_path / "t.csv", SimpleNamespace(states=states))
+    lines = ["t,agent,comp_1,comp_2"]
+    lines += [f"{t},{a + 1}," + ",".join(f"{v:.17g}" for v in states[t, a]) for t in range(3) for a in range(4)]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"

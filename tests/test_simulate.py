@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from limcon import (
     directed_cycle,
     directed_path,
     identity_weights,
+    is_symmetric,
     is_well_configured,
     kernel_basis,
     local_agreement_residual,
@@ -43,6 +46,8 @@ from oracles import (
     general_step_agents,
     gradient_step_agents,
     metropolis_step_agents,
+    stacked_laplacian_kron,
+    update_matrix_kron,
 )
 
 
@@ -576,3 +581,113 @@ def test_residual_zero_implies_consensus_on_well_configured():
     traj = run_fixed_step(w, rng.standard_normal((4, 3)), 4000)
     assert traj.final_residual < 1e-9
     assert traj.final_consensus_error < 1e-8
+
+
+# --------------------------------------------------- round operator vs kron formulas
+
+
+def random_weights(rng, g, n, symmetric_pairs=False):
+    """Weights with 0..n+1 rows per arc: zero-row, wide and tall blocks, and
+    now and then an all-zero block; equal in both directions on request."""
+    weights = {}
+    for j, i in g.arcs:
+        if symmetric_pairs and (i, j) in weights:
+            weights[(j, i)] = weights[(i, j)]
+            continue
+        c = rng.standard_normal((int(rng.integers(0, n + 2)), n))
+        weights[(j, i)] = 0.0 * c if rng.random() < 0.1 else c
+    return WeightedNeighborGraph(g, n, weights)
+
+
+def random_graph(rng, m, symmetric):
+    pairs = {(int(a), int(b)) for a, b in rng.integers(1, m + 1, size=(2 * m, 2)) if a != b}
+    arcs = pairs | {(b, a) for a, b in pairs} if symmetric else pairs
+    return DirectedGraph(m, tuple(sorted(arcs)))
+
+
+@pytest.mark.parametrize("case", range(25))
+def test_dense_round_map_matches_kron_formulas(case):
+    rng = np.random.default_rng([17, case])
+    m, n = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+    if case == 0:
+        g = DirectedGraph(3, ())  # d = 0
+    else:
+        g = random_graph(rng, m, symmetric=case % 2 == 1)
+    w = random_weights(rng, g, n, symmetric_pairs=case % 4 == 1)
+    wn = w.normalized()
+    x = rng.standard_normal((g.m, w.n))
+    algorithms = {"general_projection": run_general_projection}
+    if is_symmetric(g):
+        algorithms["fixed_step"] = run_fixed_step
+    for name, runner in algorithms.items():
+        dense = build_update_matrix(name, w)
+        assert np.abs(dense - update_matrix_kron(name, wn)).max(initial=0.0) < 1e-12
+        one_round = runner(w, x, 1).states[-1].reshape(-1)
+        assert np.abs(dense @ x.reshape(-1) - one_round).max(initial=0.0) < 1e-12
+    if is_symmetric(g):
+        pairs = [p for p in g.undirected_pairs if rng.random() < 0.5]
+        sub = DirectedGraph(g.m, tuple(arc for a, b in pairs for arc in ((a, b), (b, a))))
+        for s in (g, sub):
+            dense = build_update_matrix("metropolis_tv", w, s)
+            assert np.abs(dense - update_matrix_kron("metropolis_tv", wn, s)).max(initial=0.0) < 1e-12
+            one_round = run_metropolis_tv(w, x, Schedule.fixed(s), 1).states[-1].reshape(-1)
+            assert np.abs(dense @ x.reshape(-1) - one_round).max(initial=0.0) < 1e-12
+    arc_weights = rng.uniform(0.0, 2.0, size=g.d)
+    sub = DirectedGraph(g.m, tuple(arc for arc in g.arcs if rng.random() < 0.6))
+    assert np.abs(stacked_laplacian(w) - stacked_laplacian_kron(w)).max(initial=0.0) < 1e-12
+    got = stacked_laplacian(w, sub, arc_weights, normalized=True)
+    assert np.abs(got - stacked_laplacian_kron(wn, sub, arc_weights)).max(initial=0.0) < 1e-12
+
+
+def test_dense_cycle_projection_matches_kron_formula():
+    rng = np.random.default_rng(18)
+    for m, n in ((2, 1), (3, 3), (5, 2)):
+        w = random_weights(rng, directed_cycle(m), n)
+        dense = build_update_matrix("cycle_projection", w)
+        assert np.abs(dense - update_matrix_kron("cycle_projection", w.normalized())).max() < 1e-12
+
+
+def test_residual_is_precise_at_a_planted_witness():
+    # the Gram form sqrt(sum diff' C_k'C_k diff) reads about 1e-8 here
+    rng = np.random.default_rng(19)
+    m, n = 24, 4
+    perm = rng.permutation(np.arange(1, m + 1))
+    arcs = {(int(perm[k]), int(perm[(k + 1) % m])) for k in range(m)}
+    arcs |= {(int(a), int(b)) for a, b in rng.integers(1, m + 1, size=(2 * m, 2)) if a != b}
+    side = set(rng.choice(np.arange(1, m + 1), size=m // 2, replace=False).tolist())
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    cut = np.eye(n) - np.outer(v, v)
+    weights = {}
+    for j, i in arcs:
+        c = rng.standard_normal((n - 1, n))
+        weights[(j, i)] = c @ cut if (j in side) != (i in side) else c
+    w = WeightedNeighborGraph(DirectedGraph(m, tuple(sorted(arcs))), n, weights)
+    report = is_well_configured(w)
+    assert not report
+    assert local_agreement_residual(w, report.witness) <= 1e-12
+    assert run_general_projection(w, report.witness, 0).residuals[0] <= 1e-12
+
+
+def test_fixed_step_memory_is_linear_in_arcs():
+    # one dense kron(incidence, I_n) factor would take 576 MB here
+    rng = np.random.default_rng(20)
+    w = synthesize_symmetric_weights(symmetric_cycle(2000), 3)
+    x0 = rng.standard_normal((2000, 3))
+    tracemalloc.start()
+    try:
+        traj = run_fixed_step(w, x0, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.steps_run == 200
+    assert peak < 64 * 2**20
+
+
+def test_one_eigenspace_dim_counts_the_fixed_space(sym_corpus):
+    for name, g in sym_corpus.items():
+        w = synthesize_symmetric_weights(g, 2)
+        for mat in (build_update_matrix("fixed_step", w), build_update_matrix("general_projection", w)):
+            expected = kernel_basis(mat - np.eye(mat.shape[0])).shape[1]
+            assert spectral_report(mat, 2).one_eigenspace_dim == expected, name
+    assert spectral_report(np.eye(4), 2).one_eigenspace_dim == 4

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limcon import (
     DirectedGraph,
@@ -29,13 +31,14 @@ from limcon import (
     weights_from_json,
     weights_to_json,
 )
-from limcon.linalg import subspaces_equal
+from limcon.linalg import row_space_basis, subspaces_equal
 
 from conftest import (
     random_subspace,
     random_weakly_connected_wng,
     weight_with_kernel,
 )
+from oracles import disagreement_overlap_dim_dense
 
 
 def cycle_wng(kernels):
@@ -402,3 +405,43 @@ def test_overlap_dimension_counts_failures():
     w = WeightedNeighborGraph(g, 2, {(1, 2): np.array([[1.0, 0.0]]), (2, 3): np.eye(2)})
     assert disagreement_overlap_dim(w) == 1
     assert disagreement_overlap_dim(identity_weights(g, 2)) == 0
+
+
+def rescaled_wng(seed, exponents):
+    """A random weakly connected configuration with arc k scaled by
+    10 ** exponents[k mod len(exponents)]."""
+    w = random_weakly_connected_wng(np.random.default_rng(seed))
+    scaled = {arc: c * 10.0 ** exponents[k % len(exponents)] for k, (arc, c) in enumerate(w.weights.items())}
+    return WeightedNeighborGraph(w.graph, w.n, scaled)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), exponents=st.lists(st.integers(-6, 6), min_size=1, max_size=8))
+def test_overlap_dim_matches_dense_oracle_under_rescaling(seed, exponents):
+    w = rescaled_wng(seed, exponents)
+    assert disagreement_overlap_dim(w) == disagreement_overlap_dim_dense(w)
+
+
+# Scales 1e6 apart are kept (1e-6 of the largest) or cut (1e-12) by both
+# verifiers alike.  Closer to the 1e-10 cut-off the two formulations, which
+# rank different matrices, can legitimately part.
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), exponents=st.lists(st.sampled_from([-6, 0, 6]), min_size=1, max_size=8))
+def test_overlap_verdict_matches_primary_verifier_under_rescaling(seed, exponents):
+    w = rescaled_wng(seed, exponents)
+    assert (disagreement_overlap_dim(w) == 0) == is_well_configured(w).well_configured
+
+
+def test_normalized_equals_per_arc_row_space_basis():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        w = random_weakly_connected_wng(rng)
+        weights = dict(w.weights)
+        first, second = w.graph.arcs[0], w.graph.arcs[-1]
+        weights[first] = np.zeros((2, w.n))
+        weights[second] = np.vstack([weights[second], weights[second]])  # rank deficient
+        w = WeightedNeighborGraph(w.graph, w.n, weights)
+        for rtol in (1e-10, 1e-3):
+            normalized = w.normalized(rtol)
+            for arc in w.graph.arcs:
+                assert np.array_equal(normalized.weight(arc), row_space_basis(w.weight(arc), rtol))
