@@ -287,6 +287,13 @@ def cmd_verify(args) -> int:
     _, _, w = _resolve(data, Path(args.scenario).parent)
     report = is_well_configured(w, rtol=args.tol)
     print(json.dumps(report.to_json(), indent=2))
+    gap = report.rank_gap
+    if gap.narrow():
+        print(
+            f"warning: rank gap (last kept {gap.last_kept}, first dropped {gap.first_dropped}) "
+            f"is within {gap.MARGIN:g}x of the cut-off {gap.cutoff:.3g}; the verdict may change with --tol",
+            file=sys.stderr,
+        )
     return 0 if report.well_configured else 2
 
 

@@ -24,20 +24,28 @@ def _as_matrix(a) -> np.ndarray:
     return out
 
 
-def kernel_basis(a, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis of the kernel of a, as columns.
+def kernel_with_values(a, rtol: float = RANK_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal kernel basis of a, as columns, and the singular values
+    that decided it, largest first, from one SVD.
 
-    Based on the SVD: right singular vectors whose singular value falls
-    below rtol * sigma_max span the numerical nullspace.  An (n, 0) result
-    means the kernel is trivial.
+    Right singular vectors whose singular value falls below rtol * sigma_max
+    span the numerical nullspace.  A tall or square a takes the thin SVD,
+    whose Vh is already cols x cols, so no rows x rows U is ever formed; a
+    wide a needs the full Vh, and its U is small.  An all-zero a has the
+    whole space as kernel and zeros as singular values, without an SVD.
     """
     a = _as_matrix(a)
-    n = a.shape[1]
-    if a.shape[0] == 0 or not a.any():
-        return np.eye(n)
-    _, s, vh = np.linalg.svd(a)
-    rank = int(np.sum(s > rtol * s[0]))
-    return vh[rank:].T.copy()
+    rows, cols = a.shape
+    if rows == 0 or not a.any():
+        return np.eye(cols), np.zeros(min(rows, cols))
+    _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)
+    return vh[numerical_rank(s, rtol) :].T.copy(), s
+
+
+def kernel_basis(a, rtol: float = RANK_RTOL) -> np.ndarray:
+    """Orthonormal basis of the kernel of a, as columns.  An (n, 0) result
+    means the kernel is trivial."""
+    return kernel_with_values(a, rtol)[0]
 
 
 def row_space_basis(a, rtol: float = RANK_RTOL) -> np.ndarray:
@@ -46,7 +54,7 @@ def row_space_basis(a, rtol: float = RANK_RTOL) -> np.ndarray:
     if a.shape[0] == 0 or not a.any():
         return np.zeros((0, a.shape[1]))
     _, s, vh = np.linalg.svd(a)
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = numerical_rank(s, rtol)
     return vh[:rank].copy()
 
 
@@ -56,16 +64,26 @@ def column_space_basis(a, rtol: float = RANK_RTOL) -> np.ndarray:
     if a.shape[1] == 0 or not a.any():
         return np.zeros((a.shape[0], 0))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = numerical_rank(s, rtol)
     return u[:, :rank].copy()
 
 
-def matrix_rank(a, rtol: float = RANK_RTOL) -> int:
+def singular_values(a) -> np.ndarray:
+    """Singular values of a, largest first, from an SVD without vectors;
+    zeros, without an SVD, for an all-zero a."""
     a = _as_matrix(a)
     if a.size == 0 or not a.any():
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > rtol * s[0]))
+        return np.zeros(min(a.shape))
+    return np.linalg.svd(a, compute_uv=False)
+
+
+def numerical_rank(s, rtol: float = RANK_RTOL) -> int:
+    """Count of the singular values s (largest first) above rtol * s[0]."""
+    return int(np.sum(s > rtol * s[0])) if len(s) else 0
+
+
+def matrix_rank(a, rtol: float = RANK_RTOL) -> int:
+    return numerical_rank(singular_values(a), rtol)
 
 
 def orthonormalize_rows(c, rtol: float = RANK_RTOL) -> np.ndarray:

@@ -11,7 +11,7 @@ from ear decompositions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -31,7 +31,10 @@ from .linalg import (
     block_diag,
     column_space_basis,
     kernel_basis,
+    kernel_with_values,
     matrix_rank,
+    numerical_rank,
+    singular_values,
     subspace_family_independent,
     subspace_intersection,
 )
@@ -54,6 +57,7 @@ class WeightedNeighborGraph:
     graph: DirectedGraph
     n: int
     weights: Mapping[Arc, np.ndarray]
+    _normalized: dict = field(default_factory=dict, init=False, repr=False)  # rtol -> normalized()
 
     def __post_init__(self):
         if self.n < 1:
@@ -92,8 +96,12 @@ class WeightedNeighborGraph:
         Kernels are preserved, so the well-configuration verdict is too; the
         algorithms that use projections assume this form.  Weights of one
         shape share one stacked SVD, bit for bit what row_space_basis gives
-        on each of them.
+        on each of them.  The result is kept per rtol, so the engines, the
+        dense round maps and the scheduled subgraphs all share one copy (its
+        weights are read-only).
         """
+        if rtol in self._normalized:
+            return self._normalized[rtol]
         by_shape: dict[tuple[int, int], list[Arc]] = {}
         for arc, c in self.weights.items():
             by_shape.setdefault(c.shape, []).append(arc)
@@ -106,7 +114,9 @@ class WeightedNeighborGraph:
             # an all-zero weight has s[0] = 0 and so rank 0, as in row_space_basis
             ranks = np.sum(s > rtol * s[:, :1], axis=1)
             rows.update((arc, vh[k, : ranks[k]]) for k, arc in enumerate(arcs))
-        return WeightedNeighborGraph(self.graph, self.n, {arc: rows[arc] for arc in self.weights})
+        out = WeightedNeighborGraph(self.graph, self.n, {arc: rows[arc] for arc in self.weights})
+        self._normalized[rtol] = out
+        return out
 
     def padded_weights(self) -> np.ndarray:
         """(d, r, n) stack of the weights in canonical arc order, each padded
@@ -152,24 +162,76 @@ def lifted_incidence(g: DirectedGraph, n: int) -> np.ndarray:
     return np.kron(incidence_matrix(g), np.eye(n))
 
 
+def lifted_incidence_image(g: DirectedGraph, n: int, rtol: float = RANK_RTOL) -> np.ndarray:
+    """Orthonormal basis of the image of the lifted incidence transpose.
+
+    That matrix is kron(incidence', I_n), so the Kronecker product of an
+    orthonormal basis of image(incidence') with I_n spans its image and is
+    orthonormal too.  The SVD behind it has n^2 times fewer entries.
+    """
+    return np.kron(column_space_basis(incidence_matrix(g).T, rtol), np.eye(n))
+
+
 def agreement_map(w: WeightedNeighborGraph, arc_order=None) -> np.ndarray:
     """The stacked map whose kernel is the set of local-agreement states.
 
-    Row block k evaluates C_k (x_i - x_j) for the k-th arc (j, i).
+    Row block k evaluates C_k (x_i - x_j) for the k-th arc (j, i): it holds
+    +C_k in agent i's columns and -C_k in agent j's, scattered straight into
+    place.  This is C Jbar' entry for entry, without forming either factor.
     """
     order = _resolve_order(w, arc_order)
-    incidence = incidence_matrix(w.graph)
-    if order != w.graph.arcs:
-        # Permute only on request: an extra permuted copy on every call
-        # moved the benchmark's peak memory by 2-4% (digraph, complete).
-        incidence = incidence[:, [w.graph.arc_index[arc] for arc in order]]
-    jbar_t = np.kron(incidence.T, np.eye(w.n))
-    return stacked_weights(w, order) @ jbar_t
+    n = w.n
+    mats = [w.weights[arc] for arc in order]
+    counts = [c.shape[0] for c in mats]
+    out = np.zeros((sum(counts), w.m * n))
+    if len(out):
+        rows = np.arange(len(out))[:, None]
+        comps = np.arange(n)
+        heads = np.repeat([i for _, i in order], counts)[:, None]
+        tails = np.repeat([j for j, _ in order], counts)[:, None]
+        c = np.concatenate(mats)
+        out[rows, (heads - 1) * n + comps] = c
+        out[rows, (tails - 1) * n + comps] = -c
+    return out
 
 
 def agreement_kernel(w: WeightedNeighborGraph, rtol: float = RANK_RTOL, arc_order=None) -> np.ndarray:
     """Orthonormal basis of all local-agreement states in R^(mn)."""
     return kernel_basis(agreement_map(w, arc_order), rtol)
+
+
+@dataclass(frozen=True)
+class RankGap:
+    """The singular values either side of a rank cut-off, rtol * sigma_max.
+
+    None stands for a value that does not exist: nothing kept (an all-zero
+    matrix) or nothing dropped (full rank among the computed values).
+    """
+
+    last_kept: float | None
+    first_dropped: float | None
+    cutoff: float
+
+    MARGIN = 100.0  # a value this close to the cut-off makes the gap narrow
+
+    @classmethod
+    def of(cls, s: np.ndarray, rtol: float) -> "RankGap":
+        rank = numerical_rank(s, rtol)
+        return cls(
+            float(s[rank - 1]) if rank else None,
+            float(s[rank]) if rank < len(s) else None,
+            rtol * float(s[0]) if len(s) else 0.0,
+        )
+
+    def narrow(self) -> bool:
+        """True when a value on either side lies within a factor MARGIN of the
+        cut-off, so a modest change of rtol would change the rank."""
+        kept = self.last_kept is not None and self.last_kept < self.MARGIN * self.cutoff
+        dropped = self.first_dropped is not None and self.MARGIN * self.first_dropped > self.cutoff
+        return kept or dropped
+
+    def to_json(self) -> dict:
+        return {"last_kept": self.last_kept, "first_dropped": self.first_dropped, "cutoff": self.cutoff}
 
 
 @dataclass(frozen=True)
@@ -179,12 +241,17 @@ class WellConfigReport:
     m: int
     n: int
     witness: np.ndarray | None  # (m, n); local agreement without consensus
+    rank_gap: RankGap  # around the cut-off of the agreement map's rank
 
     def __bool__(self) -> bool:
         return self.well_configured
 
     def to_json(self) -> dict:
-        out = {"well_configured": self.well_configured, "kernel_dim": self.kernel_dim}
+        out = {
+            "well_configured": self.well_configured,
+            "kernel_dim": self.kernel_dim,
+            "rank_gap": self.rank_gap.to_json(),
+        }
         if self.witness is not None:
             out["witness"] = self.witness.tolist()
         return out
@@ -194,9 +261,11 @@ def is_well_configured(w: WeightedNeighborGraph, rtol: float = RANK_RTOL, arc_or
     """Verdict on whether local agreement forces consensus.
 
     Compares the local-agreement kernel with the consensus span by dimension
-    (consensus states always agree locally, so the kernel contains them).  On
-    failure the report carries a witness: a unit-norm local-agreement state
-    orthogonal to consensus.
+    (consensus states always agree locally, so the kernel contains them).  The
+    verdict reads only the singular values of the agreement map.  On failure
+    one more SVD, with vectors, gives the kernel, and from the same
+    decomposition the kernel dimension and a witness: a unit-norm
+    local-agreement state orthogonal to consensus.
 
     Refuses graphs that are not weakly connected: consensus is impossible
     across components and the overlap formulation would not be equivalent.
@@ -206,8 +275,12 @@ def is_well_configured(w: WeightedNeighborGraph, rtol: float = RANK_RTOL, arc_or
             "well-configuration requires a weakly connected graph; "
             "disconnected agents can never be forced to agree"
         )
-    kernel = agreement_kernel(w, rtol, arc_order)
-    dim = kernel.shape[1]
+    amap = agreement_map(w, arc_order)
+    s = singular_values(amap)
+    dim = amap.shape[1] - numerical_rank(s, rtol)
+    if dim != w.n:
+        kernel, s = kernel_with_values(amap, rtol)
+        dim = kernel.shape[1]
     ok = dim == w.n
     witness = None
     if not ok:
@@ -216,7 +289,7 @@ def is_well_configured(w: WeightedNeighborGraph, rtol: float = RANK_RTOL, arc_or
         norms = np.linalg.norm(resid, axis=0)
         pick = int(np.argmax(norms))
         witness = (resid[:, pick] / norms[pick]).reshape(w.m, w.n)
-    return WellConfigReport(ok, dim, w.m, w.n, witness)
+    return WellConfigReport(ok, dim, w.m, w.n, witness, RankGap.of(s, rtol))
 
 
 def _stacked_kernel(w: WeightedNeighborGraph, rtol: float) -> np.ndarray:
@@ -243,8 +316,7 @@ def disagreement_overlap_dim(w: WeightedNeighborGraph, rtol: float = RANK_RTOL) 
     Zero overlap is the second, equivalent formulation of well-configuration
     for weakly connected graphs.
     """
-    jbar_t = lifted_incidence(w.graph, w.n).T
-    image = column_space_basis(jbar_t, rtol)
+    image = lifted_incidence_image(w.graph, w.n, rtol)
     ker = _stacked_kernel(w, rtol)
     if image.shape[1] == 0 or ker.shape[1] == 0:
         return 0

@@ -158,8 +158,8 @@ def _incidence(m, arcs):
     return inc
 
 
-def _stacked(w):
-    blocks = [w.weight(arc) for arc in w.graph.arcs]
+def _stacked(w, order=None):
+    blocks = [w.weight(arc) for arc in (w.graph.arcs if order is None else order)]
     out = np.zeros((sum(b.shape[0] for b in blocks), w.n * len(blocks)))
     r = 0
     for k, b in enumerate(blocks):
@@ -231,3 +231,20 @@ def disagreement_overlap_dim_dense(w, rtol=1e-10):
     both = np.hstack([image, ker])
     s = np.linalg.svd(both, compute_uv=False)
     return image.shape[1] + ker.shape[1] - rank(s, s[0])
+
+
+def agreement_map_kron(w, arc_order=None):
+    """C Jbar': the block-diagonal stacked weights times the Kronecker-lifted
+    incidence transpose, both with arcs in the given order."""
+    order = list(w.graph.arcs if arc_order is None else arc_order)
+    return _stacked(w, order) @ np.kron(_incidence(w.graph.m, order).T, np.eye(w.n))
+
+
+def agreement_nullity_dense(w, rtol=1e-10):
+    """Kernel dimension of the Kronecker-formula agreement map, from a full
+    SVD with both singular-vector factors."""
+    amap = agreement_map_kron(w)
+    if amap.size == 0 or not amap.any():
+        return amap.shape[1]
+    _, s, _ = np.linalg.svd(amap)
+    return amap.shape[1] - int(np.sum(s > rtol * s[0]))

@@ -469,3 +469,26 @@ def test_trajectory_csv_matches_repr_formatting(tmp_path):
     lines = ["t,agent,comp_1,comp_2"]
     lines += [f"{t},{a + 1}," + ",".join(f"{v:.17g}" for v in states[t, a]) for t in range(3) for a in range(4)]
     assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", ["broadcast_pair", "path_lossy", "counterexample", "symmetric_nonzero_kernels"])
+def test_bundled_verdicts_have_a_wide_rank_gap(name, capsys):
+    main(["verify", "--scenario", str(bundled_scenario_path(name))])
+    captured = capsys.readouterr()
+    assert set(json.loads(captured.out)["rank_gap"]) == {"last_kept", "first_dropped", "cutoff"}
+    assert "warning:" not in captured.err
+
+
+@pytest.mark.parametrize("small, code", [(1e-9, 0), (1e-11, 2)], ids=["kept", "dropped"])
+def test_verify_warns_near_the_rank_cutoff(small, code, tmp_path, capsys):
+    scenario = {
+        "schema_version": 1,
+        "graph": {"m": 2, "arcs": [[1, 2]]},
+        "n": 2,
+        "weights": {"explicit": [{"j": 1, "i": 2, "C": [[1.0, 0.0], [0.0, small]]}]},
+    }
+    assert main(["verify", "--scenario", write_scenario(tmp_path, "near.json", scenario)]) == code
+    captured = capsys.readouterr()
+    assert captured.err.count("warning:") == 1
+    gap = json.loads(captured.out)["rank_gap"]
+    assert gap["cutoff"] == pytest.approx(np.sqrt(2.0) * 1e-10)

@@ -270,3 +270,28 @@ def test_rank_helpers():
     assert matrix_rank(np.zeros((3, 3))) == 0
     assert matrix_rank(np.eye(3)) == 3
     assert column_space_basis(np.ones((3, 2))).shape == (3, 1)
+
+
+@pytest.mark.parametrize("shape", [(40, 6), (6, 6), (3, 8)], ids=["tall", "square", "wide"])
+def test_kernel_basis_spans_the_full_svd_kernel(shape):
+    rng = np.random.default_rng(13)
+    rows, cols = shape
+    for rank in range(min(shape) + 1):
+        a = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+        _, s, vh = np.linalg.svd(a)  # full U and Vh
+        expected = vh[int(np.sum(s > 1e-10 * s[0])) :].T if s[0] > 0 else np.eye(cols)
+        assert subspaces_equal(kernel_basis(a), expected)
+
+
+def test_kernel_basis_of_a_tall_matrix_forms_no_square_u():
+    import tracemalloc
+
+    a = np.random.default_rng(17).standard_normal((3000, 4))
+    tracemalloc.start()
+    try:
+        k = kernel_basis(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert k.shape == (4, 0)
+    assert peak < 2 * a.nbytes  # a 3000 x 3000 U alone would be 750 times a

@@ -38,7 +38,7 @@ from conftest import (
     random_weakly_connected_wng,
     weight_with_kernel,
 )
-from oracles import disagreement_overlap_dim_dense
+from oracles import agreement_map_kron, agreement_nullity_dense, disagreement_overlap_dim_dense
 
 
 def cycle_wng(kernels):
@@ -445,3 +445,103 @@ def test_normalized_equals_per_arc_row_space_basis():
             normalized = w.normalized(rtol)
             for arc in w.graph.arcs:
                 assert np.array_equal(normalized.weight(arc), row_space_basis(w.weight(arc), rtol))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), permute=st.booleans())
+def test_agreement_map_equals_kron_formula(seed, permute):
+    # arcs drawn at random (d = 0 included), with zero-row, wide, tall and
+    # all-zero weights, in canonical or a random order
+    from limcon.wellconfig import agreement_map
+
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+    pairs = rng.integers(1, m + 1, size=(int(rng.integers(0, 2 * m + 1)), 2))
+    g = DirectedGraph(m, tuple({(int(j), int(i)) for j, i in pairs if j != i}))
+    weights = {}
+    for arc in g.arcs:
+        c = rng.standard_normal((int(rng.integers(0, n + 3)), n))
+        weights[arc] = 0.0 * c if rng.random() < 0.2 else c
+    w = WeightedNeighborGraph(g, n, weights)
+    order = [g.arcs[k] for k in rng.permutation(g.d)] if permute else None
+    assert np.array_equal(agreement_map(w, order), agreement_map_kron(w, order))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), exponents=st.lists(st.sampled_from([-6, 0, 6]), min_size=1, max_size=8))
+def test_kernel_dim_matches_dense_nullity_under_rescaling(seed, exponents):
+    w = rescaled_wng(seed, exponents)
+    report = is_well_configured(w)
+    assert report.kernel_dim == agreement_nullity_dense(w)
+    assert report.well_configured == (report.kernel_dim == w.n)
+
+
+def test_verdict_takes_no_singular_vectors_when_well_configured(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert is_well_configured(synthesize_symmetric_weights(symmetric_cycle(6), 3))
+    assert calls == [False]
+    calls.clear()
+    assert not is_well_configured(WeightedNeighborGraph(directed_path(2), 2, {(1, 2): np.array([[1.0, 0.0]])}))
+    assert calls == [False, True]  # the witness needs the kernel vectors
+
+
+def test_verdict_memory_is_about_one_agreement_map():
+    import tracemalloc
+
+    from limcon.wellconfig import agreement_map
+
+    w = identity_weights(symmetric_cycle(300), 3)
+    map_bytes = agreement_map(w).nbytes
+    tracemalloc.start()
+    try:
+        report = is_well_configured(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.well_configured
+    assert peak < 1.5 * map_bytes
+
+
+def test_rank_gap_brackets_the_cutoff():
+    w = WeightedNeighborGraph(directed_path(2), 2, {(1, 2): np.diag([1.0, 1e-11])})
+    gap = is_well_configured(w).rank_gap
+    assert gap.last_kept == pytest.approx(np.sqrt(2.0))
+    assert gap.first_dropped == pytest.approx(np.sqrt(2.0) * 1e-11)
+    assert gap.cutoff == pytest.approx(np.sqrt(2.0) * 1e-10)
+    assert gap.narrow()
+    # full row rank: nothing dropped; all zero: nothing kept
+    assert is_well_configured(identity_weights(directed_path(2), 2)).rank_gap.first_dropped is None
+    zero = is_well_configured(WeightedNeighborGraph(directed_path(2), 2, {(1, 2): np.zeros((1, 2))})).rank_gap
+    assert zero.last_kept is None and zero.first_dropped == 0.0 and not zero.narrow()
+    assert not is_well_configured(synthesize_symmetric_weights(symmetric_cycle(6), 3)).rank_gap.narrow()
+
+
+def test_overlap_image_equals_lifted_incidence_image():
+    from limcon.linalg import column_space_basis
+    from limcon.wellconfig import lifted_incidence, lifted_incidence_image
+
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        w = random_weakly_connected_wng(rng)
+        old = column_space_basis(lifted_incidence(w.graph, w.n).T)
+        new = lifted_incidence_image(w.graph, w.n)
+        assert np.allclose(new.T @ new, np.eye(new.shape[1]), atol=1e-12)
+        assert subspaces_equal(new, old)
+
+
+def test_normalized_is_computed_once_per_rtol():
+    rng = np.random.default_rng(41)
+    w = random_weakly_connected_wng(rng)
+    first = w.normalized()
+    assert w.normalized() is first
+    assert w.normalized(1e-3) is not first
+    fresh = WeightedNeighborGraph(w.graph, w.n, w.weights).normalized()
+    for arc in w.graph.arcs:
+        assert np.array_equal(first.weight(arc), fresh.weight(arc))
