@@ -146,6 +146,8 @@ def _build_weights(section: dict, g: DirectedGraph, n: int, base_dir: Path) -> W
         for entry in _expect(section["explicit"], "weights.explicit", list):
             _check_keys(entry, "weights.explicit[]", required=("j", "i", "C"))
             arc = (_expect(entry["j"], "weights.explicit[].j", int), _expect(entry["i"], "weights.explicit[].i", int))
+            if arc in table:
+                raise ScenarioError(f"weights.explicit: arc {arc} is listed twice")
             table[arc] = _array(entry["C"], "weights.explicit[].C")
         return WeightedNeighborGraph(g, n, table)
     cfg = section["synthesize"]
@@ -277,8 +279,6 @@ def _round_matrix_for_summary(name: str, w: WeightedNeighborGraph) -> np.ndarray
     if name == "gradient":
         # No fixed round map; report on the descended quadratic's matrix.
         return stacked_laplacian(w)
-    if name == "metropolis_tv":
-        return build_update_matrix("metropolis_tv", w, w.graph)
     return build_update_matrix(name, w)
 
 

@@ -259,10 +259,6 @@ class EarDecomposition:
     def max_length(self) -> int:
         return max(ear.length for ear in self.ears)
 
-    @property
-    def max_pair_count(self) -> int:
-        return max(ear.pair_count for ear in self.ears)
-
     def all_arcs(self) -> set[Arc]:
         return {arc for ear in self.ears for arc in ear.arcs}
 
@@ -383,15 +379,18 @@ def _shortest_cycle_through(g: DirectedGraph, root: int) -> list[Arc]:
     return path + [(tail, root)]
 
 
-def _extend_to_visited(g: DirectedGraph, start: int, visited: set[int]) -> list[Arc]:
-    # Shortest continuation from an unvisited vertex back into the visited
-    # set, interior vertices unvisited.  Deterministic via canonical order.
+def _extend_to_visited(adj: dict[int, tuple[int, ...]], start: int, visited: set[int], back: int) -> list[Arc]:
+    # Shortest continuation from an unvisited vertex into the visited set
+    # through unvisited vertices, in sorted neighbor order, never stepping
+    # from start straight to back (0 forbids nothing).
     parent: dict[int, int] = {start: 0}
     queue = deque([start])
     while queue:
         v = queue.popleft()
-        for w in g.out_neighbors(v):
+        for w in adj[v]:
             if w in visited:
+                if v == start and w == back:
+                    continue
                 path = [(v, w)]
                 u = v
                 while u != start:
@@ -403,6 +402,42 @@ def _extend_to_visited(g: DirectedGraph, start: int, visited: set[int]) -> list[
                 parent[w] = v
                 queue.append(w)
     raise ValueError(f"vertex {start} cannot reach the visited set")
+
+
+def _grow_ears(g: DirectedGraph, first: list[Arc], symmetric: bool) -> EarDecomposition:
+    # Attach ears to the first cycle until every arc is used.  Each later ear
+    # starts at the smallest unused edge leaving the covered vertices: by
+    # canonical arc index, or for a symmetric ear by unordered pair and then
+    # the covered end (the smaller if both are).  A symmetric ear walks
+    # undirected edges, each lifted to its arc and the reverse, and may not
+    # turn straight back along its first edge.
+    adj = g._out_neighbors
+    index = g.arc_index
+    ears: list[Ear] = []
+    used: set[Arc] = set()
+    visited: set[int] = set()
+    ready: list = []  # heap of (key, covered end, other end)
+
+    def attach(kind, path):
+        arcs = tuple(arc for j, i in path for arc in ((j, i), (i, j))) if symmetric else tuple(path)
+        ears.append(Ear(kind, arcs))
+        used.update(arcs)
+        for v in {v for arc in arcs for v in arc} - visited:
+            visited.add(v)
+            for w in adj[v]:
+                key = ((v, w) if v < w else (w, v)) if symmetric else index[(v, w)]
+                heapq.heappush(ready, (key, v, w))
+
+    attach("cycle", first)
+    while len(used) < g.d:
+        _, u, v = heapq.heappop(ready)
+        if (u, v) in used:
+            continue
+        path = [(u, v)]
+        if v not in visited:
+            path += _extend_to_visited(adj, v, visited, u if symmetric else 0)
+        attach("cycle" if path[-1][1] == u else "path", path)
+    return EarDecomposition(tuple(ears), symmetric=symmetric)
 
 
 def ear_decomposition(g: DirectedGraph) -> EarDecomposition:
@@ -417,39 +452,7 @@ def ear_decomposition(g: DirectedGraph) -> EarDecomposition:
         raise ValueError("ear decomposition needs at least two vertices")
     if not is_strongly_connected(g):
         raise ValueError("ear decomposition exists iff the graph is strongly connected")
-    first = _shortest_cycle_through(g, 1)
-    ears = [Ear("cycle", tuple(first))]
-    used = set(first)
-    visited: set[int] = set()
-    ready: list[int] = []  # heap of canonical indices of arcs with a covered tail
-
-    def cover(arcs):
-        for v in {v for arc in arcs for v in arc} - visited:
-            visited.add(v)
-            for w in g.out_neighbors(v):
-                heapq.heappush(ready, g.arc_index[(v, w)])
-
-    cover(first)
-    while len(used) < g.d:
-        start_arc = g.arcs[heapq.heappop(ready)]
-        if start_arc in used:
-            continue
-        j, i = start_arc
-        arcs = [start_arc]
-        if i not in visited:
-            arcs += _extend_to_visited(g, i, visited)
-        kind = "cycle" if arcs[-1][1] == j else "path"
-        ears.append(Ear(kind, tuple(arcs)))
-        used |= set(arcs)
-        cover(arcs)
-    return EarDecomposition(tuple(ears))
-
-
-def _symmetrize(edges: list[tuple[int, int]]) -> tuple[Arc, ...]:
-    arcs: list[Arc] = []
-    for a, b in edges:
-        arcs += [(a, b), (b, a)]
-    return tuple(arcs)
+    return _grow_ears(g, _shortest_cycle_through(g, 1), symmetric=False)
 
 
 def _shortest_undirected_cycle_through(adj: dict[int, tuple[int, ...]], root: int) -> list[tuple[int, int]]:
@@ -511,56 +514,7 @@ def symmetric_ear_decomposition(g: DirectedGraph) -> EarDecomposition:
         raise ValueError("symmetric ear decomposition needs a symmetric graph")
     if g.m < 2 or not is_2_connected(g):
         raise ValueError("symmetric ear decomposition exists iff the graph is 2-connected")
-    adj = g._out_neighbors
-    first = _shortest_undirected_cycle_through(adj, 1)
-    ears = [Ear("cycle", _symmetrize(first))]
-    used_pairs = {(min(a, b), max(a, b)) for a, b in first}
-    visited: set[int] = set()
-    ready: list[tuple[int, int]] = []  # heap of the pairs touching covered vertices
-
-    def cover(edges):
-        for v in {v for e in edges for v in e} - visited:
-            visited.add(v)
-            for w in adj[v]:
-                heapq.heappush(ready, (min(v, w), max(v, w)))
-
-    def extend(start, blocked):
-        parent: dict[int, int] = {start: 0}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                pair = (min(v, w), max(v, w))
-                if pair in used_pairs or pair == blocked:
-                    continue
-                if w in visited:
-                    path = [(v, w)]
-                    u = v
-                    while u != start:
-                        path.append((parent[u], u))
-                        u = parent[u]
-                    path.reverse()
-                    return path
-                if w not in parent:
-                    parent[w] = v
-                    queue.append(w)
-        raise ValueError(f"vertex {start} cannot reach the visited set")
-
-    cover(first)
-    while len(used_pairs) < len(g.undirected_pairs):
-        a, b = heapq.heappop(ready)
-        if (a, b) in used_pairs:
-            continue
-        u = a if a in visited else b
-        v = b if u == a else a
-        edges = [(u, v)]
-        if v not in visited:
-            edges += extend(v, (a, b))
-        kind = "cycle" if edges[-1][1] == u else "path"
-        ears.append(Ear(kind, _symmetrize(edges)))
-        used_pairs |= {(min(x, y), max(x, y)) for x, y in edges}
-        cover(edges)
-    return EarDecomposition(tuple(ears), symmetric=True)
+    return _grow_ears(g, _shortest_undirected_cycle_through(g._out_neighbors, 1), symmetric=True)
 
 
 def directed_cycle(m: int) -> DirectedGraph:

@@ -369,15 +369,13 @@ def run_cycle_projection(w: WeightedNeighborGraph, x0, steps: int, project_init:
     With project_init, each x_i(0) is first replaced by P_i x_i(0); the run
     then reaches consensus whether or not the cycle is well-configured.
     """
-    if not is_directed_cycle(w.graph):
-        raise ValueError("cycle projection requires a directed cycle")
-    state = _coerce_state(x0, w.m, w.n)
     wn = w.normalized()
+    op = _round_operator("cycle_projection", wn)
+    state = _coerce_state(x0, w.m, w.n)
     if project_init:
         for j, i in w.graph.arcs:
             c = wn.weight((j, i))
             state[i - 1] = c.T @ (c @ state[i - 1])
-    op = _round_operator("cycle_projection", wn)
     return _run(w, state, steps, lambda t, x: op.apply(x), "cycle_projection")
 
 

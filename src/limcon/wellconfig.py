@@ -368,11 +368,6 @@ def axis_complement(n: int, axis: int) -> np.ndarray:
     return np.delete(np.eye(n), axis, axis=0)
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in SYNTHESIS_MODES:
-        raise ValueError(f"mode must be one of {SYNTHESIS_MODES}, got {mode!r}")
-
-
 def synthesize_weights(
     g: DirectedGraph,
     n: int,
@@ -387,23 +382,7 @@ def synthesize_weights(
     an ear longer than n is refused; in "free" mode the overflow arcs fall
     back to full-information identity weights.
     """
-    _check_mode(mode)
-    if decomposition is None:
-        decomposition = ear_decomposition(g)
-    else:
-        if decomposition.symmetric:
-            raise ValueError("got a symmetric decomposition; use synthesize_symmetric_weights")
-        validate_ear_decomposition(g, decomposition)
-    weights: dict[Arc, np.ndarray] = {}
-    for ear in decomposition.ears:
-        if mode == "nonzero-kernels" and ear.length > n:
-            raise InfeasibleSynthesisError(
-                f"ear of length {ear.length} exceeds state dimension {n}; "
-                f"nonzero kernels require max ear length <= n"
-            )
-        for t, arc in enumerate(ear.arcs):
-            weights[arc] = axis_complement(n, t) if t < n else np.eye(n)
-    return WeightedNeighborGraph(g, n, weights)
+    return _synthesize(g, n, decomposition, mode, symmetric=False)
 
 
 def synthesize_symmetric_weights(
@@ -419,25 +398,38 @@ def synthesize_symmetric_weights(
     pair of an ear with more than n pairs is refused in "nonzero-kernels"
     mode and padded with identities in "free" mode.
     """
-    _check_mode(mode)
+    return _synthesize(g, n, decomposition, mode, symmetric=True)
+
+
+def _synthesize(
+    g: DirectedGraph, n: int, decomposition: EarDecomposition | None, mode: str, symmetric: bool
+) -> WeightedNeighborGraph:
+    # One kernel axis per slot of an ear: an arc, or in a symmetric ear a
+    # two-length cycle, whose arcs sit side by side in the ear.
+    if mode not in SYNTHESIS_MODES:
+        raise ValueError(f"mode must be one of {SYNTHESIS_MODES}, got {mode!r}")
     if decomposition is None:
-        decomposition = symmetric_ear_decomposition(g)
+        decomposition = symmetric_ear_decomposition(g) if symmetric else ear_decomposition(g)
+    elif decomposition.symmetric != symmetric:
+        raise ValueError(
+            "synthesize_symmetric_weights needs a symmetric decomposition"
+            if symmetric
+            else "got a symmetric decomposition; use synthesize_symmetric_weights"
+        )
     else:
-        if not decomposition.symmetric:
-            raise ValueError("synthesize_symmetric_weights needs a symmetric decomposition")
         validate_ear_decomposition(g, decomposition)
+    width = 2 if symmetric else 1
+    axes = [axis_complement(n, s) for s in range(n)]  # the weights copy them
     weights: dict[Arc, np.ndarray] = {}
     for ear in decomposition.ears:
-        if mode == "nonzero-kernels" and ear.pair_count > n:
+        slots = ear.length // width
+        if mode == "nonzero-kernels" and slots > n:
+            what = f"symmetric ear with {slots} two-length cycles" if symmetric else f"ear of length {slots}"
             raise InfeasibleSynthesisError(
-                f"symmetric ear with {ear.pair_count} two-length cycles exceeds state "
-                f"dimension {n}; nonzero kernels require max ear length <= n"
+                f"{what} exceeds state dimension {n}; nonzero kernels require max ear length <= n"
             )
-        for s in range(ear.pair_count):
-            j, i = ear.arcs[2 * s]
-            mat = axis_complement(n, s) if s < n else np.eye(n)
-            weights[(j, i)] = mat
-            weights[(i, j)] = mat
+        for t, arc in enumerate(ear.arcs):
+            weights[arc] = axes[t // width] if t < n * width else np.eye(n)
     return WeightedNeighborGraph(g, n, weights)
 
 
@@ -453,17 +445,18 @@ def weights_to_json(w: WeightedNeighborGraph) -> dict:
     }
 
 
+def _check_keys(obj: dict, keys: set[str], what: str) -> None:
+    for problem, found in (("unknown", set(obj) - keys), ("missing", keys - set(obj))):
+        if found:
+            raise ValueError(f"{problem} {what} keys: {sorted(found)}")
+
+
 def weights_from_json(data: dict) -> WeightedNeighborGraph:
-    unknown = set(data) - {"m", "n", "arcs"}
-    if unknown:
-        raise ValueError(f"unknown weight-file keys: {sorted(unknown)}")
-    entries = data["arcs"]
+    _check_keys(data, {"m", "n", "arcs"}, "weight-file")
     arcs = []
     weights = {}
-    for entry in entries:
-        bad = set(entry) - {"j", "i", "C"}
-        if bad:
-            raise ValueError(f"unknown arc keys: {sorted(bad)}")
+    for entry in data["arcs"]:
+        _check_keys(entry, {"j", "i", "C"}, "arc")
         arc = (int(entry["j"]), int(entry["i"]))
         arcs.append(arc)
         weights[arc] = np.asarray(entry["C"], dtype=float)

@@ -19,10 +19,13 @@ def write_scenario(tmp_path, name, data):
     return str(path)
 
 
+SQUARE_ARCS = [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3), (4, 1), (1, 4)]
+
+
 def symmetric_square_scenario(**overrides):
     data = {
         "schema_version": 1,
-        "graph": {"m": 4, "arcs": [[1, 2], [2, 1], [2, 3], [3, 2], [3, 4], [4, 3], [4, 1], [1, 4]]},
+        "graph": {"m": 4, "arcs": [list(arc) for arc in SQUARE_ARCS]},
         "n": 2,
         "weights": {"synthesize": {"mode": "nonzero-kernels", "symmetric": False, "decomposition": "auto"}},
         "algorithm": {"name": "fixed_step", "steps": 3000},
@@ -398,6 +401,8 @@ WRONG_TYPES = [
     (("initial_state",), {"explicit": {"rows": 4}}),
     (("initial_state",), {"consensus": {"value": "zero"}}),
     (("output",), {"dir": 5}),
+    # every arc covered, and (1, 2) listed a second time
+    (("weights",), {"explicit": [{"j": j, "i": i, "C": [[1, 0]]} for j, i in [*SQUARE_ARCS, (1, 2)]]}),
 ]
 
 

@@ -368,3 +368,34 @@ def test_validator_rejects_bad_symmetric_decompositions():
         validate_ear_decomposition(g, EarDecomposition((two_pairs,), symmetric=True))
     with pytest.raises(ValueError, match="symmetric ears do not partition"):
         validate_ear_decomposition(complete_symmetric(4), good)
+
+
+def _decomposition_corpus():
+    # seeded random strongly connected graphs and their 2-connected symmetric
+    # closures, plus a long ring and a dense complete graph
+    from conftest import random_strongly_connected
+
+    rng = np.random.default_rng(5150)
+    directed, symmetric = [symmetric_cycle(100), complete_symmetric(16)], [symmetric_cycle(100), complete_symmetric(16)]
+    for _ in range(300):
+        m = int(rng.integers(2, 16))
+        g = random_strongly_connected(rng, m, extra_arcs=int(rng.integers(0, 3 * m)))
+        directed.append(g)
+        closure = symmetric_closure(g)
+        if m > 2 and is_2_connected(closure):
+            directed.append(closure)
+            symmetric.append(closure)
+    return directed, symmetric
+
+
+def test_decompositions_match_the_pinned_digest():
+    # pins which later ears both decompositions choose, not just validity
+    import hashlib
+    import json
+
+    directed, symmetric = _decomposition_corpus()
+    assert len(symmetric) > 150
+    payload = json.dumps(
+        [ear_decomposition(g).to_json() for g in directed] + [symmetric_ear_decomposition(g).to_json() for g in symmetric]
+    )
+    assert hashlib.sha256(payload.encode()).hexdigest() == "762a325e1448be91ee6e91a1b9cef5da269efcc31956021e480210c3ba1b13a5"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limcon import (
@@ -373,6 +373,17 @@ def test_weights_json_roundtrip():
         weights_from_json({**data, "extra": 1})
 
 
+def test_weights_json_missing_keys_raise_value_error():
+    data = weights_to_json(synthesize_weights(backlinked_cycle_graph(), 2))
+    for key in ("m", "n", "arcs"):
+        with pytest.raises(ValueError, match=f"missing weight-file keys: \\['{key}'\\]"):
+            weights_from_json({k: v for k, v in data.items() if k != key})
+    for key in ("j", "i", "C"):
+        arcs = [{k: v for k, v in entry.items() if k != key} for entry in data["arcs"]]
+        with pytest.raises(ValueError, match=f"missing arc keys: \\['{key}'\\]"):
+            weights_from_json({**data, "arcs": arcs})
+
+
 def test_agreement_kernel_dim_matches_exact_arithmetic():
     # integer weights let an exact fraction-elimination oracle cross-check
     # the SVD-based kernel dimension, catching any tolerance drift
@@ -422,14 +433,17 @@ def test_overlap_dim_matches_dense_oracle_under_rescaling(seed, exponents):
     assert disagreement_overlap_dim(w) == disagreement_overlap_dim_dense(w)
 
 
-# Scales 1e6 apart are kept (1e-6 of the largest) or cut (1e-12) by both
-# verifiers alike.  Closer to the 1e-10 cut-off the two formulations, which
-# rank different matrices, can legitimately part.
+# The two formulations rank different matrices, so near the 1e-10 cut-off
+# they can legitimately part; verify warns there, because the primary
+# verdict's rank gap is then narrow.  The example is such a draw: one
+# arc's smallest singular value is 1.1e-10 of the largest over all arcs.
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), exponents=st.lists(st.sampled_from([-6, 0, 6]), min_size=1, max_size=8))
+@given(seed=st.integers(0, 2**32 - 1), exponents=st.lists(st.integers(-6, 6), min_size=1, max_size=8))
+@example(seed=1556871861, exponents=[-6, 0, -6, -6, -6])
 def test_overlap_verdict_matches_primary_verifier_under_rescaling(seed, exponents):
     w = rescaled_wng(seed, exponents)
-    assert (disagreement_overlap_dim(w) == 0) == is_well_configured(w).well_configured
+    report = is_well_configured(w)
+    assert (disagreement_overlap_dim(w) == 0) == report.well_configured or report.rank_gap.narrow()
 
 
 def test_normalized_equals_per_arc_row_space_basis():
