@@ -6,7 +6,8 @@ Subspaces are plain ndarrays whose columns form an orthonormal basis; the
 trivial subspace of R^n is an (n, 0) array.  All rank decisions flow through
 one tolerance (RANK_RTOL), overridable per call: relative to the largest
 singular value for general matrices, and absolute for the principal-angle
-sines of subspace_intersection, whose orthonormal inputs fix the scale.
+sines of subspace_intersection and subspace_intersection_dim, whose
+orthonormal inputs fix the scale.
 """
 
 from __future__ import annotations
@@ -164,23 +165,40 @@ def subspace_intersection(a, b, rtol: float = RANK_RTOL) -> np.ndarray:
     one, so rtol bounds them absolutely: a relative cut-off would count
     roundoff as rank when the spans coincide and every sine is noise.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = a.shape[0]
-    if b.shape[0] != n:
-        raise ValueError("subspaces must share the ambient dimension")
+    a, b = _subspace_pair(a, b)
     if a.shape[1] == 0 or b.shape[1] == 0:
-        return np.zeros((n, 0))
+        return np.zeros((a.shape[0], 0))
     _, sines, vh = np.linalg.svd(a - b @ (b.T @ a), full_matrices=False)
     return a @ vh[sines <= rtol].T
 
 
-def subspaces_equal(a, b, tol: float = 1e-9) -> bool:
-    """Span equality via mutual projection residuals (bases are non-unique)."""
+def subspace_intersection_dim(a, b, rtol: float = RANK_RTOL) -> int:
+    """Dimension of the intersection of two subspaces: the count of
+    principal-angle sines at most rtol, the rule of subspace_intersection.
+
+    The angles are measured from the narrower basis, so the one SVD, values
+    only, is as wide as the smaller of the two dimensions.
+    """
+    a, b = _subspace_pair(a, b)
+    if a.shape[1] > b.shape[1]:
+        a, b = b, a
+    if a.shape[1] == 0:
+        return 0
+    sines = np.linalg.svd(a - b @ (b.T @ a), compute_uv=False)
+    return int(np.sum(sines <= rtol))
+
+
+def _subspace_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape[0] != b.shape[0]:
         raise ValueError("subspaces must share the ambient dimension")
+    return a, b
+
+
+def subspaces_equal(a, b, tol: float = 1e-9) -> bool:
+    """Span equality via mutual projection residuals (bases are non-unique)."""
+    a, b = _subspace_pair(a, b)
     if a.shape[1] != b.shape[1]:
         return False
     if a.shape[1] == 0:
@@ -213,7 +231,10 @@ def subspace_family_independent(bases, rtol: float = RANK_RTOL) -> bool:
 
 def mixed_norm_2_inf(q, block: int) -> float:
     """Mixed (2, inf) norm: the induced inf-norm of the matrix of blockwise
-    spectral norms.  Submultiplicative, and bounds the spectral radius."""
+    spectral norms.  Submultiplicative, and bounds the spectral radius.
+
+    Only the nonzero blocks go through the SVD; a zero block's norm is zero.
+    """
     q = _as_matrix(q)
     if q.shape[0] != q.shape[1]:
         raise ValueError("mixed norm needs a square matrix")
@@ -221,5 +242,8 @@ def mixed_norm_2_inf(q, block: int) -> float:
         raise ValueError(f"matrix of size {q.shape[0]} does not split into {block}-blocks")
     m = q.shape[0] // block
     blocks = q.reshape(m, block, m, block).transpose(0, 2, 1, 3)
-    gauge = np.linalg.svd(blocks, compute_uv=False)[..., 0]
+    nonzero = blocks.any(axis=(2, 3))
+    gauge = np.zeros((m, m))
+    if nonzero.any():
+        gauge[nonzero] = np.linalg.svd(blocks[nonzero], compute_uv=False)[:, 0]
     return float(np.max(gauge.sum(axis=1)))

@@ -10,7 +10,8 @@ same operator for the equivalent dense round map for diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -431,6 +432,9 @@ class SpectralReport:
 
     ones/zeros/inside_unit/outside partition the spectrum by modulus at the
     counting tolerance; paracontracting is only decided for symmetric input.
+    The mixed norm and the fixed-space dimension are computed from `matrix`
+    on first access, so a caller that reads only the counts pays for neither;
+    the report keeps the matrix, which must not change meanwhile.
     """
 
     eigenvalues: np.ndarray
@@ -440,9 +444,17 @@ class SpectralReport:
     outside: int
     symmetric: bool
     paracontracting: bool | None
-    mixed_norm: float
-    one_eigenspace_dim: int
     degenerate: bool
+    matrix: np.ndarray = field(repr=False)
+    block: int
+
+    @cached_property
+    def mixed_norm(self) -> float:
+        return mixed_norm_2_inf(self.matrix, self.block)
+
+    @cached_property
+    def one_eigenspace_dim(self) -> int:
+        return self.matrix.shape[0] - matrix_rank(self.matrix - np.eye(self.matrix.shape[0]))
 
     def summary_dict(self) -> dict:
         return {
@@ -468,7 +480,8 @@ class SpectralReport:
 
 def spectral_report(mat: np.ndarray, n: int, tol: float = EIG_COUNT_TOL) -> SpectralReport:
     """Count eigenvalues at 1, at 0, strictly inside the unit circle, and
-    everything else, plus the paracontraction verdict and mixed norm."""
+    everything else, plus the paracontraction verdict; the mixed norm over
+    n-blocks and the fixed-space dimension follow on demand."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("spectral report needs a square matrix")
@@ -493,7 +506,7 @@ def spectral_report(mat: np.ndarray, n: int, tol: float = EIG_COUNT_TOL) -> Spec
         outside=outside,
         symmetric=symmetric,
         paracontracting=paracontracting,
-        mixed_norm=mixed_norm_2_inf(mat, n),
-        one_eigenspace_dim=mat.shape[0] - matrix_rank(mat - np.eye(mat.shape[0])),
         degenerate=ones == eig.size,
+        matrix=mat,
+        block=n,
     )

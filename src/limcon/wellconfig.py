@@ -32,11 +32,11 @@ from .linalg import (
     column_space_basis,
     kernel_basis,
     kernel_with_values,
-    matrix_rank,
     numerical_rank,
     singular_values,
     subspace_family_independent,
     subspace_intersection,
+    subspace_intersection_dim,
 )
 
 SYNTHESIS_MODES = ("free", "nonzero-kernels")
@@ -66,6 +66,8 @@ class WeightedNeighborGraph:
         for raw_arc, mat in self.weights.items():
             arc = (int(raw_arc[0]), int(raw_arc[1]))
             mat = np.atleast_2d(np.asarray(mat, dtype=float)).copy()
+            if mat.ndim != 2:
+                raise ValueError(f"weight for arc {arc} must be a matrix, has shape {mat.shape}")
             if mat.size == 0:
                 mat = np.zeros((0, self.n))  # nothing transmitted on this arc
             if mat.shape[1] != self.n:
@@ -314,14 +316,15 @@ def disagreement_overlap_dim(w: WeightedNeighborGraph, rtol: float = RANK_RTOL) 
     the stacked weights), in per-arc signal space.
 
     Zero overlap is the second, equivalent formulation of well-configuration
-    for weakly connected graphs.
+    for weakly connected graphs.  Both bases are orthonormal, so the overlap
+    is the count of principal angles at zero between them
+    (subspace_intersection_dim).
     """
     image = lifted_incidence_image(w.graph, w.n, rtol)
     ker = _stacked_kernel(w, rtol)
     if image.shape[1] == 0 or ker.shape[1] == 0:
         return 0
-    total = matrix_rank(np.hstack([image, ker]), rtol)
-    return image.shape[1] + ker.shape[1] - total
+    return subspace_intersection_dim(image, ker, rtol)
 
 
 def is_well_configured_via_overlap(w: WeightedNeighborGraph, rtol: float = RANK_RTOL) -> bool:

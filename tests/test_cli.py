@@ -206,6 +206,23 @@ def test_analyze_fixed_step(tmp_path, capsys):
     assert payload["report"]["outside"] == 0
 
 
+def test_run_summary_computes_no_mixed_norm(tmp_path, capsys, monkeypatch):
+    import limcon.simulate
+
+    calls = []
+    for name in ("mixed_norm_2_inf", "matrix_rank"):
+        real = getattr(limcon.simulate, name)
+        monkeypatch.setattr(limcon.simulate, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    scenario = write_scenario(tmp_path, "s.json", symmetric_square_scenario())
+    assert main(["run", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 0
+    assert calls == []
+    capsys.readouterr()
+    assert main(["analyze", "--scenario", scenario]) == 0
+    assert sorted(calls) == ["matrix_rank", "mixed_norm_2_inf"]
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["one_eigenspace_dim"] == 2 and report["mixed_norm"] >= 1.0
+
+
 def test_analyze_time_varying_reports_per_subgraph(tmp_path, capsys):
     data = symmetric_square_scenario(
         algorithm={
@@ -421,6 +438,31 @@ def test_wrong_typed_decomposition_file_exits_one(tmp_path, capsys):
         data = symmetric_square_scenario(weights={"synthesize": {"decomposition": {"path": "dec.json"}}})
         assert main(["synth", "--scenario", write_scenario(tmp_path, "s.json", data), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+def test_three_dimensional_weight_names_the_arc(command, tmp_path, capsys):
+    data = {
+        "schema_version": 1,
+        "graph": {"m": 2, "arcs": [[1, 2], [2, 1]]},
+        "n": 2,
+        "weights": {
+            "explicit": [
+                {"j": 1, "i": 2, "C": [[[1, 0], [0, 1]]]},
+                {"j": 2, "i": 1, "C": [[1, 0], [0, 1]]},
+            ]
+        },
+        "algorithm": {"name": "fixed_step", "steps": 5},
+        "initial_state": {"random": {"seed": 5}},
+    }
+    argv = [command, "--scenario", write_scenario(tmp_path, "s.json", data)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "(1, 2)" in err[0] and "(1, 2, 2)" in err[0]
+    assert not (tmp_path / "o").exists()
 
 
 JSON_VALUES = st.recursive(

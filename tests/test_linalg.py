@@ -3,6 +3,8 @@ import pytest
 
 from limcon import (
     block_diag,
+    build_update_matrix,
+    complete_symmetric,
     eigenvalues,
     kernel_basis,
     kronecker,
@@ -12,7 +14,10 @@ from limcon import (
     row_space_basis,
     subspace_family_independent,
     subspace_intersection,
+    subspace_intersection_dim,
     subspaces_equal,
+    symmetric_cycle,
+    synthesize_symmetric_weights,
 )
 from limcon.linalg import column_space_basis, matrix_rank, spectral_radius
 
@@ -223,6 +228,20 @@ def test_subspace_intersection_of_random_planes_in_space():
         assert subspace_intersection(a, random_subspace(rng, 3, 1)).shape == (3, 0)
 
 
+def test_subspace_intersection_dim_counts_the_intersection_basis():
+    rng = np.random.default_rng(16)
+    for n, common, extra_a, extra_b in ((3, 1, 1, 1), (6, 2, 0, 3), (8, 0, 3, 4), (5, 3, 0, 0), (7, 2, 4, 1)):
+        q = random_subspace(rng, n, common + extra_a + extra_b)
+        a = q[:, : common + extra_a] @ np.linalg.qr(rng.standard_normal((common + extra_a,) * 2))[0]
+        b = np.hstack([q[:, :common], q[:, common + extra_a :]])
+        b = b @ np.linalg.qr(rng.standard_normal((b.shape[1],) * 2))[0]
+        for x, y in ((a, b), (b, a)):
+            assert subspace_intersection_dim(x, y) == subspace_intersection(x, y).shape[1] == common
+    assert subspace_intersection_dim(np.eye(4)[:, :2], np.zeros((4, 0))) == 0
+    with pytest.raises(ValueError):
+        subspace_intersection_dim(np.eye(3), np.eye(4))
+
+
 def test_subspaces_equal_is_basis_free():
     rng = np.random.default_rng(10)
     basis = random_subspace(rng, 4, 2)
@@ -257,6 +276,15 @@ def test_mixed_norm_matches_blockwise_loop():
         for _ in range(5):
             q = rng.standard_normal((m * block, m * block))
             assert mixed_norm_2_inf(q, block) == mixed_norm_2_inf_loop(q, block)
+            # block-sparse: zero blocks under a random mask, all of them included
+            for density in (0.0, 0.3, 0.7):
+                mask = np.kron(rng.random((m, m)) < density, np.ones((block, block)))
+                assert mixed_norm_2_inf(q * mask, block) == mixed_norm_2_inf_loop(q * mask, block)
+    for g, n in ((symmetric_cycle(12), 3), (complete_symmetric(5), 2)):
+        w = synthesize_symmetric_weights(g, n)
+        for algorithm in ("fixed_step", "metropolis_tv"):
+            q = build_update_matrix(algorithm, w)
+            assert mixed_norm_2_inf(q, n) == mixed_norm_2_inf_loop(q, n)
 
 
 def test_mixed_norm_dimension_mismatch():

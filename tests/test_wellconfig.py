@@ -12,6 +12,7 @@ from limcon import (
     backlinked_cycle_graph,
     broadcast_pair_criterion,
     broadcast_pair_graph,
+    complete_symmetric,
     consensus_error,
     consensus_span,
     cycle_criterion,
@@ -32,6 +33,7 @@ from limcon import (
     weights_to_json,
 )
 from limcon.linalg import row_space_basis, subspaces_equal
+from limcon.wellconfig import lifted_incidence_image
 
 from conftest import (
     random_subspace,
@@ -416,6 +418,45 @@ def test_overlap_dimension_counts_failures():
     w = WeightedNeighborGraph(g, 2, {(1, 2): np.array([[1.0, 0.0]]), (2, 3): np.eye(2)})
     assert disagreement_overlap_dim(w) == 1
     assert disagreement_overlap_dim(identity_weights(g, 2)) == 0
+
+
+def test_overlap_of_all_zero_weights_is_the_whole_image():
+    # every sine is zero: the kernel of C is the whole signal space
+    for g, n in ((symmetric_cycle(5), 2), (complete_symmetric(4), 3), (directed_path(4), 1)):
+        w = WeightedNeighborGraph(g, n, {arc: np.zeros((2, n)) for arc in g.arcs})
+        assert disagreement_overlap_dim(w) == n * (g.m - 1) == disagreement_overlap_dim_dense(w)
+        assert disagreement_overlap_dim(identity_weights(g, n)) == 0
+
+
+def _overlap_widths(w):
+    """(dim image, dim ker C) for weights whose per-arc ranks are exact."""
+    return lifted_incidence_image(w.graph, w.n).shape[1], sum(w.kernel(arc).shape[1] for arc in w.graph.arcs)
+
+
+def test_overlap_matches_dense_oracle_when_the_image_is_narrower():
+    rng = np.random.default_rng(31)
+    g, n = complete_symmetric(6), 3
+    dims = set()
+    for _ in range(10):
+        # at most one row per arc, so ker C is at least 2 * 30 wide against an image of 15
+        w = WeightedNeighborGraph(g, n, {arc: rng.standard_normal((int(rng.integers(0, 2)), n)) for arc in g.arcs})
+        image, ker = _overlap_widths(w)
+        assert image < ker
+        dim = disagreement_overlap_dim(w)
+        assert dim == disagreement_overlap_dim_dense(w)
+        dims.add(dim)
+    assert len(dims) > 1
+
+
+def test_overlap_matches_dense_oracle_when_the_kernel_is_narrower():
+    g, n = symmetric_cycle(40), 3
+    w = synthesize_symmetric_weights(g, n)  # pairs {1,2}, {2,3}, {3,4} carry kernel axes 0, 1, 2
+    # silencing {1, 2} leaves a path on which the other two axes are free
+    cut = WeightedNeighborGraph(g, n, {**w.weights, (1, 2): np.zeros((1, n)), (2, 1): np.zeros((1, n))})
+    for v, expected in ((w, 0), (cut, n - 1)):
+        image, ker = _overlap_widths(v)
+        assert ker < image
+        assert disagreement_overlap_dim(v) == disagreement_overlap_dim_dense(v) == expected
 
 
 def rescaled_wng(seed, exponents):
