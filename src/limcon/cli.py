@@ -205,13 +205,17 @@ def _build_stepsize(section: dict | None) -> StepsizeSchedule:
         return StepsizeSchedule.harmonic()
     _check_keys(section, "algorithm.stepsize", required=("kind",), optional=("a", "b", "value", "values"))
     kind = section["kind"]
+    where = f"algorithm.stepsize ({kind})"
     if kind == "harmonic":
+        _check_keys(section, where, required=("kind",), optional=("a", "b"))
         return StepsizeSchedule.harmonic(
             _number(section.get("a", 1.0), "algorithm.stepsize.a"), _number(section.get("b", 2.0), "algorithm.stepsize.b")
         )
     if kind == "constant":
+        _check_keys(section, where, required=("kind", "value"))
         return StepsizeSchedule.constant(_number(section["value"], "algorithm.stepsize.value"))
     if kind == "scripted":
+        _check_keys(section, where, required=("kind", "values"))
         values = _expect(section["values"], "algorithm.stepsize.values", list)
         return StepsizeSchedule.scripted([_number(v, "algorithm.stepsize.values[]") for v in values])
     raise ScenarioError(f"algorithm.stepsize.kind must be harmonic|constant|scripted, got {kind!r}")

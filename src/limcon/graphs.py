@@ -82,9 +82,6 @@ class DirectedGraph:
     def has_arc(self, arc: Arc) -> bool:
         return arc in self.arc_index
 
-    def reverse(self) -> "DirectedGraph":
-        return DirectedGraph(self.m, tuple((i, j) for j, i in self.arcs))
-
     @cached_property
     def undirected_pairs(self) -> tuple[tuple[int, int], ...]:
         """Unordered endpoint pairs (a, b), a < b, of the underlying graph."""
@@ -93,11 +90,6 @@ class DirectedGraph:
 
     def is_spanning_subgraph_of(self, other: "DirectedGraph") -> bool:
         return self.m == other.m and set(self.arcs) <= set(other.arcs)
-
-    def to_text(self) -> str:
-        lines = [f"{self.m} {self.d}"]
-        lines += [f"{j} {i}" for j, i in self.arcs]
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "DirectedGraph":
@@ -143,11 +135,6 @@ def is_strongly_connected(g: DirectedGraph) -> bool:
     if len(_reachable(g._out_neighbors, 1)) != g.m:
         return False
     return len(_reachable(g._in_neighbors, 1)) == g.m
-
-
-def is_rooted(g: DirectedGraph) -> bool:
-    """True iff some vertex reaches all others (a directed spanning tree exists)."""
-    return any(len(_reachable(g._out_neighbors, r)) == g.m for r in range(1, g.m + 1))
 
 
 def is_symmetric(g: DirectedGraph) -> bool:
@@ -207,18 +194,6 @@ def incidence_matrix(g: DirectedGraph) -> np.ndarray:
     return out
 
 
-def spanning_incidence_matrix(g: DirectedGraph, sub: DirectedGraph) -> np.ndarray:
-    """Incidence matrix of sub padded with zero columns, indexed by g's arcs."""
-    if not sub.is_spanning_subgraph_of(g):
-        raise ValueError("sub must be a spanning subgraph of g")
-    out = np.zeros((g.m, g.d))
-    for k, (j, i) in enumerate(g.arcs):
-        if sub.has_arc((j, i)):
-            out[i - 1, k] = 1.0
-            out[j - 1, k] = -1.0
-    return out
-
-
 @dataclass(frozen=True)
 class Ear:
     """One ear: a directed cycle or path given as arcs in traversal order.
@@ -259,9 +234,6 @@ class EarDecomposition:
     def max_length(self) -> int:
         return max(ear.length for ear in self.ears)
 
-    def all_arcs(self) -> set[Arc]:
-        return {arc for ear in self.ears for arc in ear.arcs}
-
     def to_json(self) -> list[dict]:
         return [{"kind": e.kind, "arcs": [list(a) for a in e.arcs]} for e in self.ears]
 
@@ -269,15 +241,21 @@ class EarDecomposition:
     def from_json(cls, data: list[dict]) -> "EarDecomposition":
         ears = []
         for entry in data:
-            unknown = set(entry) - {"kind", "arcs"}
-            if unknown:
-                raise ValueError(f"unknown ear keys: {sorted(unknown)}")
+            _check_keys(entry, {"kind", "arcs"}, "ear")
             ears.append(Ear(entry["kind"], tuple((int(j), int(i)) for j, i in entry["arcs"])))
         # Symmetric ears pair each arc with its reverse along the traversal;
         # ordinary two-length cycle ears look the same, so additionally demand
         # a first cycle of >= 3 pairs, which only symmetric decompositions have.
         symmetric = bool(ears) and all(_is_paired(e) for e in ears) and ears[0].pair_count >= 3
         return cls(tuple(ears), symmetric=symmetric)
+
+
+def _check_keys(obj: dict, keys: set[str], what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {type(obj).__name__}")
+    for problem, found in (("unknown", set(obj) - keys), ("missing", keys - set(obj))):
+        if found:
+            raise ValueError(f"{problem} {what} keys: {sorted(found)}")
 
 
 def _is_paired(ear: Ear) -> bool:

@@ -1,6 +1,6 @@
-"""Dense linear-algebra kernel: kernels and images, orthogonal projections,
-Kronecker/block-diagonal assembly, spectra, subspace independence, and the
-(2, inf) mixed matrix norm.
+"""Dense linear-algebra kernel: kernels and images, singular values and
+numerical rank, block-diagonal assembly, subspace intersection and
+independence, and the (2, inf) mixed matrix norm.
 
 Subspaces are plain ndarrays whose columns form an orthonormal basis; the
 trivial subspace of R^n is an (n, 0) array.  All rank decisions flow through
@@ -49,16 +49,6 @@ def kernel_basis(a, rtol: float = RANK_RTOL) -> np.ndarray:
     return kernel_with_values(a, rtol)[0]
 
 
-def row_space_basis(a, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal rows spanning the row space of a; (0, n) if a is zero."""
-    a = _as_matrix(a)
-    if a.shape[0] == 0 or not a.any():
-        return np.zeros((0, a.shape[1]))
-    _, s, vh = np.linalg.svd(a)
-    rank = numerical_rank(s, rtol)
-    return vh[:rank].copy()
-
-
 def column_space_basis(a, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal columns spanning the column space of a."""
     a = _as_matrix(a)
@@ -87,42 +77,6 @@ def matrix_rank(a, rtol: float = RANK_RTOL) -> int:
     return numerical_rank(singular_values(a), rtol)
 
 
-def orthonormalize_rows(c, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Replace c by a matrix with the same row span and orthonormal rows.
-
-    Raises if the rows are linearly dependent at the given tolerance; drop
-    the redundant rows (row_space_basis does) before calling.
-    """
-    c = _as_matrix(c)
-    if c.shape[0] == 0:
-        return c.copy()
-    basis = row_space_basis(c, rtol)
-    if basis.shape[0] != c.shape[0]:
-        raise ValueError(
-            f"rows are linearly dependent (rank {basis.shape[0]} < {c.shape[0]}); "
-            "drop redundant rows first"
-        )
-    return basis
-
-
-def projection_matrix(c, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthogonal projection c'(cc')^-1 c onto the row space of c.
-
-    Requires full row rank (otherwise cc' is singular).  For c with
-    orthonormal rows this equals c'c.
-    """
-    c = _as_matrix(c)
-    n = c.shape[1]
-    if c.shape[0] == 0:
-        return np.zeros((n, n))
-    q = orthonormalize_rows(c, rtol)
-    return q.T @ q
-
-
-def kronecker(a, b) -> np.ndarray:
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
 def block_diag(blocks) -> np.ndarray:
     """Block-diagonal assembly; blocks may have zero rows or columns."""
     mats = [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks]
@@ -135,24 +89,6 @@ def block_diag(blocks) -> np.ndarray:
         r += b.shape[0]
         c += b.shape[1]
     return out
-
-
-def eigenvalues(a) -> np.ndarray:
-    """Full spectrum with multiplicity.
-
-    Symmetric input yields real eigenvalues sorted ascending; anything else
-    yields the complex spectrum in no particular order.
-    """
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("eigenvalues need a square matrix")
-    if np.allclose(a, a.T, atol=1e-12, rtol=0.0):
-        return np.linalg.eigvalsh(a)
-    return np.linalg.eigvals(a)
-
-
-def spectral_radius(a) -> float:
-    return float(np.max(np.abs(eigenvalues(a)))) if np.size(a) else 0.0
 
 
 def subspace_intersection(a, b, rtol: float = RANK_RTOL) -> np.ndarray:
@@ -194,18 +130,6 @@ def _subspace_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     if a.shape[0] != b.shape[0]:
         raise ValueError("subspaces must share the ambient dimension")
     return a, b
-
-
-def subspaces_equal(a, b, tol: float = 1e-9) -> bool:
-    """Span equality via mutual projection residuals (bases are non-unique)."""
-    a, b = _subspace_pair(a, b)
-    if a.shape[1] != b.shape[1]:
-        return False
-    if a.shape[1] == 0:
-        return True
-    res_a = a - b @ (b.T @ a)
-    res_b = b - a @ (a.T @ b)
-    return float(np.linalg.norm(res_a)) <= tol and float(np.linalg.norm(res_b)) <= tol
 
 
 def subspace_family_independent(bases, rtol: float = RANK_RTOL) -> bool:

@@ -38,18 +38,6 @@ def metropolis_weights(g: DirectedGraph) -> dict[tuple[int, int], float]:
     return {(j, i): 1.0 / (1.0 + max(g.degree(i), g.degree(j))) for j, i in g.arcs}
 
 
-def spanning_weight_matrix(g: DirectedGraph, sub: DirectedGraph) -> np.ndarray:
-    """d x d diagonal of sub's Metropolis weights, indexed by g's arc order;
-    arcs of g absent from sub get zero."""
-    if not sub.is_spanning_subgraph_of(g):
-        raise ValueError("sub must be a spanning subgraph of g")
-    if not is_symmetric(sub):
-        raise ValueError("spanning weight matrix needs a symmetric subgraph")
-    weights = metropolis_weights(sub)
-    diag = np.array([weights.get(arc, 0.0) for arc in g.arcs])
-    return np.diag(diag)
-
-
 @dataclass(frozen=True)
 class StepsizeSchedule:
     """Stepsize sequence for the gradient iteration."""
@@ -150,10 +138,6 @@ class Trajectory:
     steps_run: int
 
     @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-    @property
     def final_consensus_error(self) -> float:
         return float(self.consensus_errors[-1])
 
@@ -223,7 +207,6 @@ class RoundOperator:
         self.m = m
         self.n = blocks.shape[-1]
         self.heads, self.tails, self.blocks = heads, tails, blocks
-        self.head_scale, self.tail_scale = head_scale, tail_scale
         if tail_scale is None:
             self._movers, scales = heads[None], head_scale[None]
         else:
@@ -407,23 +390,10 @@ def build_update_matrix(
     return _round_operator(algorithm, w.normalized(), subgraph).dense()
 
 
-def stacked_laplacian(
-    w: WeightedNeighborGraph,
-    subgraph: DirectedGraph | None = None,
-    arc_weights: np.ndarray | None = None,
-    normalized: bool = False,
-) -> np.ndarray:
-    """Jbar C' W C Jbar' for the given (sub)graph and per-arc scalars.
-
-    With no options this is the positive-semidefinite map whose quadratic
-    form is ||C Jbar' x||^2; its kernel is the local-agreement set.
-    """
-    if arc_weights is not None:
-        arc_weights = np.asarray(arc_weights, dtype=float)
-        if arc_weights.shape != (w.graph.d,):
-            raise ValueError(f"arc_weights must have shape ({w.graph.d},)")
-    wn = w.normalized() if normalized else w
-    return RoundOperator.from_weights(wn, 1.0, sub=subgraph, arc_weights=arc_weights).delta_matrix()
+def stacked_laplacian(w: WeightedNeighborGraph) -> np.ndarray:
+    """Jbar C'C Jbar', the positive-semidefinite map whose quadratic form is
+    ||C Jbar' x||^2; its kernel is the local-agreement set."""
+    return RoundOperator.from_weights(w, 1.0).delta_matrix()
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ Every arc (j, i) carries a matrix C_ji, and agent i only ever sees C_ji x_j.
 The weighted graph is well-configured when the only states with
 C_ji x_i = C_ji x_j along every arc are full-consensus states, i.e. when the
 kernel of the stacked map C Jbar' is exactly the consensus span.  This module
-assembles those stacked matrices, verifies the property two independent ways,
-checks the specialized cycle/path criteria, and synthesizes weight matrices
-from ear decompositions.
+builds that agreement map, verifies the property two independent ways (its
+rank, and the overlap of the incidence image with the kernel of the stacked
+weights), checks the paper's cycle and three-agent criteria, synthesizes
+weight matrices from ear decompositions, and reads and writes weight files.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .graphs import (
     Arc,
     DirectedGraph,
     EarDecomposition,
+    _check_keys,
     ear_decomposition,
     incidence_matrix,
     is_weakly_connected,
@@ -97,8 +99,9 @@ class WeightedNeighborGraph:
 
         Kernels are preserved, so the well-configuration verdict is too; the
         algorithms that use projections assume this form.  Weights of one
-        shape share one stacked SVD, bit for bit what row_space_basis gives
-        on each of them.  The result is kept per rtol, so the engines, the
+        shape share one stacked SVD, bit for bit what a separate SVD of each
+        gives: the right singular vectors above rtol times its own largest
+        singular value.  The result is kept per rtol, so the engines, the
         dense round maps and the scheduled subgraphs all share one copy (its
         weights are read-only).
         """
@@ -113,7 +116,7 @@ class WeightedNeighborGraph:
                 rows.update((arc, np.zeros((0, self.n))) for arc in arcs)
                 continue
             _, s, vh = np.linalg.svd(np.stack([self.weights[arc] for arc in arcs]))
-            # an all-zero weight has s[0] = 0 and so rank 0, as in row_space_basis
+            # an all-zero weight has s[0] = 0 and so rank 0
             ranks = np.sum(s > rtol * s[:, :1], axis=1)
             rows.update((arc, vh[k, : ranks[k]]) for k, arc in enumerate(arcs))
         out = WeightedNeighborGraph(self.graph, self.n, {arc: rows[arc] for arc in self.weights})
@@ -149,21 +152,6 @@ def _resolve_order(w: WeightedNeighborGraph, arc_order) -> tuple[Arc, ...]:
     return order
 
 
-def stacked_weights(w: WeightedNeighborGraph, arc_order=None) -> np.ndarray:
-    """Block-diagonal stack of the per-arc matrices, one block per arc.
-
-    Defaults to canonical arc order; the well-configuration verdict is
-    invariant under any consistent reordering.
-    """
-    order = _resolve_order(w, arc_order)
-    return block_diag([w.weights[arc] for arc in order])
-
-
-def lifted_incidence(g: DirectedGraph, n: int) -> np.ndarray:
-    """Incidence matrix lifted blockwise to the n-dimensional state."""
-    return np.kron(incidence_matrix(g), np.eye(n))
-
-
 def lifted_incidence_image(g: DirectedGraph, n: int, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal basis of the image of the lifted incidence transpose.
 
@@ -195,11 +183,6 @@ def agreement_map(w: WeightedNeighborGraph, arc_order=None) -> np.ndarray:
         out[rows, (heads - 1) * n + comps] = c
         out[rows, (tails - 1) * n + comps] = -c
     return out
-
-
-def agreement_kernel(w: WeightedNeighborGraph, rtol: float = RANK_RTOL, arc_order=None) -> np.ndarray:
-    """Orthonormal basis of all local-agreement states in R^(mn)."""
-    return kernel_basis(agreement_map(w, arc_order), rtol)
 
 
 @dataclass(frozen=True)
@@ -342,17 +325,6 @@ def cycle_criterion(kernels, rtol: float = RANK_RTOL) -> bool:
     return subspace_family_independent(kernels, rtol)
 
 
-def reduced_cycle_criterion(kernels, pinned: set[int], rtol: float = RANK_RTOL) -> bool:
-    """Cycle verdict when the arcs at the pinned positions already force
-    equality: only the remaining kernels must be independent.
-
-    `pinned` holds indices into `kernels` for arcs whose endpoints are known
-    equal; how such a set would be known a priori is up to the caller.
-    """
-    keep = [k for idx, k in enumerate(kernels) if idx not in pinned]
-    return subspace_family_independent(keep, rtol)
-
-
 def broadcast_pair_criterion(k12, k21, k31, k32, rtol: float = RANK_RTOL) -> bool:
     """Verdict for the two-agents-plus-broadcaster graph with arcs
     (1,2), (2,1), (3,1), (3,2): independence of the intersection of the pair
@@ -446,12 +418,6 @@ def weights_to_json(w: WeightedNeighborGraph) -> dict:
             for j, i in w.graph.arcs
         ],
     }
-
-
-def _check_keys(obj: dict, keys: set[str], what: str) -> None:
-    for problem, found in (("unknown", set(obj) - keys), ("missing", keys - set(obj))):
-        if found:
-            raise ValueError(f"{problem} {what} keys: {sorted(found)}")
 
 
 def weights_from_json(data: dict) -> WeightedNeighborGraph:

@@ -139,6 +139,30 @@ def exact_nullity(rows):
     return n_cols - rank
 
 
+def row_space_basis(a, rtol=1e-10):
+    """Orthonormal rows spanning the row space of a, from one full SVD;
+    (0, n) if a is zero."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    if a.shape[0] == 0 or not a.any():
+        return np.zeros((0, a.shape[1]))
+    _, s, vh = np.linalg.svd(a)
+    return vh[: int(np.sum(s > rtol * s[0]))].copy()
+
+
+def subspaces_equal(a, b, tol=1e-9):
+    """Span equality via mutual projection residuals (bases are non-unique)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape[0] != b.shape[0]:
+        raise ValueError("subspaces must share the ambient dimension")
+    if a.shape[1] != b.shape[1]:
+        return False
+    if a.shape[1] == 0:
+        return True
+    res_a = a - b @ (b.T @ a)
+    res_b = b - a @ (a.T @ b)
+    return float(np.linalg.norm(res_a)) <= tol and float(np.linalg.norm(res_b)) <= tol
+
+
 def mixed_norm_2_inf_loop(q, block):
     """Mixed (2, inf) norm with one spectral norm per block, in a plain loop."""
     m = q.shape[0] // block
@@ -168,13 +192,26 @@ def _stacked(w, order=None):
     return out
 
 
+def spanning_incidence_matrix(g, sub):
+    """Incidence matrix of sub padded with zero columns, indexed by g's arcs."""
+    inc = _incidence(g.m, g.arcs)
+    inc[:, [not sub.has_arc(arc) for arc in g.arcs]] = 0.0
+    return inc
+
+
+def spanning_weight_matrix(g, sub):
+    """d x d diagonal of sub's Metropolis weights 1 / (1 + max(d_i, d_j)),
+    indexed by g's arcs; arcs of g absent from sub get zero."""
+    return np.diag(
+        [1.0 / (1.0 + max(sub.degree(i), sub.degree(j))) if sub.has_arc((j, i)) else 0.0 for j, i in g.arcs]
+    )
+
+
 def stacked_laplacian_kron(w, sub=None, arc_weights=None):
     """Jbar C' W C Jbar' from Kronecker-lifted incidence matrices; arcs of g
     outside sub get a zero incidence column."""
     g = w.graph
-    inc = _incidence(g.m, g.arcs)
-    if sub is not None:
-        inc[:, [not sub.has_arc(arc) for arc in g.arcs]] = 0.0
+    inc = _incidence(g.m, g.arcs) if sub is None else spanning_incidence_matrix(g, sub)
     jbar = np.kron(inc, np.eye(w.n))
     c = _stacked(w)
     scale = np.ones(g.d) if arc_weights is None else np.asarray(arc_weights, dtype=float)
@@ -195,9 +232,7 @@ def update_matrix_kron(algorithm, w_norm, sub=None):
         return eye - damp @ stacked_laplacian_kron(w_norm)
     if algorithm == "metropolis_tv":
         sub = g if sub is None else sub
-        wts = [
-            1.0 / (1.0 + max(sub.degree(i), sub.degree(j))) if sub.has_arc((j, i)) else 0.0 for j, i in g.arcs
-        ]
+        wts = np.diag(spanning_weight_matrix(g, sub))
         return eye - 0.5 * stacked_laplacian_kron(w_norm, sub, wts)
     inc = _incidence(g.m, g.arcs)
     c = _stacked(w_norm)

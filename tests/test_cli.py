@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import tempfile
@@ -420,6 +421,9 @@ WRONG_TYPES = [
     (("output",), {"dir": 5}),
     # every arc covered, and (1, 2) listed a second time
     (("weights",), {"explicit": [{"j": j, "i": i, "C": [[1, 0]]} for j, i in [*SQUARE_ARCS, (1, 2)]]}),
+    (("algorithm",), {**SCHEDULED, "name": "gradient", "stepsize": {"kind": "constant"}}),
+    (("algorithm",), {**SCHEDULED, "name": "gradient", "stepsize": {"kind": "scripted"}}),
+    (("algorithm",), {**SCHEDULED, "name": "gradient", "stepsize": {"kind": "harmonic", "value": 0.1}}),
 ]
 
 
@@ -481,9 +485,15 @@ FUZZED_PATHS = [
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(path=st.sampled_from(FUZZED_PATHS), value=JSON_VALUES, command=st.sampled_from(["verify", "run", "analyze"]))
-def test_fuzzed_scenarios_fail_cleanly(path, value, command):
-    data = symmetric_square_scenario(algorithm={**SCHEDULED, "steps": 2})
+@given(
+    path=st.sampled_from(FUZZED_PATHS),
+    value=JSON_VALUES,
+    command=st.sampled_from(["verify", "run", "analyze"]),
+    algorithm=st.sampled_from(["metropolis_tv", "gradient"]),
+)
+def test_fuzzed_scenarios_fail_cleanly(path, value, command, algorithm):
+    # a deep copy, so that a fuzzed schedule field does not leak into SCHEDULED
+    data = symmetric_square_scenario(algorithm=copy.deepcopy({**SCHEDULED, "name": algorithm, "steps": 2}))
     _set(data, path, value)
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:

@@ -5,24 +5,19 @@ from limcon import (
     block_diag,
     build_update_matrix,
     complete_symmetric,
-    eigenvalues,
     kernel_basis,
-    kronecker,
     mixed_norm_2_inf,
-    orthonormalize_rows,
-    projection_matrix,
-    row_space_basis,
+    spectral_report,
     subspace_family_independent,
     subspace_intersection,
     subspace_intersection_dim,
-    subspaces_equal,
     symmetric_cycle,
     synthesize_symmetric_weights,
 )
-from limcon.linalg import column_space_basis, matrix_rank, spectral_radius
+from limcon.linalg import column_space_basis, matrix_rank
 
 from conftest import random_subspace
-from oracles import brute_force_independent, mixed_norm_2_inf_loop, symmetric_3x3_eigenvalues
+from oracles import brute_force_independent, mixed_norm_2_inf_loop, subspaces_equal, symmetric_3x3_eigenvalues
 
 
 def test_kernel_of_identity_is_trivial():
@@ -53,84 +48,6 @@ def test_kernel_of_zero_rows_is_everything():
     assert np.array_equal(kernel_basis(np.zeros((0, 4))), np.eye(4))
 
 
-def test_orthonormalize_rows_preserves_orthonormal_input():
-    c = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    q = orthonormalize_rows(c)
-    assert np.allclose(q @ q.T, np.eye(2), atol=1e-12)
-    assert subspaces_equal(kernel_basis(q), kernel_basis(c))
-
-
-def test_orthonormalize_scaling_row():
-    assert np.allclose(orthonormalize_rows(np.array([[2.0, 0.0]])), [[1.0, 0.0]])
-
-
-def test_orthonormalize_rejects_dependent_rows():
-    with pytest.raises(ValueError, match="drop redundant rows"):
-        orthonormalize_rows(np.array([[1.0, 0.0], [2.0, 0.0]]))
-
-
-def test_orthonormalize_preserves_kernel_randomly():
-    rng = np.random.default_rng(1)
-    for _ in range(30):
-        rows = int(rng.integers(1, 4))
-        cols = int(rng.integers(rows, 6))
-        c = rng.standard_normal((rows, cols))
-        q = orthonormalize_rows(c)
-        assert subspaces_equal(kernel_basis(q), kernel_basis(c), tol=1e-9)
-
-
-def test_projection_of_coordinate_row():
-    assert np.allclose(projection_matrix(np.array([[1.0, 0.0]])), np.diag([1.0, 0.0]))
-
-
-def test_projection_equals_ctc_for_orthonormal_rows():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        c = row_space_basis(rng.standard_normal((2, 4)))
-        assert np.allclose(projection_matrix(c), c.T @ c, atol=1e-12)
-
-
-def test_projection_annihilates_kernel():
-    rng = np.random.default_rng(3)
-    c = rng.standard_normal((2, 5))
-    p = projection_matrix(c)
-    k = kernel_basis(c)
-    assert np.abs(p @ k).max() < 1e-12
-
-
-def test_projection_idempotent_symmetric_norm_one():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        rows = int(rng.integers(1, 4))
-        c = rng.standard_normal((rows, 5))
-        p = projection_matrix(c)
-        assert np.abs(p @ p - p).max() < 1e-10
-        assert np.abs(p - p.T).max() < 1e-10
-        assert abs(np.linalg.norm(p, 2) - 1.0) < 1e-10
-
-
-def test_projection_rejects_singular_gram():
-    with pytest.raises(ValueError):
-        projection_matrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
-
-
-def test_kronecker_with_scalar_identity():
-    j = np.array([[1.0, -1.0], [0.0, 2.0]])
-    assert np.array_equal(kronecker(j, np.eye(1)), j)
-
-
-def test_kronecker_stacks_identities():
-    got = kronecker(np.ones((2, 1)), np.eye(2))
-    assert np.array_equal(got, np.vstack([np.eye(2), np.eye(2)]))
-
-
-def test_kronecker_mixed_product():
-    rng = np.random.default_rng(5)
-    a, b = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
-    left = kronecker(a, np.eye(2)) @ kronecker(b, np.eye(2))
-    assert np.allclose(left, kronecker(a @ b, np.eye(2)), atol=1e-12)
-
-
 def test_block_diag_with_empty_blocks():
     out = block_diag([np.zeros((0, 2)), np.eye(2), np.array([[1.0, 2.0]])])
     assert out.shape == (3, 6)
@@ -139,8 +56,8 @@ def test_block_diag_with_empty_blocks():
 
 
 def test_eigenvalues_identity_and_diag():
-    assert np.allclose(eigenvalues(np.eye(4)), np.ones(4))
-    assert np.allclose(eigenvalues(np.diag([1.0, -0.5])), [-0.5, 1.0])
+    assert np.allclose(spectral_report(np.eye(4), 1).eigenvalues, np.ones(4))
+    assert np.allclose(spectral_report(np.diag([1.0, -0.5]), 1).eigenvalues, [-0.5, 1.0])
 
 
 def test_eigenvalues_match_cubic_oracle():
@@ -148,13 +65,13 @@ def test_eigenvalues_match_cubic_oracle():
     for _ in range(20):
         b = rng.standard_normal((3, 3))
         a = b @ b.T  # symmetric PSD
-        assert np.allclose(eigenvalues(a), symmetric_3x3_eigenvalues(a), atol=1e-9)
+        assert np.allclose(spectral_report(a, 1).eigenvalues, symmetric_3x3_eigenvalues(a), atol=1e-9)
 
 
 def test_eigenvalues_of_symmetric_are_real():
     rng = np.random.default_rng(7)
     b = rng.standard_normal((5, 5))
-    lam = eigenvalues(b + b.T)
+    lam = spectral_report(b + b.T, 1).eigenvalues
     assert np.abs(np.imag(lam)).max() <= 1e-10
 
 
@@ -267,7 +184,7 @@ def test_mixed_norm_bounds_spectral_radius():
     rng = np.random.default_rng(12)
     for _ in range(20):
         q = rng.standard_normal((6, 6))
-        assert spectral_radius(q) <= mixed_norm_2_inf(q, 3) + 1e-12
+        assert np.abs(np.linalg.eigvals(q)).max() <= mixed_norm_2_inf(q, 3) + 1e-12
 
 
 def test_mixed_norm_matches_blockwise_loop():

@@ -21,13 +21,11 @@ from limcon import (
     local_agreement_residual,
     metropolis_weights,
     mixed_norm_2_inf,
-    projection_matrix,
     run_cycle_projection,
     run_fixed_step,
     run_general_projection,
     run_gradient,
     run_metropolis_tv,
-    spanning_weight_matrix,
     spectral_report,
     stacked_laplacian,
     symmetric_cycle,
@@ -35,7 +33,7 @@ from limcon import (
     synthesize_weights,
     synthesize_symmetric_weights,
 )
-from limcon.linalg import block_diag, subspaces_equal
+from limcon.linalg import block_diag
 from limcon.wellconfig import agreement_map
 
 from conftest import weight_with_kernel
@@ -46,7 +44,10 @@ from oracles import (
     general_step_agents,
     gradient_step_agents,
     metropolis_step_agents,
+    spanning_incidence_matrix,
+    spanning_weight_matrix,
     stacked_laplacian_kron,
+    subspaces_equal,
     update_matrix_kron,
 )
 
@@ -103,22 +104,6 @@ def test_metropolis_symmetry_and_row_sums(sym_corpus):
 def test_metropolis_rejects_directed():
     with pytest.raises(ValueError):
         metropolis_weights(directed_cycle(3))
-
-
-def test_spanning_weight_matrix():
-    g = symmetric_cycle(3)
-    full = spanning_weight_matrix(g, g)
-    assert np.all(np.diag(full) > 0)
-    empty = spanning_weight_matrix(g, DirectedGraph(3, ()))
-    assert not empty.any()
-    sub = DirectedGraph(3, ((1, 2), (2, 1)))
-    part = spanning_weight_matrix(g, sub)
-    k_absent = g.arc_index[(3, 2)]
-    assert part[k_absent, k_absent] == 0.0
-    k_present = g.arc_index[(1, 2)]
-    assert part[k_present, k_present] == pytest.approx(0.5)  # degrees inside sub
-    with pytest.raises(ValueError):
-        spanning_weight_matrix(g, DirectedGraph(3, ((1, 2),)))
 
 
 # ---------------------------------------------------------------- schedules
@@ -268,10 +253,7 @@ def test_update_matrix_unknown_algorithm():
 def test_counterexample_matrix_matches_block_form():
     w = counterexample_wng()
     wn = w.normalized()
-    p1 = projection_matrix(wn.weight((1, 2)))
-    p2 = projection_matrix(wn.weight((2, 3)))
-    p3 = projection_matrix(wn.weight((3, 1)))
-    p4 = projection_matrix(wn.weight((2, 1)))
+    p1, p2, p3, p4 = (wn.weight(arc).T @ wn.weight(arc) for arc in ((1, 2), (2, 3), (3, 1), (2, 1)))
     eye = np.eye(2)
     expected = np.block(
         [
@@ -426,12 +408,10 @@ def test_fixed_schedule_equals_full_graph_metropolis_each_round():
 def test_recurring_weighted_kernel_identity():
     # kernel C Jbar' equals kernel C (sum_i Wbar_i^(1/2) Jbar_i') when the
     # recurring subgraphs cover every arc
-    from limcon import spanning_incidence_matrix, stacked_weights
-
     w = synthesize_weights(symmetric_cycle(4), 2, mode="nonzero-kernels")
     g = w.graph
     sched = two_subgraph_schedule()
-    c = stacked_weights(w)
+    c = block_diag([w.weight(arc) for arc in g.arcs])
     eye = np.eye(2)
     total = np.zeros((g.d * 2, g.m * 2))
     for sub in sched.subgraphs:
@@ -479,7 +459,8 @@ def test_projected_cycle_iteration_has_stochastic_mixing_form():
     projections = {}
     x0 = rng.standard_normal((4, 3))
     for j, i in g.arcs:
-        p = projection_matrix(wn.weight((j, i)))
+        c = wn.weight((j, i))
+        p = c.T @ c
         projections[i] = p
         x0[i - 1] = p @ x0[i - 1]
     mixing = np.zeros((4, 4))
@@ -632,11 +613,7 @@ def test_dense_round_map_matches_kron_formulas(case):
             assert np.abs(dense - update_matrix_kron("metropolis_tv", wn, s)).max(initial=0.0) < 1e-12
             one_round = run_metropolis_tv(w, x, Schedule.fixed(s), 1).states[-1].reshape(-1)
             assert np.abs(dense @ x.reshape(-1) - one_round).max(initial=0.0) < 1e-12
-    arc_weights = rng.uniform(0.0, 2.0, size=g.d)
-    sub = DirectedGraph(g.m, tuple(arc for arc in g.arcs if rng.random() < 0.6))
     assert np.abs(stacked_laplacian(w) - stacked_laplacian_kron(w)).max(initial=0.0) < 1e-12
-    got = stacked_laplacian(w, sub, arc_weights, normalized=True)
-    assert np.abs(got - stacked_laplacian_kron(wn, sub, arc_weights)).max(initial=0.0) < 1e-12
 
 
 def test_dense_cycle_projection_matches_kron_formula():

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from limcon import (
     DirectedGraph,
+    EarDecomposition,
     InfeasibleSynthesisError,
     WeightedNeighborGraph,
-    agreement_kernel,
     backlinked_cycle_criterion,
     backlinked_cycle_graph,
     broadcast_pair_criterion,
@@ -21,18 +21,17 @@ from limcon import (
     disagreement_overlap_dim,
     ear_decomposition,
     identity_weights,
+    incidence_matrix,
     is_well_configured,
     is_well_configured_via_overlap,
     local_agreement_residual,
-    reduced_cycle_criterion,
-    stacked_weights,
     symmetric_cycle,
     synthesize_symmetric_weights,
     synthesize_weights,
     weights_from_json,
     weights_to_json,
 )
-from limcon.linalg import row_space_basis, subspaces_equal
+from limcon.linalg import kernel_basis
 from limcon.wellconfig import lifted_incidence_image
 
 from conftest import (
@@ -40,7 +39,13 @@ from conftest import (
     random_weakly_connected_wng,
     weight_with_kernel,
 )
-from oracles import agreement_map_kron, agreement_nullity_dense, disagreement_overlap_dim_dense
+from oracles import (
+    agreement_map_kron,
+    agreement_nullity_dense,
+    disagreement_overlap_dim_dense,
+    row_space_basis,
+    subspaces_equal,
+)
 
 
 def cycle_wng(kernels):
@@ -72,18 +77,6 @@ def test_normalized_has_orthonormal_rows_and_same_verdict():
             assert np.allclose(c @ c.T, np.eye(c.shape[0]), atol=1e-12)
             assert subspaces_equal(w.kernel(arc), wn.kernel(arc))
         assert bool(is_well_configured(w)) == bool(is_well_configured(wn))
-
-
-def test_stacked_weights_single_arc():
-    g = directed_path(2)
-    w = WeightedNeighborGraph(g, 2, {(1, 2): np.array([[1.0, 0.0]])})
-    assert np.array_equal(stacked_weights(w), [[1.0, 0.0]])
-
-
-def test_stacked_weights_identity():
-    g = symmetric_cycle(3)
-    w = identity_weights(g, 2)
-    assert np.array_equal(stacked_weights(w), np.eye(g.d * 2))
 
 
 def test_identity_weights_well_configured_on_weakly_connected():
@@ -135,21 +128,20 @@ def test_refuses_disconnected_graphs():
 
 
 def test_lifted_incidence_kernel_is_consensus_span():
-    from limcon.wellconfig import lifted_incidence
-    from limcon.linalg import kernel_basis
-
     for g in (directed_path(4), broadcast_pair_graph(), symmetric_cycle(3)):
         for n in (1, 2, 3):
-            kernel = kernel_basis(lifted_incidence(g, n).T)
+            kernel = kernel_basis(np.kron(incidence_matrix(g), np.eye(n)).T)
             assert kernel.shape[1] == n
             assert subspaces_equal(kernel, consensus_span(g.m, n))
 
 
 def test_consensus_always_in_agreement_kernel():
+    from limcon.wellconfig import agreement_map
+
     rng = np.random.default_rng(2)
     for _ in range(10):
         w = random_weakly_connected_wng(rng)
-        kernel = agreement_kernel(w)
+        kernel = kernel_basis(agreement_map(w))
         base = consensus_span(w.m, w.n)
         resid = base - kernel @ (kernel.T @ base)
         assert np.abs(resid).max() < 1e-9
@@ -197,23 +189,6 @@ def test_cycle_criterion_matches_verifier():
         kernels = [random_subspace(rng, n, int(rng.integers(0, n))) for _ in range(m)]
         expected = cycle_criterion(kernels)
         assert bool(is_well_configured(cycle_wng(kernels))) == expected
-
-
-def test_reduced_cycle_matches_full_cycle_with_pinning_weights():
-    # pinned arcs get zero kernels, which forces equality across them; the
-    # verdict must then match the criterion on the remaining kernels alone
-    rng = np.random.default_rng(6)
-    for _ in range(40):
-        m = int(rng.integers(3, 6))
-        n = int(rng.integers(2, 5))
-        pinned = {int(k) for k in rng.choice(m, size=int(rng.integers(0, m)), replace=False)}
-        kernels = [
-            np.zeros((n, 0)) if k in pinned else random_subspace(rng, n, int(rng.integers(1, n)))
-            for k in range(m)
-        ]
-        reduced = reduced_cycle_criterion(kernels, pinned)
-        assert reduced == cycle_criterion(kernels)
-        assert reduced == bool(is_well_configured(cycle_wng(kernels)))
 
 
 def test_broadcast_pair_criterion_examples():
@@ -384,6 +359,16 @@ def test_weights_json_missing_keys_raise_value_error():
         arcs = [{k: v for k, v in entry.items() if k != key} for entry in data["arcs"]]
         with pytest.raises(ValueError, match=f"missing arc keys: \\['{key}'\\]"):
             weights_from_json({**data, "arcs": arcs})
+
+
+def test_ear_json_missing_keys_raise_value_error():
+    ear = ear_decomposition(directed_cycle(3)).to_json()[0]
+    for key in ("kind", "arcs"):
+        with pytest.raises(ValueError, match=f"missing ear keys: \\['{key}'\\]"):
+            EarDecomposition.from_json([{k: v for k, v in ear.items() if k != key}])
+    for entry in (5, ["kind", "arcs"]):
+        with pytest.raises(ValueError, match="ear must be an object"):
+            EarDecomposition.from_json([entry])
 
 
 def test_agreement_kernel_dim_matches_exact_arithmetic():
@@ -580,12 +565,11 @@ def test_rank_gap_brackets_the_cutoff():
 
 def test_overlap_image_equals_lifted_incidence_image():
     from limcon.linalg import column_space_basis
-    from limcon.wellconfig import lifted_incidence, lifted_incidence_image
 
     rng = np.random.default_rng(31)
     for _ in range(30):
         w = random_weakly_connected_wng(rng)
-        old = column_space_basis(lifted_incidence(w.graph, w.n).T)
+        old = column_space_basis(np.kron(incidence_matrix(w.graph), np.eye(w.n)).T)
         new = lifted_incidence_image(w.graph, w.n)
         assert np.allclose(new.T @ new, np.eye(new.shape[1]), atol=1e-12)
         assert subspaces_equal(new, old)
