@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import DirectedGraph, EarDecomposition
+from .graphs import DirectedGraph, EarDecomposition, _check_keys
 from .linalg import RANK_RTOL
 from .simulate import (
     ALGORITHMS,
@@ -93,17 +93,6 @@ def _array(value, where: str) -> np.ndarray:
         raise ScenarioError(f"{where} must be a numeric array") from exc
 
 
-def _check_keys(obj: dict, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{where} must be a JSON object")
-    unknown = set(obj) - set(required) - set(optional)
-    if unknown:
-        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = set(required) - set(obj)
-    if missing:
-        raise ScenarioError(f"{where}: missing keys {sorted(missing)}")
-
-
 def load_scenario(path: Path) -> dict:
     try:
         text = path.read_text()
@@ -125,6 +114,9 @@ def load_scenario(path: Path) -> dict:
         # checked here, not where it is read: --out would skip that
         _check_keys(data["output"], "output", required=("dir",))
         _expect(data["output"]["dir"], "output.dir", str)
+    if "algorithm" in data:
+        # likewise for the commands that never run the algorithm
+        _algorithm_section(data)
     return data
 
 
@@ -200,17 +192,14 @@ def _build_initial_state(section: dict, m: int, n: int, seed_override: int | Non
     return rng.standard_normal((m, n))
 
 
-def _build_stepsize(section: dict | None) -> StepsizeSchedule:
-    if section is None:
-        return StepsizeSchedule.harmonic()
+def _build_stepsize(section: dict) -> StepsizeSchedule:
     _check_keys(section, "algorithm.stepsize", required=("kind",), optional=("a", "b", "value", "values"))
     kind = section["kind"]
     where = f"algorithm.stepsize ({kind})"
     if kind == "harmonic":
         _check_keys(section, where, required=("kind",), optional=("a", "b"))
-        return StepsizeSchedule.harmonic(
-            _number(section.get("a", 1.0), "algorithm.stepsize.a"), _number(section.get("b", 2.0), "algorithm.stepsize.b")
-        )
+        given = {k: _number(section[k], f"algorithm.stepsize.{k}") for k in ("a", "b") if k in section}
+        return StepsizeSchedule.harmonic(**given)
     if kind == "constant":
         _check_keys(section, where, required=("kind", "value"))
         return StepsizeSchedule.constant(_number(section["value"], "algorithm.stepsize.value"))
@@ -242,18 +231,18 @@ def _build_schedule(section: dict, m: int) -> Schedule:
     raise ScenarioError(f"algorithm.schedule.mode must be fixed|periodic|scripted, got {mode!r}")
 
 
+# The settings each algorithm reads besides name and steps; any other is rejected.
+_SETTINGS = {"gradient": ("stepsize",), "metropolis_tv": ("schedule",), "cycle_projection": ("project_init",)}
+
+
 def _algorithm_section(data: dict) -> dict:
     if "algorithm" not in data:
         raise ScenarioError("scenario has no 'algorithm' section")
     section = data["algorithm"]
-    _check_keys(
-        section,
-        "algorithm",
-        required=("name", "steps"),
-        optional=("stepsize", "schedule", "project_init"),
-    )
-    if section["name"] not in ALGORITHMS:
-        raise ScenarioError(f"algorithm.name must be one of {ALGORITHMS}, got {section['name']!r}")
+    name = _expect(section, "algorithm", dict).get("name")
+    if name not in ALGORITHMS:
+        raise ScenarioError(f"algorithm.name must be one of {ALGORITHMS}, got {name!r}")
+    _check_keys(section, f"algorithm ({name})", required=("name", "steps"), optional=_SETTINGS.get(name, ()))
     return section
 
 
@@ -325,9 +314,9 @@ def _run_scenario(data: dict, base_dir: Path, args) -> tuple[dict, object]:
     if "initial_state" not in data:
         raise ScenarioError("scenario has no 'initial_state' section")
     x0 = _build_initial_state(data["initial_state"], g.m, n, args.seed)
-    project_init = _expect(section.get("project_init", False), "algorithm.project_init", bool)
     if name == "gradient":
-        traj = run_gradient(w, x0, steps, _build_stepsize(section.get("stepsize")))
+        stepsize = _build_stepsize(section["stepsize"]) if "stepsize" in section else None
+        traj = run_gradient(w, x0, steps, stepsize)
     elif name == "fixed_step":
         traj = run_fixed_step(w, x0, steps)
     elif name == "metropolis_tv":
@@ -335,6 +324,7 @@ def _run_scenario(data: dict, base_dir: Path, args) -> tuple[dict, object]:
             raise ScenarioError("metropolis_tv needs an algorithm.schedule section")
         traj = run_metropolis_tv(w, x0, _build_schedule(section["schedule"], g.m), steps)
     elif name == "cycle_projection":
+        project_init = _expect(section.get("project_init", False), "algorithm.project_init", bool)
         traj = run_cycle_projection(w, x0, steps, project_init)
     else:
         traj = run_general_projection(w, x0, steps)

@@ -241,7 +241,7 @@ class EarDecomposition:
     def from_json(cls, data: list[dict]) -> "EarDecomposition":
         ears = []
         for entry in data:
-            _check_keys(entry, {"kind", "arcs"}, "ear")
+            _check_keys(entry, "ear", required=("kind", "arcs"))
             ears.append(Ear(entry["kind"], tuple((int(j), int(i)) for j, i in entry["arcs"])))
         # Symmetric ears pair each arc with its reverse along the traversal;
         # ordinary two-length cycle ears look the same, so additionally demand
@@ -250,12 +250,14 @@ class EarDecomposition:
         return cls(tuple(ears), symmetric=symmetric)
 
 
-def _check_keys(obj: dict, keys: set[str], what: str) -> None:
+def _check_keys(obj: dict, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
+    """Raise ValueError unless obj is an object with every required key and no key beyond optional."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be an object, got {type(obj).__name__}")
-    for problem, found in (("unknown", set(obj) - keys), ("missing", keys - set(obj))):
+        raise ValueError(f"{where} must be an object, got {type(obj).__name__}")
+    keys = set(required)
+    for problem, found in (("unknown", set(obj) - keys - set(optional)), ("missing", keys - set(obj))):
         if found:
-            raise ValueError(f"{problem} {what} keys: {sorted(found)}")
+            raise ValueError(f"{where}: {problem} keys {sorted(found)}")
 
 
 def _is_paired(ear: Ear) -> bool:

@@ -43,8 +43,8 @@ class StepsizeSchedule:
     """Stepsize sequence for the gradient iteration."""
 
     kind: str  # "harmonic" | "constant" | "scripted"
-    a: float = 1.0
-    b: float = 2.0
+    a: float = 0.0
+    b: float = 0.0
     value: float = 0.0
     values: tuple[float, ...] = ()
 
@@ -80,22 +80,23 @@ class StepsizeSchedule:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Which symmetric spanning subgraph is active each round."""
+    """Which symmetric spanning subgraph is active each round: subgraphs[script[t]]
+    if there is a script, else the subgraphs in turn.  A fixed schedule is a
+    periodic one with a single subgraph."""
 
-    mode: str  # "fixed" | "periodic" | "scripted"
     subgraphs: tuple[DirectedGraph, ...]
     script: tuple[int, ...] | None = None
 
     @classmethod
     def fixed(cls, sub: DirectedGraph) -> "Schedule":
-        return cls("fixed", (sub,))
+        return cls((sub,))
 
     @classmethod
     def periodic(cls, subgraphs) -> "Schedule":
         subgraphs = tuple(subgraphs)
         if not subgraphs:
             raise ValueError("periodic schedule needs at least one subgraph")
-        return cls("periodic", subgraphs)
+        return cls(subgraphs)
 
     @classmethod
     def scripted(cls, subgraphs, script) -> "Schedule":
@@ -103,14 +104,11 @@ class Schedule:
         script = tuple(int(s) for s in script)
         if any(s < 0 or s >= len(subgraphs) for s in script):
             raise ValueError("script indices out of range")
-        return cls("scripted", subgraphs, script)
+        return cls(subgraphs, script)
 
     def index_at(self, t: int) -> int:
-        if self.mode == "fixed":
-            return 0
-        if self.mode == "periodic":
+        if self.script is None:
             return t % len(self.subgraphs)
-        assert self.script is not None
         if t >= len(self.script):
             raise ValueError(f"schedule script of length {len(self.script)} exhausted at round {t}")
         return self.script[t]
@@ -128,9 +126,9 @@ class Schedule:
 
 @dataclass
 class Trajectory:
-    """Recorded run: stacked states per round plus per-round metrics."""
+    """Recorded run: stacked states per round plus per-round metrics.  It does
+    not name the engine that made it; the caller knows which one it ran."""
 
-    algorithm: str
     states: np.ndarray  # (rounds+1, m, n)
     consensus_errors: np.ndarray
     residuals: np.ndarray
@@ -257,7 +255,8 @@ class RoundOperator:
 
 
 def _round_operator(algorithm: str, wn: WeightedNeighborGraph, subgraph: DirectedGraph | None = None) -> RoundOperator:
-    """The fixed round map of an algorithm, on normalized weights."""
+    """The fixed round map of an algorithm, on normalized weights; raises for a
+    name without one, such as the gradient's."""
     g = wn.graph
     if algorithm == "fixed_step":
         _require_symmetric(g, "the fixed-step iteration")
@@ -270,10 +269,12 @@ def _round_operator(algorithm: str, wn: WeightedNeighborGraph, subgraph: Directe
         return RoundOperator.from_weights(wn, 0.5, sub=sub, arc_weights=arc_weights)
     if algorithm == "cycle_projection" and not is_directed_cycle(g):
         raise ValueError("cycle projection requires a directed cycle")
-    return RoundOperator.from_weights(wn, _damping(g, half=False), two_sided=False)
+    if algorithm in ("cycle_projection", "general_projection"):
+        return RoundOperator.from_weights(wn, _damping(g, half=False), two_sided=False)
+    raise ValueError(f"no fixed round matrix for algorithm {algorithm!r}")
 
 
-def _run(w: WeightedNeighborGraph, x0, steps: int, step, algorithm: str) -> Trajectory:
+def _run(w: WeightedNeighborGraph, x0, steps: int, step) -> Trajectory:
     """Rounds x <- step(t, x) from x0 until `steps` or a consensus streak."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -296,7 +297,6 @@ def _run(w: WeightedNeighborGraph, x0, steps: int, step, algorithm: str) -> Traj
         streak = streak + 1 if err < CONSENSUS_TOL else 0
         converged = streak >= CONSENSUS_STREAK
     return Trajectory(
-        algorithm=algorithm,
         states=np.stack(states),
         consensus_errors=np.array(errors),
         residuals=np.array(residuals),
@@ -316,7 +316,7 @@ def run_gradient(
     _require_symmetric(w.graph, "the gradient iteration")
     stepsize = stepsize or StepsizeSchedule.harmonic()
     op = RoundOperator.from_weights(w, 1.0)
-    return _run(w, x0, steps, lambda t, x: x - stepsize.alpha(t) * op.delta(x), "gradient")
+    return _run(w, x0, steps, lambda t, x: x - stepsize.alpha(t) * op.delta(x))
 
 
 def run_fixed_step(w: WeightedNeighborGraph, x0, steps: int) -> Trajectory:
@@ -324,7 +324,7 @@ def run_fixed_step(w: WeightedNeighborGraph, x0, steps: int) -> Trajectory:
     x(t+1) = (I - Dbar Jbar C'C Jbar') x(t) with per-agent damping
     1/(2(d_i+1)) and row-orthonormalized weights."""
     op = _round_operator("fixed_step", w.normalized())
-    return _run(w, x0, steps, lambda t, x: op.apply(x), "fixed_step")
+    return _run(w, x0, steps, lambda t, x: op.apply(x))
 
 
 def run_metropolis_tv(w: WeightedNeighborGraph, x0, schedule: Schedule, steps: int) -> Trajectory:
@@ -332,18 +332,11 @@ def run_metropolis_tv(w: WeightedNeighborGraph, x0, schedule: Schedule, steps: i
     subgraphs: x(t+1) = (I - 1/2 Jbar(t) C' Wbar(t) C Jbar'(t)) x(t)."""
     _require_symmetric(w.graph, "the Metropolis iteration")
     schedule.validate_for(w.graph)
-    if schedule.mode == "scripted" and schedule.script is not None and steps > len(schedule.script):
+    if schedule.script is not None and steps > len(schedule.script):
         raise ValueError(f"schedule script covers {len(schedule.script)} rounds, requested {steps}")
     wn = w.normalized()
-    ops: dict[int, RoundOperator] = {}
-
-    def step(t, x):
-        idx = schedule.index_at(t)
-        if idx not in ops:
-            ops[idx] = _round_operator("metropolis_tv", wn, schedule.subgraphs[idx])
-        return ops[idx].apply(x)
-
-    return _run(w, x0, steps, step, "metropolis_tv")
+    ops = [_round_operator("metropolis_tv", wn, sub) for sub in schedule.subgraphs]
+    return _run(w, x0, steps, lambda t, x: ops[schedule.index_at(t)].apply(x))
 
 
 def run_cycle_projection(w: WeightedNeighborGraph, x0, steps: int, project_init: bool = False) -> Trajectory:
@@ -360,7 +353,7 @@ def run_cycle_projection(w: WeightedNeighborGraph, x0, steps: int, project_init:
         for j, i in w.graph.arcs:
             c = wn.weight((j, i))
             state[i - 1] = c.T @ (c @ state[i - 1])
-    return _run(w, state, steps, lambda t, x: op.apply(x), "cycle_projection")
+    return _run(w, state, steps, lambda t, x: op.apply(x))
 
 
 def run_general_projection(w: WeightedNeighborGraph, x0, steps: int) -> Trajectory:
@@ -371,7 +364,7 @@ def run_general_projection(w: WeightedNeighborGraph, x0, steps: int) -> Trajecto
     points even on well-configured graphs.
     """
     op = _round_operator("general_projection", w.normalized())
-    return _run(w, x0, steps, lambda t, x: op.apply(x), "general_projection")
+    return _run(w, x0, steps, lambda t, x: op.apply(x))
 
 
 def build_update_matrix(
@@ -382,11 +375,9 @@ def build_update_matrix(
     """The dense mn x mn linear map applied each round.
 
     Assembled from the same round operator the run uses.  The gradient
-    iteration has no fixed round map (its stepsize varies), so it is not
-    listed here.
+    iteration has no fixed round map (its stepsize varies), so it raises, as
+    any other name without one does.
     """
-    if algorithm not in ("fixed_step", "metropolis_tv", "cycle_projection", "general_projection"):
-        raise ValueError(f"no fixed round matrix for algorithm {algorithm!r}")
     return _round_operator(algorithm, w.normalized(), subgraph).dense()
 
 

@@ -421,11 +421,11 @@ def weights_to_json(w: WeightedNeighborGraph) -> dict:
 
 
 def weights_from_json(data: dict) -> WeightedNeighborGraph:
-    _check_keys(data, {"m", "n", "arcs"}, "weight-file")
+    _check_keys(data, "weight-file", required=("m", "n", "arcs"))
     arcs = []
     weights = {}
     for entry in data["arcs"]:
-        _check_keys(entry, {"j", "i", "C"}, "arc")
+        _check_keys(entry, "arc", required=("j", "i", "C"))
         arc = (int(entry["j"]), int(entry["i"]))
         arcs.append(arc)
         weights[arc] = np.asarray(entry["C"], dtype=float)

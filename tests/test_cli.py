@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from limcon import ear_decomposition, symmetric_cycle, weights_from_json, is_well_configured
@@ -384,56 +384,90 @@ def _set(data, path, value):
     return data
 
 
-SCHEDULED = {
+METROPOLIS = {
     "name": "metropolis_tv",
     "steps": 3,
     "schedule": {"mode": "scripted", "subgraphs": [[[1, 2], [2, 1], [3, 4], [4, 3]]], "script": [0, 0, 0]},
-    "stepsize": {"kind": "constant", "value": 0.1},
 }
+GRADIENT = {"name": "gradient", "steps": 3, "stepsize": {"kind": "constant", "value": 0.1}}
+CYCLE = {"name": "cycle_projection", "steps": 3, "project_init": True}
+
+
+def _metropolis(**schedule):
+    return {**METROPOLIS, "schedule": {**METROPOLIS["schedule"], **schedule}}
+
+
+def _gradient(**stepsize):
+    return {**GRADIENT, "stepsize": stepsize}
+
+
+# (path, corrupt value, what the error must name)
 WRONG_TYPES = [
-    (("graph", "arcs"), 5),
-    (("graph", "arcs"), [[1, 2, 3]]),
-    (("graph", "arcs", 0), [1, "2"]),
-    (("graph", "m"), "4"),
-    (("graph", "m"), 4.0),
-    (("graph",), 7),
-    (("n",), [2]),
-    (("n",), True),
-    (("weights", "synthesize", "symmetric"), "yes"),
-    (("weights", "synthesize", "decomposition"), {"path": 3}),
-    (("weights",), {"explicit": 5}),
-    (("weights",), {"explicit": [{"j": 1, "i": 2, "C": "I"}]}),
-    (("weights",), {"explicit": [{"j": 1, "i": 2, "C": [[1, "x"]]}]}),
-    (("weights",), {"explicit": [{"j": [1], "i": 2, "C": [[1, 0]]}]}),
-    (("algorithm", "steps"), "10"),
-    (("algorithm", "steps"), None),
-    (("algorithm",), {**SCHEDULED, "project_init": "no"}),
-    (("algorithm",), {**SCHEDULED, "schedule": {**SCHEDULED["schedule"], "subgraphs": 5}}),
-    (("algorithm",), {**SCHEDULED, "schedule": {**SCHEDULED["schedule"], "subgraphs": [[1, 2]]}}),
-    (("algorithm",), {**SCHEDULED, "schedule": {**SCHEDULED["schedule"], "script": [0.5]}}),
-    (("algorithm",), {**SCHEDULED, "name": "gradient", "stepsize": {"kind": "harmonic", "a": "1"}}),
-    (("algorithm",), {**SCHEDULED, "name": "gradient", "stepsize": {"kind": "constant", "value": [1]}}),
-    (("algorithm",), {**SCHEDULED, "name": "gradient", "stepsize": {"kind": "scripted", "values": 0.1}}),
-    (("algorithm",), {**SCHEDULED, "name": "gradient", "stepsize": {"kind": "scripted", "values": [{}]}}),
-    (("initial_state", "random", "seed"), 1.5),
-    (("initial_state",), {"explicit": {"rows": 4}}),
-    (("initial_state",), {"consensus": {"value": "zero"}}),
-    (("output",), {"dir": 5}),
+    (("graph", "arcs"), 5, "graph.arcs"),
+    (("graph", "arcs"), [[1, 2, 3]], "graph.arcs"),
+    (("graph", "arcs", 0), [1, "2"], "graph.arcs"),
+    (("graph", "m"), "4", "graph.m"),
+    (("graph", "m"), 4.0, "graph.m"),
+    (("graph",), 7, "graph must be"),
+    (("n",), [2], "n must be"),
+    (("n",), True, "n must be"),
+    (("weights", "synthesize", "symmetric"), "yes", "weights.synthesize.symmetric"),
+    (("weights", "synthesize", "decomposition"), {"path": 3}, "weights.synthesize.decomposition.path"),
+    (("weights",), {"explicit": 5}, "weights.explicit"),
+    (("weights",), {"explicit": [{"j": 1, "i": 2, "C": "I"}]}, "weights.explicit[].C"),
+    (("weights",), {"explicit": [{"j": 1, "i": 2, "C": [[1, "x"]]}]}, "weights.explicit[].C"),
+    (("weights",), {"explicit": [{"j": [1], "i": 2, "C": [[1, 0]]}]}, "weights.explicit[].j"),
+    (("algorithm", "steps"), "10", "algorithm.steps"),
+    (("algorithm", "steps"), None, "algorithm.steps"),
+    (("algorithm",), {**CYCLE, "project_init": "no"}, "algorithm.project_init"),
+    (("algorithm",), _metropolis(subgraphs=5), "algorithm.schedule.subgraphs"),
+    (("algorithm",), _metropolis(subgraphs=[[1, 2]]), "algorithm.schedule.subgraphs[]"),
+    (("algorithm",), _metropolis(script=[0.5]), "algorithm.schedule.script[]"),
+    (("algorithm",), _gradient(kind="harmonic", a="1"), "algorithm.stepsize.a"),
+    (("algorithm",), _gradient(kind="constant", value=[1]), "algorithm.stepsize.value"),
+    (("algorithm",), _gradient(kind="scripted", values=0.1), "algorithm.stepsize.values"),
+    (("algorithm",), _gradient(kind="scripted", values=[{}]), "algorithm.stepsize.values[]"),
+    (("initial_state", "random", "seed"), 1.5, "initial_state.random.seed"),
+    (("initial_state",), {"explicit": {"rows": 4}}, "initial_state.explicit"),
+    (("initial_state",), {"consensus": {"value": "zero"}}, "initial_state.consensus.value"),
+    (("output",), {"dir": 5}, "output.dir"),
     # every arc covered, and (1, 2) listed a second time
-    (("weights",), {"explicit": [{"j": j, "i": i, "C": [[1, 0]]} for j, i in [*SQUARE_ARCS, (1, 2)]]}),
-    (("algorithm",), {**SCHEDULED, "name": "gradient", "stepsize": {"kind": "constant"}}),
-    (("algorithm",), {**SCHEDULED, "name": "gradient", "stepsize": {"kind": "scripted"}}),
-    (("algorithm",), {**SCHEDULED, "name": "gradient", "stepsize": {"kind": "harmonic", "value": 0.1}}),
+    (("weights",), {"explicit": [{"j": j, "i": i, "C": [[1, 0]]} for j, i in [*SQUARE_ARCS, (1, 2)]]}, "arc (1, 2)"),
+    (("algorithm",), _gradient(kind="constant"), "algorithm.stepsize (constant): missing keys ['value']"),
+    (("algorithm",), _gradient(kind="scripted"), "algorithm.stepsize (scripted): missing keys ['values']"),
+    (("algorithm",), _gradient(kind="harmonic", value=0.1), "algorithm.stepsize (harmonic): unknown keys ['value']"),
 ]
 
 
-@pytest.mark.parametrize("path, value", WRONG_TYPES, ids=[f"{'.'.join(map(str, p))}-{k}" for k, (p, _) in enumerate(WRONG_TYPES)])
-def test_wrong_typed_fields_exit_one(path, value, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "path, value, field", WRONG_TYPES, ids=[f"{'.'.join(map(str, p))}-{k}" for k, (p, _, _) in enumerate(WRONG_TYPES)]
+)
+def test_wrong_typed_fields_exit_one(path, value, field, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the default output directory is ./out
     data = _set(symmetric_square_scenario(), path, value)
     assert main(["run", "--scenario", write_scenario(tmp_path, "s.json", data)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
     assert not (tmp_path / "out").exists()
+
+
+# every algorithm section with its own settings, and a valid value of each setting
+SECTIONS = [{"name": "fixed_step", "steps": 3}, {"name": "general_projection", "steps": 3}, METROPOLIS, GRADIENT, CYCLE]
+SETTINGS = {"stepsize": GRADIENT["stepsize"], "schedule": METROPOLIS["schedule"], "project_init": True}
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [(s, k) for s in SECTIONS for k in SETTINGS if k not in s],
+    ids=lambda v: v["name"] if isinstance(v, dict) else v,
+)
+def test_unused_algorithm_settings_rejected(section, key, tmp_path, capsys):
+    scenario = write_scenario(tmp_path, "s.json", symmetric_square_scenario(algorithm={**section, key: SETTINGS[key]}))
+    for command in ("run", "analyze", "verify", "synth"):
+        out = [] if command == "verify" else ["--out", str(tmp_path / "o")]
+        assert main([command, "--scenario", scenario, *out]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: algorithm ({section['name']}): unknown keys ['{key}']"]
+        assert not (tmp_path / "o").exists()
 
 
 def test_wrong_typed_decomposition_file_exits_one(tmp_path, capsys):
@@ -489,11 +523,12 @@ FUZZED_PATHS = [
     path=st.sampled_from(FUZZED_PATHS),
     value=JSON_VALUES,
     command=st.sampled_from(["verify", "run", "analyze"]),
-    algorithm=st.sampled_from(["metropolis_tv", "gradient"]),
+    algorithm=st.sampled_from([METROPOLIS, GRADIENT]),
 )
 def test_fuzzed_scenarios_fail_cleanly(path, value, command, algorithm):
-    # a deep copy, so that a fuzzed schedule field does not leak into SCHEDULED
-    data = symmetric_square_scenario(algorithm=copy.deepcopy({**SCHEDULED, "name": algorithm, "steps": 2}))
+    # a deep copy, so that a fuzzed schedule field does not leak into METROPOLIS
+    data = symmetric_square_scenario(algorithm=copy.deepcopy({**algorithm, "steps": 2}))
+    assume(len(path) < 3 or path[1] in data[path[0]])  # the gradient section has no schedule to corrupt
     _set(data, path, value)
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:

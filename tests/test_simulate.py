@@ -246,8 +246,9 @@ def test_metropolis_update_matrix_agrees_with_run():
 
 def test_update_matrix_unknown_algorithm():
     w = identity_weights(symmetric_cycle(3), 2)
-    with pytest.raises(ValueError):
-        build_update_matrix("gradient", w)
+    for name in ("gradient", "general_projecton", "Fixed_step"):
+        with pytest.raises(ValueError, match=f"no fixed round matrix for algorithm '{name}'"):
+            build_update_matrix(name, w)
 
 
 def test_counterexample_matrix_matches_block_form():

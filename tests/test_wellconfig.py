@@ -353,18 +353,18 @@ def test_weights_json_roundtrip():
 def test_weights_json_missing_keys_raise_value_error():
     data = weights_to_json(synthesize_weights(backlinked_cycle_graph(), 2))
     for key in ("m", "n", "arcs"):
-        with pytest.raises(ValueError, match=f"missing weight-file keys: \\['{key}'\\]"):
+        with pytest.raises(ValueError, match=f"weight-file: missing keys \\['{key}'\\]"):
             weights_from_json({k: v for k, v in data.items() if k != key})
     for key in ("j", "i", "C"):
         arcs = [{k: v for k, v in entry.items() if k != key} for entry in data["arcs"]]
-        with pytest.raises(ValueError, match=f"missing arc keys: \\['{key}'\\]"):
+        with pytest.raises(ValueError, match=f"arc: missing keys \\['{key}'\\]"):
             weights_from_json({**data, "arcs": arcs})
 
 
 def test_ear_json_missing_keys_raise_value_error():
     ear = ear_decomposition(directed_cycle(3)).to_json()[0]
     for key in ("kind", "arcs"):
-        with pytest.raises(ValueError, match=f"missing ear keys: \\['{key}'\\]"):
+        with pytest.raises(ValueError, match=f"ear: missing keys \\['{key}'\\]"):
             EarDecomposition.from_json([{k: v for k, v in ear.items() if k != key}])
     for entry in (5, ["kind", "arcs"]):
         with pytest.raises(ValueError, match="ear must be an object"):
