@@ -114,9 +114,6 @@ def load_scenario(path: Path) -> dict:
         # checked here, not where it is read: --out would skip that
         _check_keys(data["output"], "output", required=("dir",))
         _expect(data["output"]["dir"], "output.dir", str)
-    if "algorithm" in data:
-        # likewise for the commands that never run the algorithm
-        _algorithm_section(data)
     return data
 
 
@@ -161,7 +158,9 @@ def _build_weights(section: dict, g: DirectedGraph, n: int, base_dir: Path) -> W
     return synthesize_weights(g, n, decomposition, mode)
 
 
-def _build_initial_state(section: dict, m: int, n: int, seed_override: int | None) -> np.ndarray:
+def _build_initial_state(section: dict, m: int, n: int, seed_override: int | None) -> np.ndarray | None:
+    """The (m, n) initial state, or None for a random one whose seed only
+    run --seed can still supply."""
     _check_keys(section, "initial_state", required=(), optional=("explicit", "random", "consensus"))
     sources = [k for k in ("explicit", "random", "consensus") if k in section]
     if len(sources) != 1:
@@ -187,7 +186,7 @@ def _build_initial_state(section: dict, m: int, n: int, seed_override: int | Non
     _check_keys(cfg, "initial_state.random", required=(), optional=("seed",))
     seed = seed_override if seed_override is not None else cfg.get("seed")
     if seed is None:
-        raise ScenarioError("random initial state needs a seed (scenario key or --seed)")
+        return None
     rng = np.random.default_rng(_expect(seed, "initial_state.random.seed", int))
     return rng.standard_normal((m, n))
 
@@ -231,26 +230,51 @@ def _build_schedule(section: dict, m: int) -> Schedule:
     raise ScenarioError(f"algorithm.schedule.mode must be fixed|periodic|scripted, got {mode!r}")
 
 
-# The settings each algorithm reads besides name and steps; any other is rejected.
-_SETTINGS = {"gradient": ("stepsize",), "metropolis_tv": ("schedule",), "cycle_projection": ("project_init",)}
+# The (required, optional) settings each algorithm reads besides name and
+# steps; any other is rejected.
+_SETTINGS = {
+    "gradient": ((), ("stepsize",)),
+    "metropolis_tv": (("schedule",), ()),
+    "cycle_projection": ((), ("project_init",)),
+}
 
 
-def _algorithm_section(data: dict) -> dict:
-    if "algorithm" not in data:
-        raise ScenarioError("scenario has no 'algorithm' section")
-    section = data["algorithm"]
+def _build_algorithm(section: dict, g: DirectedGraph) -> dict:
+    """The algorithm section with every value parsed."""
     name = _expect(section, "algorithm", dict).get("name")
     if name not in ALGORITHMS:
         raise ScenarioError(f"algorithm.name must be one of {ALGORITHMS}, got {name!r}")
-    _check_keys(section, f"algorithm ({name})", required=("name", "steps"), optional=_SETTINGS.get(name, ()))
-    return section
+    required, optional = _SETTINGS.get(name, ((), ()))
+    _check_keys(section, f"algorithm ({name})", required=("name", "steps", *required), optional=optional)
+    algorithm = {"name": name, "steps": _expect(section["steps"], "algorithm.steps", int)}
+    if "stepsize" in section:
+        algorithm["stepsize"] = _build_stepsize(section["stepsize"])
+    if "schedule" in section:
+        algorithm["schedule"] = _build_schedule(section["schedule"], g.m)
+        algorithm["schedule"].validate_for(g)
+    if "project_init" in section:
+        algorithm["project_init"] = _expect(section["project_init"], "algorithm.project_init", bool)
+    return algorithm
 
 
-def _resolve(data: dict, base_dir: Path) -> tuple[DirectedGraph, int, WeightedNeighborGraph]:
+def _resolve(
+    data: dict, base_dir: Path, seed: int | None = None
+) -> tuple[WeightedNeighborGraph, dict | None, np.ndarray | None]:
+    """The weights, the parsed algorithm section and the initial state, each
+    None when absent.  Every command comes through here, so every command
+    rejects a malformed section, also one it does not use."""
     n = _expect(data["n"], "n", int)
     g = _build_graph(data["graph"], base_dir)
     w = _build_weights(data["weights"], g, n, base_dir)
-    return g, n, w
+    algorithm = _build_algorithm(data["algorithm"], g) if "algorithm" in data else None
+    x0 = _build_initial_state(data["initial_state"], g.m, n, seed) if "initial_state" in data else None
+    return w, algorithm, x0
+
+
+def _require(data: dict, *sections: str) -> None:
+    for key in sections:
+        if key not in data:
+            raise ScenarioError(f"scenario has no '{key}' section")
 
 
 def _out_dir(args, data: dict) -> Path:
@@ -277,7 +301,7 @@ def _round_matrix_for_summary(name: str, w: WeightedNeighborGraph) -> np.ndarray
 
 def cmd_verify(args) -> int:
     data = load_scenario(Path(args.scenario))
-    _, _, w = _resolve(data, Path(args.scenario).parent)
+    w, _, _ = _resolve(data, Path(args.scenario).parent)
     report = is_well_configured(w, rtol=args.tol)
     print(json.dumps(report.to_json(), indent=2))
     gap = report.rank_gap
@@ -294,7 +318,7 @@ def cmd_synth(args) -> int:
     data = load_scenario(Path(args.scenario))
     if "synthesize" not in data["weights"]:
         raise ScenarioError("synth needs a weights.synthesize section")
-    _, _, w = _resolve(data, Path(args.scenario).parent)
+    w, _, _ = _resolve(data, Path(args.scenario).parent)
     report = is_well_configured(w, rtol=args.tol)
     if not report.well_configured:
         raise ScenarioError("refusing to emit weights that fail verification")
@@ -307,28 +331,23 @@ def cmd_synth(args) -> int:
 
 
 def _run_scenario(data: dict, base_dir: Path, args) -> tuple[dict, object]:
-    g, n, w = _resolve(data, base_dir)
-    section = _algorithm_section(data)
-    name = section["name"]
-    steps = args.steps if args.steps is not None else _expect(section["steps"], "algorithm.steps", int)
-    if "initial_state" not in data:
-        raise ScenarioError("scenario has no 'initial_state' section")
-    x0 = _build_initial_state(data["initial_state"], g.m, n, args.seed)
+    w, algorithm, x0 = _resolve(data, base_dir, args.seed)
+    _require(data, "algorithm", "initial_state")
+    if x0 is None:
+        raise ScenarioError("random initial state needs a seed (scenario key or --seed)")
+    name = algorithm["name"]
+    steps = args.steps if args.steps is not None else algorithm["steps"]
     if name == "gradient":
-        stepsize = _build_stepsize(section["stepsize"]) if "stepsize" in section else None
-        traj = run_gradient(w, x0, steps, stepsize)
+        traj = run_gradient(w, x0, steps, algorithm.get("stepsize"))
     elif name == "fixed_step":
         traj = run_fixed_step(w, x0, steps)
     elif name == "metropolis_tv":
-        if "schedule" not in section:
-            raise ScenarioError("metropolis_tv needs an algorithm.schedule section")
-        traj = run_metropolis_tv(w, x0, _build_schedule(section["schedule"], g.m), steps)
+        traj = run_metropolis_tv(w, x0, algorithm["schedule"], steps)
     elif name == "cycle_projection":
-        project_init = _expect(section.get("project_init", False), "algorithm.project_init", bool)
-        traj = run_cycle_projection(w, x0, steps, project_init)
+        traj = run_cycle_projection(w, x0, steps, algorithm.get("project_init", False))
     else:
         traj = run_general_projection(w, x0, steps)
-    spectral = spectral_report(_round_matrix_for_summary(name, w), n)
+    spectral = spectral_report(_round_matrix_for_summary(name, w), w.n)
     summary = {
         "algorithm": name,
         "steps_run": traj.steps_run,
@@ -353,19 +372,17 @@ def cmd_run(args) -> int:
 
 def cmd_analyze(args) -> int:
     data = load_scenario(Path(args.scenario))
-    g, n, w = _resolve(data, Path(args.scenario).parent)
-    section = _algorithm_section(data)
-    name = section["name"]
-    if name == "metropolis_tv" and "schedule" in section:
-        schedule = _build_schedule(section["schedule"], g.m)
-        schedule.validate_for(g)
+    w, algorithm, _ = _resolve(data, Path(args.scenario).parent)
+    _require(data, "algorithm")
+    name = algorithm["name"]
+    if name == "metropolis_tv":
         reports = []
-        for k, sub in enumerate(schedule.subgraphs):
-            rep = spectral_report(build_update_matrix("metropolis_tv", w, sub), n)
+        for k, sub in enumerate(algorithm["schedule"].subgraphs):
+            rep = spectral_report(build_update_matrix("metropolis_tv", w, sub), w.n)
             reports.append({"subgraph": k, **rep.to_json()})
         payload = {"algorithm": name, "per_subgraph": reports}
     else:
-        rep = spectral_report(_round_matrix_for_summary(name, w), n)
+        rep = spectral_report(_round_matrix_for_summary(name, w), w.n)
         payload = {"algorithm": name, "report": rep.to_json()}
     text = json.dumps(payload, indent=2)
     if getattr(args, "out", None):

@@ -1,13 +1,12 @@
 """Dense linear-algebra kernel: kernels and images, singular values and
-numerical rank, block-diagonal assembly, subspace intersection and
-independence, and the (2, inf) mixed matrix norm.
+numerical rank, subspace intersection and independence, and the (2, inf)
+mixed matrix norm.
 
 Subspaces are plain ndarrays whose columns form an orthonormal basis; the
 trivial subspace of R^n is an (n, 0) array.  All rank decisions flow through
 one tolerance (RANK_RTOL), overridable per call: relative to the largest
 singular value for general matrices, and absolute for the principal-angle
-sines of subspace_intersection and subspace_intersection_dim, whose
-orthonormal inputs fix the scale.
+sines of subspace_intersection, whose orthonormal inputs fix the scale.
 """
 
 from __future__ import annotations
@@ -77,20 +76,6 @@ def matrix_rank(a, rtol: float = RANK_RTOL) -> int:
     return numerical_rank(singular_values(a), rtol)
 
 
-def block_diag(blocks) -> np.ndarray:
-    """Block-diagonal assembly; blocks may have zero rows or columns."""
-    mats = [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks]
-    rows = sum(b.shape[0] for b in mats)
-    cols = sum(b.shape[1] for b in mats)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for b in mats:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
-
-
 def subspace_intersection(a, b, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal basis of the intersection of two subspaces.
 
@@ -101,35 +86,14 @@ def subspace_intersection(a, b, rtol: float = RANK_RTOL) -> np.ndarray:
     one, so rtol bounds them absolutely: a relative cut-off would count
     roundoff as rank when the spans coincide and every sine is noise.
     """
-    a, b = _subspace_pair(a, b)
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return np.zeros((a.shape[0], 0))
-    _, sines, vh = np.linalg.svd(a - b @ (b.T @ a), full_matrices=False)
-    return a @ vh[sines <= rtol].T
-
-
-def subspace_intersection_dim(a, b, rtol: float = RANK_RTOL) -> int:
-    """Dimension of the intersection of two subspaces: the count of
-    principal-angle sines at most rtol, the rule of subspace_intersection.
-
-    The angles are measured from the narrower basis, so the one SVD, values
-    only, is as wide as the smaller of the two dimensions.
-    """
-    a, b = _subspace_pair(a, b)
-    if a.shape[1] > b.shape[1]:
-        a, b = b, a
-    if a.shape[1] == 0:
-        return 0
-    sines = np.linalg.svd(a - b @ (b.T @ a), compute_uv=False)
-    return int(np.sum(sines <= rtol))
-
-
-def _subspace_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape[0] != b.shape[0]:
         raise ValueError("subspaces must share the ambient dimension")
-    return a, b
+    if a.shape[1] == 0 or b.shape[1] == 0:
+        return np.zeros((a.shape[0], 0))
+    _, sines, vh = np.linalg.svd(a - b @ (b.T @ a), full_matrices=False)
+    return a @ vh[sines <= rtol].T
 
 
 def subspace_family_independent(bases, rtol: float = RANK_RTOL) -> bool:

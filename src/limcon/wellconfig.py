@@ -30,7 +30,6 @@ from .graphs import (
 )
 from .linalg import (
     RANK_RTOL,
-    block_diag,
     column_space_basis,
     kernel_basis,
     kernel_with_values,
@@ -38,7 +37,6 @@ from .linalg import (
     singular_values,
     subspace_family_independent,
     subspace_intersection,
-    subspace_intersection_dim,
 )
 
 SYNTHESIS_MODES = ("free", "nonzero-kernels")
@@ -152,16 +150,6 @@ def _resolve_order(w: WeightedNeighborGraph, arc_order) -> tuple[Arc, ...]:
     return order
 
 
-def lifted_incidence_image(g: DirectedGraph, n: int, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis of the image of the lifted incidence transpose.
-
-    That matrix is kron(incidence', I_n), so the Kronecker product of an
-    orthonormal basis of image(incidence') with I_n spans its image and is
-    orthonormal too.  The SVD behind it has n^2 times fewer entries.
-    """
-    return np.kron(column_space_basis(incidence_matrix(g).T, rtol), np.eye(n))
-
-
 def agreement_map(w: WeightedNeighborGraph, arc_order=None) -> np.ndarray:
     """The stacked map whose kernel is the set of local-agreement states.
 
@@ -242,6 +230,14 @@ class WellConfigReport:
         return out
 
 
+def _require_weakly_connected(g: DirectedGraph) -> None:
+    if not is_weakly_connected(g):
+        raise ValueError(
+            "well-configuration requires a weakly connected graph; "
+            "disconnected agents can never be forced to agree"
+        )
+
+
 def is_well_configured(w: WeightedNeighborGraph, rtol: float = RANK_RTOL, arc_order=None) -> WellConfigReport:
     """Verdict on whether local agreement forces consensus.
 
@@ -255,11 +251,7 @@ def is_well_configured(w: WeightedNeighborGraph, rtol: float = RANK_RTOL, arc_or
     Refuses graphs that are not weakly connected: consensus is impossible
     across components and the overlap formulation would not be equivalent.
     """
-    if not is_weakly_connected(w.graph):
-        raise ValueError(
-            "well-configuration requires a weakly connected graph; "
-            "disconnected agents can never be forced to agree"
-        )
+    _require_weakly_connected(w.graph)
     amap = agreement_map(w, arc_order)
     s = singular_values(amap)
     dim = amap.shape[1] - numerical_rank(s, rtol)
@@ -277,45 +269,45 @@ def is_well_configured(w: WeightedNeighborGraph, rtol: float = RANK_RTOL, arc_or
     return WellConfigReport(ok, dim, w.m, w.n, witness, RankGap.of(s, rtol))
 
 
-def _stacked_kernel(w: WeightedNeighborGraph, rtol: float) -> np.ndarray:
-    """Kernel basis of the block-diagonal stacked weights, built from the
-    per-arc kernels.
-
-    The stacked singular values are the union of the per-arc ones, so each
-    arc is cut at rtol times the largest singular value over all arcs: the
-    same rank decision as one SVD of the whole stacked matrix.
-    """
-    c = w.padded_weights()
-    d, r, n = c.shape
-    if r == 0 or not c.any():
-        return np.eye(d * n)
-    _, s, vh = np.linalg.svd(c)
-    ranks = np.sum(s > rtol * s.max(), axis=1)
-    return block_diag([vh[k, ranks[k] :].T for k in range(d)])
-
-
 def disagreement_overlap_dim(w: WeightedNeighborGraph, rtol: float = RANK_RTOL) -> int:
     """Dimension of (image of the lifted incidence transpose) meet (kernel of
     the stacked weights), in per-arc signal space.
 
     Zero overlap is the second, equivalent formulation of well-configuration
-    for weakly connected graphs.  Both bases are orthonormal, so the overlap
-    is the count of principal angles at zero between them
-    (subspace_intersection_dim).
+    for weakly connected graphs.  The image has the orthonormal basis
+    Q (x) I_n, for Q an orthonormal basis of image(incidence'); the kernel is
+    block diagonal, one orthonormal block K_k per arc.  The overlap is the
+    count of principal angles at zero between them: the singular values of
+    (I - bb')a, for a the narrower basis and b the other, are the sines, and
+    those at most rtol count, as in subspace_intersection.  That matrix is
+    assembled from Q and the K_k, never from the dn-row bases.  The stacked
+    singular values are the union of the per-arc ones, so each arc is cut at
+    rtol times the largest singular value over all arcs: the same rank
+    decision as one SVD of the whole stacked matrix.
     """
-    image = lifted_incidence_image(w.graph, w.n, rtol)
-    ker = _stacked_kernel(w, rtol)
-    if image.shape[1] == 0 or ker.shape[1] == 0:
+    q = column_space_basis(incidence_matrix(w.graph).T, rtol)
+    (d, r), n = q.shape, w.n
+    _, s, vh = np.linalg.svd(w.padded_weights())
+    # the rows of vh[k] past arc k's rank span K_k
+    in_kernel = np.arange(n) >= np.sum(s > rtol * s.max(initial=0.0), axis=1)[:, None]
+    owner = np.nonzero(in_kernel)[0]  # the arc of each kernel column
+    if r == 0 or len(owner) == 0:
         return 0
-    return subspace_intersection_dim(image, ker, rtol)
+    if len(owner) < r * n:
+        # column (k, t) is (I - QQ')[:, k] (x) v_kt
+        p = -q @ q[owner].T
+        p[owner, np.arange(len(owner))] += 1.0
+        residual = np.einsum("lc,ca->lac", p, vh[in_kernel]).reshape(d * n, len(owner))
+    else:
+        # block (k, j) is Q[k, j] (I - K_k K_k')
+        kernel = vh * in_kernel[:, :, None]
+        residual = np.einsum("kj,kab->kajb", q, np.eye(n) - kernel.transpose(0, 2, 1) @ kernel)
+        residual = residual.reshape(d * n, r * n)
+    return int(np.sum(np.linalg.svd(residual, compute_uv=False) <= rtol))
 
 
 def is_well_configured_via_overlap(w: WeightedNeighborGraph, rtol: float = RANK_RTOL) -> bool:
-    if not is_weakly_connected(w.graph):
-        raise ValueError(
-            "well-configuration requires a weakly connected graph; "
-            "disconnected agents can never be forced to agree"
-        )
+    _require_weakly_connected(w.graph)
     return disagreement_overlap_dim(w, rtol) == 0
 
 

@@ -192,6 +192,18 @@ def _stacked(w, order=None):
     return out
 
 
+def block_diag(blocks):
+    """Block-diagonal assembly; blocks may have zero rows or columns."""
+    mats = [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks]
+    out = np.zeros((sum(b.shape[0] for b in mats), sum(b.shape[1] for b in mats)))
+    r = c = 0
+    for b in mats:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r += b.shape[0]
+        c += b.shape[1]
+    return out
+
+
 def spanning_incidence_matrix(g, sub):
     """Incidence matrix of sub padded with zero columns, indexed by g's arcs."""
     inc = _incidence(g.m, g.arcs)

@@ -470,6 +470,36 @@ def test_unused_algorithm_settings_rejected(section, key, tmp_path, capsys):
         assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"algorithm": {"name": "metropolis_tv", "steps": 3}}, "algorithm (metropolis_tv): missing keys ['schedule']"),
+        ({"algorithm": {**METROPOLIS, "steps": "many"}}, "algorithm.steps must be an integer, got a string"),
+        ({"algorithm": _metropolis(subgraphs=[[[1, 3], [3, 1]]])}, "scheduled graph 0 is not a spanning subgraph"),
+        ({"initial_state": {"random": {"seed": "x"}}}, "initial_state.random.seed must be an integer, got a string"),
+        ({"initial_state": {"random": {"seed": 1}, "junk": 1}}, "initial_state: unknown keys ['junk']"),
+    ],
+    ids=["no-schedule", "steps", "schedule-arcs", "seed", "initial-state-key"],
+)
+def test_every_command_parses_algorithm_and_initial_state(overrides, message, tmp_path, capsys):
+    scenario = write_scenario(tmp_path, "s.json", symmetric_square_scenario(**overrides))
+    for command in ("run", "analyze", "verify", "synth"):
+        out = [] if command == "verify" else ["--out", str(tmp_path / "o")]
+        assert main([command, "--scenario", scenario, *out]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert not (tmp_path / "o").exists()
+
+
+def test_random_state_without_seed_is_legal_until_run(tmp_path, capsys):
+    scenario = write_scenario(tmp_path, "s.json", symmetric_square_scenario(initial_state={"random": {}}))
+    for command in ("analyze", "verify", "synth"):
+        out = [] if command == "verify" else ["--out", str(tmp_path / command)]
+        assert main([command, "--scenario", scenario, *out]) == 0
+    assert main(["run", "--scenario", scenario, "--out", str(tmp_path / "run"), "--seed", "3", "--steps", "2"]) == 0
+    capsys.readouterr()
+
+
 def test_wrong_typed_decomposition_file_exits_one(tmp_path, capsys):
     for bad in ({"ears": []}, [5], [{"kind": "cycle", "arcs": 3}], [{"kind": "cycle"}]):
         (tmp_path / "dec.json").write_text(json.dumps(bad))

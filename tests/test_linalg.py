@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from limcon import (
-    block_diag,
     build_update_matrix,
     complete_symmetric,
     kernel_basis,
@@ -10,7 +9,6 @@ from limcon import (
     spectral_report,
     subspace_family_independent,
     subspace_intersection,
-    subspace_intersection_dim,
     symmetric_cycle,
     synthesize_symmetric_weights,
 )
@@ -46,13 +44,6 @@ def test_kernel_residual_and_orthonormality():
 
 def test_kernel_of_zero_rows_is_everything():
     assert np.array_equal(kernel_basis(np.zeros((0, 4))), np.eye(4))
-
-
-def test_block_diag_with_empty_blocks():
-    out = block_diag([np.zeros((0, 2)), np.eye(2), np.array([[1.0, 2.0]])])
-    assert out.shape == (3, 6)
-    assert np.array_equal(out[0:2, 2:4], np.eye(2))
-    assert np.array_equal(out[2, 4:6], [1.0, 2.0])
 
 
 def test_eigenvalues_identity_and_diag():
@@ -119,9 +110,7 @@ def test_subspace_intersection():
 
 def test_subspace_intersection_of_rotated_copies_is_whole_span():
     # every residual I - QQ' is pure roundoff here; the intersection is all of Q
-    from scipy.stats import ortho_group
-
-    q = ortho_group.rvs(3, random_state=1)
+    q = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))[0]
     inter = subspace_intersection(q, q)
     assert inter.shape == (3, 3)
     assert subspaces_equal(inter, np.eye(3))
@@ -145,7 +134,7 @@ def test_subspace_intersection_of_random_planes_in_space():
         assert subspace_intersection(a, random_subspace(rng, 3, 1)).shape == (3, 0)
 
 
-def test_subspace_intersection_dim_counts_the_intersection_basis():
+def test_subspace_intersection_finds_planted_intersections():
     rng = np.random.default_rng(16)
     for n, common, extra_a, extra_b in ((3, 1, 1, 1), (6, 2, 0, 3), (8, 0, 3, 4), (5, 3, 0, 0), (7, 2, 4, 1)):
         q = random_subspace(rng, n, common + extra_a + extra_b)
@@ -153,10 +142,12 @@ def test_subspace_intersection_dim_counts_the_intersection_basis():
         b = np.hstack([q[:, :common], q[:, common + extra_a :]])
         b = b @ np.linalg.qr(rng.standard_normal((b.shape[1],) * 2))[0]
         for x, y in ((a, b), (b, a)):
-            assert subspace_intersection_dim(x, y) == subspace_intersection(x, y).shape[1] == common
-    assert subspace_intersection_dim(np.eye(4)[:, :2], np.zeros((4, 0))) == 0
+            inter = subspace_intersection(x, y)
+            assert inter.shape == (n, common)
+            assert subspaces_equal(inter, q[:, :common])
+    assert subspace_intersection(np.eye(4)[:, :2], np.zeros((4, 0))).shape == (4, 0)
     with pytest.raises(ValueError):
-        subspace_intersection_dim(np.eye(3), np.eye(4))
+        subspace_intersection(np.eye(3), np.eye(4))
 
 
 def test_subspaces_equal_is_basis_free():

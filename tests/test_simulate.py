@@ -33,11 +33,11 @@ from limcon import (
     synthesize_weights,
     synthesize_symmetric_weights,
 )
-from limcon.linalg import block_diag
 from limcon.wellconfig import agreement_map
 
 from conftest import weight_with_kernel
 from oracles import (
+    block_diag,
     central_difference_gradient,
     cycle_step_agents,
     fixed_step_agents,

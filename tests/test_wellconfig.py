@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -32,7 +34,6 @@ from limcon import (
     weights_to_json,
 )
 from limcon.linalg import kernel_basis
-from limcon.wellconfig import lifted_incidence_image
 
 from conftest import (
     random_subspace,
@@ -415,7 +416,8 @@ def test_overlap_of_all_zero_weights_is_the_whole_image():
 
 def _overlap_widths(w):
     """(dim image, dim ker C) for weights whose per-arc ranks are exact."""
-    return lifted_incidence_image(w.graph, w.n).shape[1], sum(w.kernel(arc).shape[1] for arc in w.graph.arcs)
+    image = w.n * np.linalg.matrix_rank(incidence_matrix(w.graph))
+    return image, sum(w.kernel(arc).shape[1] for arc in w.graph.arcs)
 
 
 def test_overlap_matches_dense_oracle_when_the_image_is_narrower():
@@ -442,6 +444,19 @@ def test_overlap_matches_dense_oracle_when_the_kernel_is_narrower():
         image, ker = _overlap_widths(v)
         assert ker < image
         assert disagreement_overlap_dim(v) == disagreement_overlap_dim_dense(v) == expected
+
+
+def test_overlap_never_forms_the_lifted_image():
+    # d = 600 arcs, n = 3: the dn x (m - 1)n Kronecker image alone is 12.3 MB
+    w = synthesize_symmetric_weights(symmetric_cycle(300), 3)
+    image_bytes = 600 * 3 * 299 * 3 * 8
+    tracemalloc.start()
+    try:
+        assert disagreement_overlap_dim(w) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < image_bytes / 2
 
 
 def rescaled_wng(seed, exponents):
@@ -561,18 +576,6 @@ def test_rank_gap_brackets_the_cutoff():
     zero = is_well_configured(WeightedNeighborGraph(directed_path(2), 2, {(1, 2): np.zeros((1, 2))})).rank_gap
     assert zero.last_kept is None and zero.first_dropped == 0.0 and not zero.narrow()
     assert not is_well_configured(synthesize_symmetric_weights(symmetric_cycle(6), 3)).rank_gap.narrow()
-
-
-def test_overlap_image_equals_lifted_incidence_image():
-    from limcon.linalg import column_space_basis
-
-    rng = np.random.default_rng(31)
-    for _ in range(30):
-        w = random_weakly_connected_wng(rng)
-        old = column_space_basis(np.kron(incidence_matrix(w.graph), np.eye(w.n)).T)
-        new = lifted_incidence_image(w.graph, w.n)
-        assert np.allclose(new.T @ new, np.eye(new.shape[1]), atol=1e-12)
-        assert subspaces_equal(new, old)
 
 
 def test_normalized_is_computed_once_per_rtol():
