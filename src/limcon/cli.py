@@ -8,6 +8,7 @@ refused the configuration, 1 any error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -402,7 +403,18 @@ def cmd_counterexample(args) -> int:
     return cmd_run(args)
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 < value < 1.0:  # false for NaN too
+        raise argparse.ArgumentTypeError(f"must be a number with 0 < tol < 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; args.command names the cmd_* function to call."""
     parser = _Parser(prog="limcon", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -410,43 +422,44 @@ def build_parser() -> argparse.ArgumentParser:
         if scenario:
             p.add_argument("--scenario", required=True, help="scenario JSON file")
         if tol:
-            p.add_argument("--tol", type=float, default=RANK_RTOL, help="relative rank tolerance")
+            p.add_argument("--tol", type=_tolerance, default=RANK_RTOL, help="relative rank tolerance, 0 < tol < 1")
 
     p_verify = sub.add_parser("verify", help="check well-configuration; exit 0/2/1")
     common(p_verify, tol=True)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_synth = sub.add_parser("synth", help="synthesize weights from an ear decomposition")
     common(p_synth, tol=True)
     p_synth.add_argument("--out", help="output directory")
-    p_synth.set_defaults(func=cmd_synth)
 
     p_run = sub.add_parser("run", help="simulate and write trajectory.csv + summary.json")
     common(p_run)
     p_run.add_argument("--out", help="output directory")
     p_run.add_argument("--seed", type=int, help="override the random-init seed")
     p_run.add_argument("--steps", type=int, help="override the round count")
-    p_run.set_defaults(func=cmd_run)
 
     p_analyze = sub.add_parser("analyze", help="spectral report of the round update matrix")
     common(p_analyze)
     p_analyze.add_argument("--out", help="optional output directory")
-    p_analyze.set_defaults(func=cmd_analyze)
 
     p_ce = sub.add_parser("counterexample", help="run the bundled stalling projection scenario")
     common(p_ce, scenario=False)
     p_ce.add_argument("--out", help="output directory")
     p_ce.add_argument("--seed", type=int, help="override the random-init seed")
     p_ce.add_argument("--steps", type=int, help="override the round count")
-    p_ce.set_defaults(func=cmd_counterexample)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # looked up at call time, so a replaced cmd_* function is the one called
+        return globals()[f"cmd_{args.command}"](args)
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

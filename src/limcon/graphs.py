@@ -4,6 +4,7 @@ incidence matrices, and (symmetric) ear decompositions."""
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,6 +54,15 @@ class DirectedGraph:
     @cached_property
     def arc_index(self) -> dict[Arc, int]:
         return {arc: k for k, arc in enumerate(self.arcs)}
+
+    @cached_property
+    def arc_ends(self) -> np.ndarray:
+        """(d, 2) read-only array of the arcs' zero-based (tail, head) agents,
+        in canonical order."""
+        flat = np.fromiter(itertools.chain.from_iterable(self.arcs), dtype=np.intp, count=2 * self.d)
+        ends = flat.reshape(self.d, 2) - 1
+        ends.flags.writeable = False
+        return ends
 
     @cached_property
     def _in_neighbors(self) -> dict[int, tuple[int, ...]]:

@@ -24,28 +24,22 @@ def _as_matrix(a) -> np.ndarray:
     return out
 
 
-def kernel_with_values(a, rtol: float = RANK_RTOL) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal kernel basis of a, as columns, and the singular values
-    that decided it, largest first, from one SVD.
+def kernel_basis(a, rtol: float = RANK_RTOL) -> np.ndarray:
+    """Orthonormal basis of the kernel of a, as columns.  An (n, 0) result
+    means the kernel is trivial.
 
     Right singular vectors whose singular value falls below rtol * sigma_max
     span the numerical nullspace.  A tall or square a takes the thin SVD,
     whose Vh is already cols x cols, so no rows x rows U is ever formed; a
     wide a needs the full Vh, and its U is small.  An all-zero a has the
-    whole space as kernel and zeros as singular values, without an SVD.
+    whole space as kernel, without an SVD.
     """
     a = _as_matrix(a)
     rows, cols = a.shape
     if rows == 0 or not a.any():
-        return np.eye(cols), np.zeros(min(rows, cols))
+        return np.eye(cols)
     _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)
-    return vh[numerical_rank(s, rtol) :].T.copy(), s
-
-
-def kernel_basis(a, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis of the kernel of a, as columns.  An (n, 0) result
-    means the kernel is trivial."""
-    return kernel_with_values(a, rtol)[0]
+    return vh[numerical_rank(s, rtol) :].T.copy()
 
 
 def column_space_basis(a, rtol: float = RANK_RTOL) -> np.ndarray:

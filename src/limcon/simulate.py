@@ -154,12 +154,6 @@ def consensus_error(x, n: int | None = None) -> float:
     return float(np.max(np.linalg.norm(x - x.mean(axis=0), axis=1)))
 
 
-def _arc_ends(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-based head and tail agents of the arcs, in canonical order."""
-    ends = np.array(g.arcs, dtype=np.intp).reshape(g.d, 2) - 1
-    return ends[:, 1], ends[:, 0]
-
-
 def _agreement_residual(c: np.ndarray, heads: np.ndarray, tails: np.ndarray, x: np.ndarray) -> float:
     # norm of the stacked C_k (x_i - x_j); the Gram form sqrt(diff' P_k diff) loses half the digits near zero
     return float(np.linalg.norm(np.matmul(c, (x[heads] - x[tails])[:, :, None])))
@@ -167,7 +161,7 @@ def _agreement_residual(c: np.ndarray, heads: np.ndarray, tails: np.ndarray, x: 
 
 def local_agreement_residual(w: WeightedNeighborGraph, x) -> float:
     """||C Jbar' x||_2: zero iff every transmitted view of the state agrees."""
-    heads, tails = _arc_ends(w.graph)
+    tails, heads = w.graph.arc_ends.T
     state = np.asarray(x, dtype=float).reshape(w.m, w.n)
     return _agreement_residual(w.padded_weights(), heads, tails, state)
 
@@ -221,7 +215,7 @@ class RoundOperator:
         """
         if sub is not None and not sub.is_spanning_subgraph_of(w.graph):
             raise ValueError("sub must be a spanning subgraph of g")
-        heads, tails = _arc_ends(w.graph)
+        tails, heads = w.graph.arc_ends.T
         c = w.padded_weights()
         blocks = np.matmul(c.transpose(0, 2, 1), c)
         if arc_weights is not None:
@@ -279,7 +273,7 @@ def _run(w: WeightedNeighborGraph, x0, steps: int, step) -> Trajectory:
     if steps < 0:
         raise ValueError("steps must be >= 0")
     x = _coerce_state(x0, w.m, w.n)
-    heads, tails = _arc_ends(w.graph)
+    tails, heads = w.graph.arc_ends.T
     c = w.padded_weights()
     states = [x]
     errors = [consensus_error(x)]

@@ -13,6 +13,7 @@ weight matrices from ear decompositions, and reads and writes weight files.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -32,8 +33,6 @@ from .linalg import (
     RANK_RTOL,
     column_space_basis,
     kernel_basis,
-    kernel_with_values,
-    numerical_rank,
     singular_values,
     subspace_family_independent,
     subspace_intersection,
@@ -121,14 +120,41 @@ class WeightedNeighborGraph:
         self._normalized[rtol] = out
         return out
 
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every weight's rows stacked in canonical arc order, and the row
+        count of each arc."""
+        mats = [self.weights[arc] for arc in self.graph.arcs]
+        counts = np.fromiter((len(c) for c in mats), dtype=np.intp, count=len(mats))
+        return (np.concatenate(mats) if mats else np.zeros((0, self.n))), counts
+
     def padded_weights(self) -> np.ndarray:
         """(d, r, n) stack of the weights in canonical arc order, each padded
         with zero rows to the largest row count r."""
-        mats = [self.weights[arc] for arc in self.graph.arcs]
-        out = np.zeros((len(mats), max((c.shape[0] for c in mats), default=0), self.n))
-        for k, c in enumerate(mats):
-            out[k, : c.shape[0]] = c
-        return out
+        d = self.graph.d
+        return _stack_rows(self, np.arange(d), np.zeros(d, dtype=np.intp), d)
+
+
+def _stack_rows(w: WeightedNeighborGraph, slot: np.ndarray, start: np.ndarray, slots: int) -> np.ndarray:
+    """(slots, r, n) zeros with the k-th arc's weight (canonical order) in
+    slot[k] from row start[k] on; r is the deepest row reached."""
+    rows, counts = w._rows
+    out = np.zeros((slots, int((start + counts).max(initial=0)), w.n))
+    if out.size:
+        arc = np.repeat(np.arange(len(counts)), counts)
+        first = np.cumsum(counts) - counts  # each arc's first row in rows
+        out[slot[arc], start[arc] + np.arange(len(arc)) - first[arc]] = rows
+    return out
+
+
+def _rows_of(w: WeightedNeighborGraph, arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the arcs with the given canonical indices, in that order,
+    and their row counts."""
+    rows, counts = w._rows
+    first = (np.cumsum(counts) - counts)[arcs]
+    counts = counts[arcs]
+    within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return rows[np.repeat(first, counts) + within], counts
 
 
 def identity_weights(g: DirectedGraph, n: int) -> WeightedNeighborGraph:
@@ -141,41 +167,52 @@ def consensus_span(m: int, n: int) -> np.ndarray:
     return np.kron(np.ones((m, 1)), np.eye(n)) / np.sqrt(m)
 
 
-def _resolve_order(w: WeightedNeighborGraph, arc_order) -> tuple[Arc, ...]:
+def _resolve_order(w: WeightedNeighborGraph, arc_order) -> np.ndarray:
+    """Canonical indices of the arcs in arc_order, by default all in order."""
     if arc_order is None:
-        return w.graph.arcs
+        return np.arange(w.graph.d)
     order = tuple((int(j), int(i)) for j, i in arc_order)
     if sorted(order) != sorted(w.graph.arcs):
         raise ValueError("arc_order must be a permutation of the graph's arcs")
-    return order
+    return np.array([w.graph.arc_index[arc] for arc in order], dtype=np.intp)
 
 
-def agreement_map(w: WeightedNeighborGraph, arc_order=None) -> np.ndarray:
+def agreement_map(w: WeightedNeighborGraph, arc_order=None, labels=None) -> np.ndarray:
     """The stacked map whose kernel is the set of local-agreement states.
 
     Row block k evaluates C_k (x_i - x_j) for the k-th arc (j, i): it holds
     +C_k in agent i's columns and -C_k in agent j's, scattered straight into
     place.  This is C Jbar' entry for entry, without forming either factor.
+
+    With labels, one component index per agent counted from 0, it is the
+    quotient map on states that are equal within each component: an agent's
+    columns are its component's, and an arc inside one component, whose
+    row block would be zero, is left out.
     """
-    order = _resolve_order(w, arc_order)
+    arcs = _resolve_order(w, arc_order)
     n = w.n
-    mats = [w.weights[arc] for arc in order]
-    counts = [c.shape[0] for c in mats]
-    out = np.zeros((sum(counts), w.m * n))
+    ends = w.graph.arc_ends[arcs]  # (tail, head)
+    width = w.m
+    if labels is not None:
+        labels = np.asarray(labels)
+        ends = labels[ends]
+        cross = ends[:, 0] != ends[:, 1]
+        arcs, ends = arcs[cross], ends[cross]
+        width = int(labels.max()) + 1
+    c, counts = _rows_of(w, arcs)
+    out = np.zeros((len(c), width * n))
     if len(out):
         rows = np.arange(len(out))[:, None]
         comps = np.arange(n)
-        heads = np.repeat([i for _, i in order], counts)[:, None]
-        tails = np.repeat([j for j, _ in order], counts)[:, None]
-        c = np.concatenate(mats)
-        out[rows, (heads - 1) * n + comps] = c
-        out[rows, (tails - 1) * n + comps] = -c
+        tails, heads = (np.repeat(end, counts)[:, None] for end in ends.T)
+        out[rows, heads * n + comps] = c
+        out[rows, tails * n + comps] = -c
     return out
 
 
 @dataclass(frozen=True)
 class RankGap:
-    """The singular values either side of a rank cut-off, rtol * sigma_max.
+    """The values either side of a rank cut-off.
 
     None stands for a value that does not exist: nothing kept (an all-zero
     matrix) or nothing dropped (full rank among the computed values).
@@ -188,20 +225,27 @@ class RankGap:
     MARGIN = 100.0  # a value this close to the cut-off makes the gap narrow
 
     @classmethod
-    def of(cls, s: np.ndarray, rtol: float) -> "RankGap":
-        rank = numerical_rank(s, rtol)
+    def at(cls, values: np.ndarray, cutoff: float) -> "RankGap":
+        """The smallest of values above cutoff and the largest at or below."""
+        kept = values[values > cutoff]
+        dropped = values[values <= cutoff]
         return cls(
-            float(s[rank - 1]) if rank else None,
-            float(s[rank]) if rank < len(s) else None,
-            rtol * float(s[0]) if len(s) else 0.0,
+            float(kept.min()) if kept.size else None,
+            float(dropped.max()) if dropped.size else None,
+            float(cutoff),
         )
+
+    def margin(self) -> float:
+        """The factor between the cut-off and the nearer value on either side
+        (inf when neither side has a nonzero value near a nonzero cut-off)."""
+        kept = self.last_kept / self.cutoff if self.last_kept is not None and self.cutoff > 0 else np.inf
+        dropped = self.cutoff / self.first_dropped if self.first_dropped else np.inf
+        return min(kept, dropped)
 
     def narrow(self) -> bool:
         """True when a value on either side lies within a factor MARGIN of the
         cut-off, so a modest change of rtol would change the rank."""
-        kept = self.last_kept is not None and self.last_kept < self.MARGIN * self.cutoff
-        dropped = self.first_dropped is not None and self.MARGIN * self.first_dropped > self.cutoff
-        return kept or dropped
+        return self.margin() < self.MARGIN
 
     def to_json(self) -> dict:
         return {"last_kept": self.last_kept, "first_dropped": self.first_dropped, "cutoff": self.cutoff}
@@ -214,7 +258,9 @@ class WellConfigReport:
     m: int
     n: int
     witness: np.ndarray | None  # (m, n); local agreement without consensus
-    rank_gap: RankGap  # around the cut-off of the agreement map's rank
+    # around the cut-off rtol * sigma*: of the quotient map's rank, or of the
+    # pair contraction when that cut is narrower
+    rank_gap: RankGap
 
     def __bool__(self) -> bool:
         return self.well_configured
@@ -238,35 +284,102 @@ def _require_weakly_connected(g: DirectedGraph) -> None:
         )
 
 
+def _pair_values(w: WeightedNeighborGraph) -> tuple[np.ndarray, np.ndarray, float]:
+    """Zero-based ends of each unordered adjacent pair {a, b}, and per pair
+    sqrt(2) times the n-th singular value of its stack [C_ab; C_ba] (one
+    arc's rows when the other is absent; 0 with fewer than n rows), plus
+    sqrt(2) times the largest singular value over all pairs.
+
+    Up to row signs, the pair's rows of the agreement map hold the stack in
+    b's columns and its negative in a's, so their singular values are
+    sqrt(2) times the stack's.  All stacks, zero-padded to one shape, share
+    one SVD without vectors.
+    """
+    g, n = w.graph, w.n
+    ends = g.arc_ends  # (tail, head)
+    # canonical order sorts the arcs by (head, tail), so these keys ascend
+    key = ends[:, 1] * g.m + ends[:, 0]
+    back_key = ends[:, 0] * g.m + ends[:, 1]
+    back = np.minimum(np.searchsorted(key, back_key), g.d - 1)
+    arcs = np.arange(g.d)
+    # each pair leads with its arc a -> b, a < b, or with its only arc
+    lead = np.where((ends[:, 0] < ends[:, 1]) | (key[back] != back_key), arcs, back)
+    first = np.flatnonzero(lead == arcs)
+    slot = np.searchsorted(first, lead)
+    counts = w._rows[1]
+    start = np.where(lead == arcs, 0, counts[lead])  # a back arc's rows go below its lead's
+    stack = _stack_rows(w, slot, start, len(first))
+    rows = np.bincount(slot, weights=counts, minlength=len(first))
+    s = np.sqrt(2.0) * np.linalg.svd(stack, compute_uv=False) if stack.size else np.zeros((len(first), 0))
+    smallest = s[:, n - 1] if s.shape[1] >= n else np.zeros(len(first))
+    return ends[first], np.where(rows >= n, smallest, 0.0), float(s.max(initial=0.0))
+
+
+def _component_labels(m: int, edges: np.ndarray) -> np.ndarray:
+    """Per agent, the index of its connected component under the (k, 2)
+    zero-based edges, the components numbered in order of their first agent.
+
+    Each pass hooks every root that has an edge to a smaller root onto the
+    smallest such root, then jumps pointers until every agent points at its
+    root; a root is always the smallest agent of its tree.
+    """
+    root = np.arange(m)
+    while True:
+        a, b = root[edges[:, 0]], root[edges[:, 1]]
+        split = a != b
+        if not split.any():
+            return np.unique(root, return_inverse=True)[1]
+        np.minimum.at(root, np.maximum(a, b)[split], np.minimum(a, b)[split])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+
+
 def is_well_configured(w: WeightedNeighborGraph, rtol: float = RANK_RTOL, arc_order=None) -> WellConfigReport:
     """Verdict on whether local agreement forces consensus.
 
     Compares the local-agreement kernel with the consensus span by dimension
-    (consensus states always agree locally, so the kernel contains them).  The
-    verdict reads only the singular values of the agreement map.  On failure
-    one more SVD, with vectors, gives the kernel, and from the same
-    decomposition the kernel dimension and a witness: a unit-norm
-    local-agreement state orthogonal to consensus.
+    (consensus states always agree locally, so the kernel contains them).
+    First the pairs that alone force their ends equal are contracted: those
+    whose stack [C_ab; C_ba] has full column rank, judged at the cut-off
+    tau = rtol * sigma*, for sigma* the largest singular value any pair
+    contributes to the agreement map.  The verdict then reads the singular
+    values of the quotient agreement map, over one state per component,
+    cut at the same tau.  On failure one more SVD of the quotient map, with
+    vectors, gives its kernel, and from the same decomposition the kernel
+    dimension and a witness: a unit-norm local-agreement state orthogonal to
+    consensus.  arc_order orders the quotient map's rows.
 
     Refuses graphs that are not weakly connected: consensus is impossible
     across components and the overlap formulation would not be equivalent.
     """
     _require_weakly_connected(w.graph)
-    amap = agreement_map(w, arc_order)
+    n = w.n
+    pairs, smallest, sigma = _pair_values(w)
+    tau = rtol * sigma
+    labels = _component_labels(w.m, pairs[smallest > tau])
+    amap = agreement_map(w, arc_order, labels)
     s = singular_values(amap)
-    dim = amap.shape[1] - numerical_rank(s, rtol)
-    if dim != w.n:
-        kernel, s = kernel_with_values(amap, rtol)
-        dim = kernel.shape[1]
-    ok = dim == w.n
+    dim = amap.shape[1] - int(np.sum(s > tau))
     witness = None
-    if not ok:
-        base = consensus_span(w.m, w.n)
-        resid = kernel - base @ (base.T @ kernel)
-        norms = np.linalg.norm(resid, axis=0)
-        pick = int(np.argmax(norms))
-        witness = (resid[:, pick] / norms[pick]).reshape(w.m, w.n)
-    return WellConfigReport(ok, dim, w.m, w.n, witness, RankGap.of(s, rtol))
+    if dim != n:
+        kernel = np.eye(amap.shape[1])
+        if len(amap) and amap.any():
+            _, s, vh = np.linalg.svd(amap, full_matrices=len(amap) < amap.shape[1])
+            kernel = vh[int(np.sum(s > tau)) :].T
+        dim = kernel.shape[1]
+        if dim != n:
+            # per agent its component's state, less the consensus part
+            states = kernel.reshape(-1, n, dim)[labels]
+            resid = states - states.mean(axis=0)
+            norms = np.linalg.norm(resid, axis=(0, 1))
+            pick = int(np.argmax(norms))
+            witness = resid[:, :, pick] / norms[pick]
+    # the quotient map's gap, unless the contraction cut is strictly narrower
+    gap = min(RankGap.at(s, tau), RankGap.at(smallest, tau), key=RankGap.margin)
+    return WellConfigReport(dim == n, dim, w.m, w.n, witness, gap)
 
 
 def disagreement_overlap_dim(w: WeightedNeighborGraph, rtol: float = RANK_RTOL) -> int:

@@ -370,6 +370,31 @@ def test_tol_flag_rejected_where_unused(command, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "synth"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1"])
+def test_tol_outside_the_open_unit_interval_is_a_usage_error(command, tol, tmp_path, capsys):
+    argv = [command, "--scenario", str(bundled_scenario_path("symmetric_nonzero_kernels")), "--tol", tol]
+    if command == "synth":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1 and "--tol" in captured.err
+    assert not (tmp_path / "o").exists()
+
+
+def test_commands_are_looked_up_at_call_time(monkeypatch, capsys):
+    # the parser is built once; a replaced cmd_* function must still be called
+    import limcon.cli
+
+    scenario = str(bundled_scenario_path("broadcast_pair"))
+    assert main(["verify", "--scenario", scenario]) == 0
+    calls = []
+    monkeypatch.setattr(limcon.cli, "cmd_verify", lambda args: calls.append(args.scenario) or 7)
+    assert main(["verify", "--scenario", scenario]) == 7
+    assert calls == [scenario]
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["verify"]) == 1  # --scenario is required
     assert main(["frobnicate"]) == 1

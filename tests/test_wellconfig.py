@@ -506,7 +506,7 @@ def test_normalized_equals_per_arc_row_space_basis():
 @given(seed=st.integers(0, 2**32 - 1), permute=st.booleans())
 def test_agreement_map_equals_kron_formula(seed, permute):
     # arcs drawn at random (d = 0 included), with zero-row, wide, tall and
-    # all-zero weights, in canonical or a random order
+    # all-zero weights, in canonical or a random order, and random labels
     from limcon.wellconfig import agreement_map
 
     rng = np.random.default_rng(seed)
@@ -519,16 +519,143 @@ def test_agreement_map_equals_kron_formula(seed, permute):
         weights[arc] = 0.0 * c if rng.random() < 0.2 else c
     w = WeightedNeighborGraph(g, n, weights)
     order = [g.arcs[k] for k in rng.permutation(g.d)] if permute else None
-    assert np.array_equal(agreement_map(w, order), agreement_map_kron(w, order))
+    dense = agreement_map_kron(w, order)
+    assert np.array_equal(agreement_map(w, order), dense)
+    assert np.array_equal(agreement_map(w, order, np.arange(m)), dense)
+    # the quotient map: the dense map on component states, less the arcs
+    # inside one component
+    labels = np.unique(rng.integers(0, m, size=m), return_inverse=True)[1]
+    expand = np.kron(np.eye(labels.max() + 1)[labels], np.eye(n))
+    arcs = order or g.arcs
+    cross = np.array([labels[j - 1] != labels[i - 1] for j, i in arcs], dtype=bool)
+    rows = np.repeat(cross, np.array([w.weight(arc).shape[0] for arc in arcs], dtype=int))
+    assert np.array_equal(agreement_map(w, order, labels), (dense @ expand)[rows])
+    # padded_weights against a plain loop over the arcs
+    padded = np.zeros((g.d, max((c.shape[0] for c in weights.values()), default=0), n))
+    for k, arc in enumerate(g.arcs):
+        padded[k, : weights[arc].shape[0]] = weights[arc]
+    assert np.array_equal(w.padded_weights(), padded)
 
 
+# The verifier ranks the quotient map and the pair stacks at rtol times the
+# largest pair singular value; the dense oracle ranks the whole map at rtol
+# times its own largest.  Near that cut-off they can part, and then the
+# verifier's rank gap is narrow.  The example is such a draw: kernel_dim 1
+# against the oracle's 2, with a value 0.94 times the cut-off.
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), exponents=st.lists(st.sampled_from([-6, 0, 6]), min_size=1, max_size=8))
+@given(seed=st.integers(0, 2**32 - 1), exponents=st.lists(st.integers(-6, 6), min_size=1, max_size=8))
+@example(seed=3322812902, exponents=[0, 0, 6, -6, -6])
 def test_kernel_dim_matches_dense_nullity_under_rescaling(seed, exponents):
     w = rescaled_wng(seed, exponents)
     report = is_well_configured(w)
-    assert report.kernel_dim == agreement_nullity_dense(w)
+    assert report.kernel_dim == agreement_nullity_dense(w) or report.rank_gap.narrow()
     assert report.well_configured == (report.kernel_dim == w.n)
+
+
+def contraction_wng(rng):
+    """A random weakly connected configuration built to exercise the pair
+    contraction: identity weights on random pairs (chains of forced-equal
+    pairs along the spanning tree), extra arcs that may fall inside a merged
+    component, pairs whose two arcs share one kernel (they do not contract),
+    and m = 1 now and then."""
+    m, n = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+    arcs = set()
+    for v in range(2, m + 1):
+        u = int(rng.integers(1, v))
+        arcs.add((u, v) if rng.random() < 0.5 else (v, u))
+    for _ in range(int(rng.integers(0, m + 1))):
+        j, i = (int(v) for v in rng.integers(1, m + 1, size=2))
+        if j != i:
+            arcs.add((j, i))
+    arcs |= {(i, j) for j, i in arcs if rng.random() < 0.5}
+    g = DirectedGraph(m, tuple(arcs))
+    weights = {}
+    for a, b in g.undirected_pairs:
+        both = [arc for arc in ((a, b), (b, a)) if g.has_arc(arc)]
+        draw = rng.random()
+        if draw < 0.4:
+            weights.update((arc, np.eye(n)) for arc in both)
+        elif draw < 0.7 and len(both) == 2 and n > 1:
+            shared = weight_with_kernel(random_subspace(rng, n, 1))
+            weights.update((arc, shared) for arc in both)
+        else:
+            weights.update((arc, rng.standard_normal((int(rng.integers(1, n + 2)), n))) for arc in both)
+    return WeightedNeighborGraph(g, n, weights)
+
+
+def test_contracted_verdict_matches_dense_nullity_at_unit_scale():
+    from limcon.wellconfig import _component_labels, _pair_values
+
+    rng = np.random.default_rng(51)
+    seen = {"one agent": 0, "merged": 0, "kept kernel pair": 0, "arc inside a component": 0, "refused": 0}
+    for _ in range(300):
+        w = contraction_wng(rng)
+        report = is_well_configured(w)
+        dense = agreement_nullity_dense(w)
+        assert report.kernel_dim == dense
+        assert report.well_configured == (dense == w.n)
+        if not report.well_configured:
+            seen["refused"] += 1
+            assert local_agreement_residual(w, report.witness) < 1e-9
+            assert consensus_error(report.witness) > 1e-3
+            assert np.linalg.norm(report.witness) == pytest.approx(1.0)
+            assert np.abs(report.witness.sum(axis=0)).max() < 1e-12  # orthogonal to consensus
+        pairs, smallest, sigma = _pair_values(w)
+        forced = smallest > 1e-10 * sigma
+        labels = _component_labels(w.m, pairs[forced])
+        seen["one agent"] += w.m == 1
+        seen["merged"] += labels.max() + 1 < w.m
+        seen["kept kernel pair"] += any(
+            np.array_equal(w.weight(arc), w.weight(arc[::-1])) and w.kernel(arc).shape[1]
+            for arc in w.graph.arcs
+            if w.graph.has_arc(arc[::-1])
+        )
+        inside = labels[pairs[:, 0]] == labels[pairs[:, 1]]
+        seen["arc inside a component"] += bool(np.any(inside & ~forced))
+    assert min(seen.values()) >= 5, seen
+
+
+def test_components_are_numbered_by_first_agent():
+    from limcon.wellconfig import _component_labels
+
+    edges = np.array([[4, 2], [5, 0], [3, 1], [1, 6]])
+    assert _component_labels(7, edges).tolist() == [0, 1, 2, 1, 2, 0, 1]
+    assert _component_labels(4, np.zeros((0, 2), dtype=int)).tolist() == [0, 1, 2, 3]
+    # a chain given against its order still merges into one component
+    chain = np.array([[k + 1, k] for k in range(30)][::-1])
+    assert not _component_labels(31, chain).any()
+
+
+def test_verifier_builds_the_quotient_map_through_the_module(monkeypatch):
+    # perfbench traces wellconfig.agreement_map by replacing the module attribute
+    import limcon.wellconfig
+
+    calls = []
+    real = limcon.wellconfig.agreement_map
+
+    def recording(w, arc_order=None, labels=None):
+        out = real(w, arc_order, labels)
+        calls.append(out.shape)
+        return out
+
+    monkeypatch.setattr(limcon.wellconfig, "agreement_map", recording)
+    # pairs {1,2}, {2,3}, {3,4} keep a kernel; the other 97 merge with agent 1
+    assert is_well_configured(synthesize_symmetric_weights(symmetric_cycle(100), 3))
+    assert calls == [(12, 9)]
+
+
+@pytest.mark.parametrize("synthesize", [synthesize_symmetric_weights, synthesize_weights])
+def test_verdict_memory_at_scale_stays_small(synthesize):
+    # the dense agreement map of this ring would take 576 MB
+    w = synthesize(symmetric_cycle(2000), 3)
+    tracemalloc.start()
+    try:
+        report = is_well_configured(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.well_configured and report.kernel_dim == 3
+    assert peak < 16 * 2**20
 
 
 def test_verdict_takes_no_singular_vectors_when_well_configured(monkeypatch):
@@ -541,10 +668,10 @@ def test_verdict_takes_no_singular_vectors_when_well_configured(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     assert is_well_configured(synthesize_symmetric_weights(symmetric_cycle(6), 3))
-    assert calls == [False]
+    assert calls and not any(calls)  # the pair stacks and the quotient map, values only
     calls.clear()
     assert not is_well_configured(WeightedNeighborGraph(directed_path(2), 2, {(1, 2): np.array([[1.0, 0.0]])}))
-    assert calls == [False, True]  # the witness needs the kernel vectors
+    assert calls.count(True) == 1 and calls[-1]  # the witness needs the kernel vectors
 
 
 def test_verdict_memory_is_about_one_agreement_map():
