@@ -198,9 +198,7 @@ def is_2_connected(g: DirectedGraph) -> bool:
 def incidence_matrix(g: DirectedGraph) -> np.ndarray:
     """m x d matrix: column k of arc (j, i) has +1 at row i and -1 at row j."""
     out = np.zeros((g.m, g.d))
-    for k, (j, i) in enumerate(g.arcs):
-        out[i - 1, k] = 1.0
-        out[j - 1, k] = -1.0
+    out[g.arc_ends.T, np.arange(g.d)] = [[-1.0], [1.0]]  # the tails' row, then the heads'
     return out
 
 

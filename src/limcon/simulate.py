@@ -183,7 +183,7 @@ def _require_symmetric(g: DirectedGraph, what: str) -> None:
 
 
 def _damping(g: DirectedGraph, half: bool) -> np.ndarray:
-    return np.array([1.0 / ((2.0 if half else 1.0) * (g.degree(i) + 1)) for i in range(1, g.m + 1)])
+    return 1.0 / ((2.0 if half else 1.0) * (np.bincount(g.arc_ends[:, 1], minlength=g.m) + 1))
 
 
 class RoundOperator:
@@ -207,21 +207,19 @@ class RoundOperator:
         self._slots = (self._movers[:, :, None] * self.n + np.arange(self.n)).ravel()
 
     @classmethod
-    def from_weights(cls, w: WeightedNeighborGraph, agent_scale, two_sided=True, sub=None, arc_weights=None):
-        """Blocks arc_weights[k] C_k'C_k on w's arcs, only those of sub if given.
+    def from_weights(cls, w: WeightedNeighborGraph, agent_scale, two_sided=True, arc_weights=None):
+        """Blocks arc_weights[k] C_k'C_k on w's arcs, leaving out the arcs of
+        weight 0 if arc_weights is given.
 
         The move of agent v is scaled by agent_scale[v] (a scalar applies to
         every agent); a two-sided round moves the tail by the opposite sign.
         """
-        if sub is not None and not sub.is_spanning_subgraph_of(w.graph):
-            raise ValueError("sub must be a spanning subgraph of g")
         tails, heads = w.graph.arc_ends.T
         c = w.padded_weights()
         blocks = np.matmul(c.transpose(0, 2, 1), c)
         if arc_weights is not None:
             blocks *= arc_weights[:, None, None]
-        if sub is not None:
-            keep = np.array([sub.has_arc(arc) for arc in w.graph.arcs], dtype=bool)
+            keep = arc_weights != 0
             heads, tails, blocks = heads[keep], tails[keep], blocks[keep]
         scale = np.broadcast_to(np.asarray(agent_scale, dtype=float), (w.m,))
         return cls(w.m, heads, tails, blocks, scale[heads], -scale[tails] if two_sided else None)
@@ -257,15 +255,21 @@ def _round_operator(algorithm: str, wn: WeightedNeighborGraph, subgraph: Directe
         return RoundOperator.from_weights(wn, _damping(g, half=True))
     if algorithm == "metropolis_tv":
         _require_symmetric(g, "the Metropolis iteration")
-        sub = g if subgraph is None else subgraph
-        weights = metropolis_weights(sub)
-        arc_weights = np.array([weights.get(arc, 0.0) for arc in g.arcs])
-        return RoundOperator.from_weights(wn, 0.5, sub=sub, arc_weights=arc_weights)
+        if subgraph is not None and not subgraph.is_spanning_subgraph_of(g):
+            raise ValueError("the subgraph must be a spanning subgraph of the graph")
+        return _metropolis_operator(wn, g if subgraph is None else subgraph)
     if algorithm == "cycle_projection" and not is_directed_cycle(g):
         raise ValueError("cycle projection requires a directed cycle")
     if algorithm in ("cycle_projection", "general_projection"):
         return RoundOperator.from_weights(wn, _damping(g, half=False), two_sided=False)
     raise ValueError(f"no fixed round matrix for algorithm {algorithm!r}")
+
+
+def _metropolis_operator(wn: WeightedNeighborGraph, sub: DirectedGraph) -> RoundOperator:
+    """The Metropolis round on a symmetric spanning subgraph of wn's graph:
+    its arcs carry their positive Metropolis weights, the others 0."""
+    weights = metropolis_weights(sub)
+    return RoundOperator.from_weights(wn, 0.5, arc_weights=np.array([weights.get(arc, 0.0) for arc in wn.graph.arcs]))
 
 
 def _run(w: WeightedNeighborGraph, x0, steps: int, step) -> Trajectory:
@@ -329,7 +333,7 @@ def run_metropolis_tv(w: WeightedNeighborGraph, x0, schedule: Schedule, steps: i
     if schedule.script is not None and steps > len(schedule.script):
         raise ValueError(f"schedule script covers {len(schedule.script)} rounds, requested {steps}")
     wn = w.normalized()
-    ops = [_round_operator("metropolis_tv", wn, sub) for sub in schedule.subgraphs]
+    ops = [_metropolis_operator(wn, sub) for sub in schedule.subgraphs]
     return _run(w, x0, steps, lambda t, x: ops[schedule.index_at(t)].apply(x))
 
 

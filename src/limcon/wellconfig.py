@@ -13,7 +13,7 @@ weight matrices from ear decompositions, and reads and writes weight files.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -51,35 +51,50 @@ class WeightedNeighborGraph:
 
     Matrices have n columns; row counts are unconstrained (fewer rows than
     columns means the neighbor's state is not recoverable from the signal).
+    The weights are stored once: `rows` stacks every arc's rows in canonical
+    arc order and `row_counts` holds each arc's row count, both read-only,
+    and `weights` is a read-only mapping of per-arc views into `rows`.  The
+    constructor validates every weight in one pass.
     """
 
     graph: DirectedGraph
     n: int
     weights: Mapping[Arc, np.ndarray]
+    rows: np.ndarray = field(init=False, repr=False)  # (total rows, n)
+    row_counts: np.ndarray = field(init=False, repr=False)  # (d,)
     _normalized: dict = field(default_factory=dict, init=False, repr=False)  # rtol -> normalized()
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("state dimension must be >= 1")
-        clean: dict[Arc, np.ndarray] = {}
-        for raw_arc, mat in self.weights.items():
-            arc = (int(raw_arc[0]), int(raw_arc[1]))
-            mat = np.atleast_2d(np.asarray(mat, dtype=float)).copy()
+        arcs, given = self.graph.arcs, self.weights
+        if len(given) != len(arcs) or not all(arc in given for arc in arcs):
+            keys = {(int(arc[0]), int(arc[1])) for arc in given}
+            missing, extra = sorted(set(arcs) - keys), sorted(keys - set(arcs))
+            raise ValueError(f"weights must cover the arc set exactly (missing {missing}, extra {extra})")
+        mats = []
+        for arc in arcs:
+            mat = np.atleast_2d(np.asarray(given[arc], dtype=float))
             if mat.ndim != 2:
                 raise ValueError(f"weight for arc {arc} must be a matrix, has shape {mat.shape}")
             if mat.size == 0:
                 mat = np.zeros((0, self.n))  # nothing transmitted on this arc
             if mat.shape[1] != self.n:
                 raise ValueError(f"weight for arc {arc} must have {self.n} columns, has {mat.shape[1]}")
-            if not np.isfinite(mat).all():
-                raise ValueError(f"weight for arc {arc} has non-finite entries")
-            mat.flags.writeable = False
-            clean[arc] = mat
-        missing = set(self.graph.arcs) - clean.keys()
-        extra = clean.keys() - set(self.graph.arcs)
-        if missing or extra:
-            raise ValueError(f"weights must cover the arc set exactly (missing {sorted(missing)}, extra {sorted(extra)})")
-        object.__setattr__(self, "weights", clean)
+            mats.append(mat)
+        counts = np.fromiter((len(mat) for mat in mats), dtype=np.intp, count=len(mats))
+        stops = np.cumsum(counts)
+        rows = np.concatenate([np.zeros((0, self.n)), *mats])
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            bad = arcs[np.searchsorted(stops, np.argmin(finite), side="right")]
+            raise ValueError(f"weight for arc {bad} has non-finite entries")
+        rows.flags.writeable = False
+        counts.flags.writeable = False
+        views = {arc: rows[stop - count : stop] for arc, count, stop in zip(arcs, counts.tolist(), stops.tolist())}
+        object.__setattr__(self, "weights", MappingProxyType(views))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "row_counts", counts)
 
     @property
     def m(self) -> int:
@@ -95,38 +110,27 @@ class WeightedNeighborGraph:
         """Replace every weight by an orthonormal basis of its row space.
 
         Kernels are preserved, so the well-configuration verdict is too; the
-        algorithms that use projections assume this form.  Weights of one
-        shape share one stacked SVD, bit for bit what a separate SVD of each
-        gives: the right singular vectors above rtol times its own largest
-        singular value.  The result is kept per rtol, so the engines, the
-        dense round maps and the scheduled subgraphs all share one copy (its
-        weights are read-only).
+        algorithms that use projections assume this form.  The arcs with one
+        row count share one stacked SVD, gathered from `rows`, bit for bit
+        what a separate SVD of each gives: the right singular vectors above
+        rtol times its own largest singular value.  Arcs without rows keep
+        their empty weight.  The result is kept per rtol, so the engines, the
+        dense round maps and the scheduled subgraphs all share one copy.
         """
         if rtol in self._normalized:
             return self._normalized[rtol]
-        by_shape: dict[tuple[int, int], list[Arc]] = {}
-        for arc, c in self.weights.items():
-            by_shape.setdefault(c.shape, []).append(arc)
-        rows: dict[Arc, np.ndarray] = {}
-        for (r, _), arcs in by_shape.items():
-            if r == 0:
-                rows.update((arc, np.zeros((0, self.n))) for arc in arcs)
-                continue
-            _, s, vh = np.linalg.svd(np.stack([self.weights[arc] for arc in arcs]))
+        counts = self.row_counts
+        starts = np.cumsum(counts) - counts
+        bases = dict(self.weights)
+        for r in set(counts.tolist()) - {0}:
+            group = np.flatnonzero(counts == r)
+            _, s, vh = np.linalg.svd(self.rows[starts[group, None] + np.arange(r)])
             # an all-zero weight has s[0] = 0 and so rank 0
             ranks = np.sum(s > rtol * s[:, :1], axis=1)
-            rows.update((arc, vh[k, : ranks[k]]) for k, arc in enumerate(arcs))
-        out = WeightedNeighborGraph(self.graph, self.n, {arc: rows[arc] for arc in self.weights})
+            bases.update((self.graph.arcs[k], vh[t, : ranks[t]]) for t, k in enumerate(group.tolist()))
+        out = WeightedNeighborGraph(self.graph, self.n, bases)
         self._normalized[rtol] = out
         return out
-
-    @cached_property
-    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every weight's rows stacked in canonical arc order, and the row
-        count of each arc."""
-        mats = [self.weights[arc] for arc in self.graph.arcs]
-        counts = np.fromiter((len(c) for c in mats), dtype=np.intp, count=len(mats))
-        return (np.concatenate(mats) if mats else np.zeros((0, self.n))), counts
 
     def padded_weights(self) -> np.ndarray:
         """(d, r, n) stack of the weights in canonical arc order, each padded
@@ -138,23 +142,13 @@ class WeightedNeighborGraph:
 def _stack_rows(w: WeightedNeighborGraph, slot: np.ndarray, start: np.ndarray, slots: int) -> np.ndarray:
     """(slots, r, n) zeros with the k-th arc's weight (canonical order) in
     slot[k] from row start[k] on; r is the deepest row reached."""
-    rows, counts = w._rows
+    counts = w.row_counts
     out = np.zeros((slots, int((start + counts).max(initial=0)), w.n))
     if out.size:
         arc = np.repeat(np.arange(len(counts)), counts)
-        first = np.cumsum(counts) - counts  # each arc's first row in rows
-        out[slot[arc], start[arc] + np.arange(len(arc)) - first[arc]] = rows
+        first = np.cumsum(counts) - counts  # each arc's first row in w.rows
+        out[slot[arc], start[arc] + np.arange(len(arc)) - first[arc]] = w.rows
     return out
-
-
-def _rows_of(w: WeightedNeighborGraph, arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of the arcs with the given canonical indices, in that order,
-    and their row counts."""
-    rows, counts = w._rows
-    first = (np.cumsum(counts) - counts)[arcs]
-    counts = counts[arcs]
-    within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    return rows[np.repeat(first, counts) + within], counts
 
 
 def identity_weights(g: DirectedGraph, n: int) -> WeightedNeighborGraph:
@@ -199,7 +193,10 @@ def agreement_map(w: WeightedNeighborGraph, arc_order=None, labels=None) -> np.n
         cross = ends[:, 0] != ends[:, 1]
         arcs, ends = arcs[cross], ends[cross]
         width = int(labels.max()) + 1
-    c, counts = _rows_of(w, arcs)
+    counts = w.row_counts[arcs]
+    # row t of the k-th arc in arcs is row t of its block in w.rows
+    shift = (np.cumsum(w.row_counts) - w.row_counts)[arcs] - (np.cumsum(counts) - counts)
+    c = w.rows[np.repeat(shift, counts) + np.arange(counts.sum())]
     out = np.zeros((len(c), width * n))
     if len(out):
         rows = np.arange(len(out))[:, None]
@@ -306,7 +303,7 @@ def _pair_values(w: WeightedNeighborGraph) -> tuple[np.ndarray, np.ndarray, floa
     lead = np.where((ends[:, 0] < ends[:, 1]) | (key[back] != back_key), arcs, back)
     first = np.flatnonzero(lead == arcs)
     slot = np.searchsorted(first, lead)
-    counts = w._rows[1]
+    counts = w.row_counts
     start = np.where(lead == arcs, 0, counts[lead])  # a back arc's rows go below its lead's
     stack = _stack_rows(w, slot, start, len(first))
     rows = np.bincount(slot, weights=counts, minlength=len(first))

@@ -426,6 +426,11 @@ def _gradient(**stepsize):
     return {**GRADIENT, "stepsize": stepsize}
 
 
+def _explicit(bad_arc, c):
+    """Explicit weights on the square: [[1, 0]] on every arc but bad_arc, which gets c."""
+    return {"explicit": [{"j": j, "i": i, "C": c if (j, i) == bad_arc else [[1, 0]]} for j, i in SQUARE_ARCS]}
+
+
 # (path, corrupt value, what the error must name)
 WRONG_TYPES = [
     (("graph", "arcs"), 5, "graph.arcs"),
@@ -461,6 +466,10 @@ WRONG_TYPES = [
     (("algorithm",), _gradient(kind="constant"), "algorithm.stepsize (constant): missing keys ['value']"),
     (("algorithm",), _gradient(kind="scripted"), "algorithm.stepsize (scripted): missing keys ['values']"),
     (("algorithm",), _gradient(kind="harmonic", value=0.1), "algorithm.stepsize (harmonic): unknown keys ['value']"),
+    (("weights",), _explicit((2, 3), [[1, float("nan")]]), "arc (2, 3) has non-finite entries"),
+    (("weights",), _explicit((3, 4), [[float("inf"), 0]]), "arc (3, 4) has non-finite entries"),
+    (("weights",), _explicit((4, 1), [[[1, 0], [0, 1]]]), "arc (4, 1) must be a matrix"),
+    (("weights",), _explicit((1, 4), [[1, 0, 0]]), "arc (1, 4) must have 2 columns, has 3"),
 ]
 
 
@@ -471,8 +480,8 @@ def test_wrong_typed_fields_exit_one(path, value, field, tmp_path, capsys, monke
     monkeypatch.chdir(tmp_path)  # the default output directory is ./out
     data = _set(symmetric_square_scenario(), path, value)
     assert main(["run", "--scenario", write_scenario(tmp_path, "s.json", data)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and field in err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
     assert not (tmp_path / "out").exists()
 
 

@@ -87,6 +87,14 @@ def test_incidence_single_arc():
     assert np.array_equal(col, [-1.0, 1.0])
 
 
+def test_incidence_matches_a_loop_over_the_arcs(sc_corpus):
+    for g in [*sc_corpus.values(), DirectedGraph(3, ())]:
+        loop = np.zeros((g.m, g.d))
+        for k, (j, i) in enumerate(g.arcs):
+            loop[i - 1, k], loop[j - 1, k] = 1.0, -1.0
+        assert np.array_equal(incidence_matrix(g), loop)
+
+
 def test_incidence_columns_sum_to_zero(sc_corpus):
     for g in sc_corpus.values():
         j = incidence_matrix(g)

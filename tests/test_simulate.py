@@ -75,6 +75,15 @@ def two_subgraph_schedule(m=4):
 # ---------------------------------------------------------------- weights
 
 
+def test_damping_matches_per_agent_degrees(sc_corpus):
+    from limcon.simulate import _damping
+
+    for g in [*sc_corpus.values(), DirectedGraph(3, ((1, 2),))]:
+        for half in (True, False):
+            loop = [1.0 / ((2.0 if half else 1.0) * (g.degree(i) + 1)) for i in range(1, g.m + 1)]
+            assert np.array_equal(_damping(g, half), loop)
+
+
 def test_metropolis_pair():
     g = symmetric_cycle(2) if False else DirectedGraph(2, ((1, 2), (2, 1)))
     w = metropolis_weights(g)
@@ -242,6 +251,12 @@ def test_metropolis_update_matrix_agrees_with_run():
     x = rng.standard_normal((4, 2))
     traj = run_metropolis_tv(w, x, Schedule.fixed(sub), 1)
     assert np.abs(mat @ x.reshape(-1) - traj.states[-1].reshape(-1)).max() < 1e-12
+
+
+def test_metropolis_update_matrix_refuses_a_foreign_subgraph():
+    w = synthesize_weights(symmetric_cycle(4), 2, mode="nonzero-kernels")
+    with pytest.raises(ValueError, match="spanning"):
+        build_update_matrix("metropolis_tv", w, DirectedGraph(4, ((1, 3), (3, 1))))
 
 
 def test_update_matrix_unknown_algorithm():

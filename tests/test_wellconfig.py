@@ -66,6 +66,28 @@ def test_wng_validation():
         WeightedNeighborGraph(g, 2, {})
     with pytest.raises(ValueError, match="cover the arc set"):
         WeightedNeighborGraph(g, 2, {(1, 2): np.eye(2), (2, 1): np.eye(2)})
+    with pytest.raises(ValueError, match=r"arc \(1, 2\) has non-finite entries"):
+        WeightedNeighborGraph(g, 2, {(1, 2): [[1.0, np.nan]]})
+    with pytest.raises(ValueError, match=r"arc \(1, 2\) must be a matrix, has shape \(1, 2, 2\)"):
+        WeightedNeighborGraph(g, 2, {(1, 2): np.ones((1, 2, 2))})
+    # canonical order (4, 1), (1, 2), (2, 3), (3, 4): the first bad arc is
+    # named, past an arc without rows
+    weights = {(4, 1): np.zeros((0, 2)), (1, 2): np.eye(2), (2, 3): [[np.inf, 0.0]], (3, 4): [[np.nan, 0.0]]}
+    with pytest.raises(ValueError, match=r"arc \(2, 3\) has non-finite entries"):
+        WeightedNeighborGraph(directed_cycle(4), 2, weights)
+
+
+def test_weights_are_read_only_views_of_one_buffer():
+    w = synthesize_symmetric_weights(symmetric_cycle(4), 2)
+    with pytest.raises(TypeError):
+        w.weights[(1, 2)] = np.zeros((1, 2))
+    with pytest.raises(ValueError, match="read-only"):
+        w.weight((1, 2))[0, 0] = 0.0
+    # disjoint views, so np.shares_memory between two of them is False; each
+    # overlaps the one stacked buffer instead
+    a, b = w.weight((1, 2)), w.weight((3, 4))
+    assert a.base is b.base is w.rows
+    assert all(np.shares_memory(w.weight(arc), w.rows) for arc in w.graph.arcs)
 
 
 def test_normalized_has_orthonormal_rows_and_same_verdict():
@@ -714,3 +736,43 @@ def test_normalized_is_computed_once_per_rtol():
     fresh = WeightedNeighborGraph(w.graph, w.n, w.weights).normalized()
     for arc in w.graph.arcs:
         assert np.array_equal(first.weight(arc), fresh.weight(arc))
+
+
+def _weights_corpus():
+    """Seeded random weights with empty, all-zero, wide and tall arcs, plus
+    directed and symmetric synthesis on a long ring and a complete graph."""
+    rng = np.random.default_rng(2211)
+    out = []
+    for _ in range(60):
+        w = random_weakly_connected_wng(rng)
+        weights = dict(w.weights)
+        for arc in w.graph.arcs:
+            kind = rng.integers(0, 5)
+            if kind == 0:
+                weights[arc] = np.zeros((0, w.n))  # transmits nothing
+            elif kind == 1:
+                weights[arc] = np.zeros((int(rng.integers(1, 3)), w.n))
+            elif kind == 2:
+                weights[arc] = rng.standard_normal((max(w.n - 1, 1), w.n))  # wide
+            elif kind == 3:
+                weights[arc] = np.vstack([weights[arc], weights[arc]])  # tall, rank deficient
+        out.append(WeightedNeighborGraph(w.graph, w.n, weights))
+    for g in (symmetric_cycle(100), complete_symmetric(16)):
+        out += [synthesize_weights(g, 3), synthesize_symmetric_weights(g, 3)]
+    return out
+
+
+def test_weights_match_the_pinned_digest():
+    # pins the weight file, the padded stack and the normalized rows bit for bit
+    import hashlib
+    import json
+
+    digest = hashlib.sha256()
+    for w in _weights_corpus():
+        digest.update(json.dumps(weights_to_json(w)).encode())
+        mats = [w.padded_weights()]
+        for normalized in (w.normalized(), w.normalized(1e-3)):
+            mats += [normalized.weight(arc) for arc in w.graph.arcs]
+        for c in mats:
+            digest.update(repr(c.shape).encode() + c.tobytes())
+    assert digest.hexdigest() == "f362b15428057c98d1040e797fa3bf12c8d9552af364f4bbd8ca1a331e5df5f0"
