@@ -43,7 +43,6 @@ from .simulate import (
     build_update_matrix,
     consensus_error,
     local_agreement_residual,
-    metropolis_weights,
     run_cycle_projection,
     run_fixed_step,
     run_general_projection,

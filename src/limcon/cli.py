@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import simulate
 from .graphs import DirectedGraph, EarDecomposition, _check_keys
 from .linalg import RANK_RTOL
 from .simulate import (
@@ -23,11 +24,6 @@ from .simulate import (
     Schedule,
     StepsizeSchedule,
     build_update_matrix,
-    run_cycle_projection,
-    run_fixed_step,
-    run_general_projection,
-    run_gradient,
-    run_metropolis_tv,
     spectral_report,
     stacked_laplacian,
 )
@@ -212,23 +208,24 @@ def _build_stepsize(section: dict) -> StepsizeSchedule:
 
 def _build_schedule(section: dict, m: int) -> Schedule:
     _check_keys(section, "algorithm.schedule", required=("mode", "subgraphs"), optional=("script",))
+    mode = section["mode"]
+    if mode not in ("fixed", "periodic", "scripted"):
+        raise ScenarioError(f"algorithm.schedule.mode must be fixed|periodic|scripted, got {mode!r}")
+    # only a scripted schedule reads a script
+    script_key = ("script",) if mode == "scripted" else ()
+    _check_keys(section, f"algorithm.schedule ({mode})", required=("mode", "subgraphs", *script_key))
     subgraphs = tuple(
         DirectedGraph(m, _arcs(arcs, "algorithm.schedule.subgraphs[]"))
         for arcs in _expect(section["subgraphs"], "algorithm.schedule.subgraphs", list)
     )
-    mode = section["mode"]
     if mode == "fixed":
         if len(subgraphs) != 1:
             raise ScenarioError("fixed schedule needs exactly one subgraph")
         return Schedule.fixed(subgraphs[0])
     if mode == "periodic":
         return Schedule.periodic(subgraphs)
-    if mode == "scripted":
-        if "script" not in section:
-            raise ScenarioError("scripted schedule needs a script")
-        script = _expect(section["script"], "algorithm.schedule.script", list)
-        return Schedule.scripted(subgraphs, [_expect(s, "algorithm.schedule.script[]", int) for s in script])
-    raise ScenarioError(f"algorithm.schedule.mode must be fixed|periodic|scripted, got {mode!r}")
+    script = _expect(section["script"], "algorithm.schedule.script", list)
+    return Schedule.scripted(subgraphs, [_expect(s, "algorithm.schedule.script[]", int) for s in script])
 
 
 # The (required, optional) settings each algorithm reads besides name and
@@ -240,27 +237,29 @@ _SETTINGS = {
 }
 
 
-def _build_algorithm(section: dict, g: DirectedGraph) -> dict:
-    """The algorithm section with every value parsed."""
+def _build_algorithm(section: dict, g: DirectedGraph) -> tuple[str, int, dict]:
+    """The algorithm's name, its step count and its parsed settings, which
+    are the keyword arguments of its engine simulate.run_<name>."""
     name = _expect(section, "algorithm", dict).get("name")
     if name not in ALGORITHMS:
         raise ScenarioError(f"algorithm.name must be one of {ALGORITHMS}, got {name!r}")
     required, optional = _SETTINGS.get(name, ((), ()))
     _check_keys(section, f"algorithm ({name})", required=("name", "steps", *required), optional=optional)
-    algorithm = {"name": name, "steps": _expect(section["steps"], "algorithm.steps", int)}
+    steps = _expect(section["steps"], "algorithm.steps", int)
+    settings = {}
     if "stepsize" in section:
-        algorithm["stepsize"] = _build_stepsize(section["stepsize"])
+        settings["stepsize"] = _build_stepsize(section["stepsize"])
     if "schedule" in section:
-        algorithm["schedule"] = _build_schedule(section["schedule"], g.m)
-        algorithm["schedule"].validate_for(g)
+        settings["schedule"] = _build_schedule(section["schedule"], g.m)
+        settings["schedule"].arc_weights(g)  # raises unless every subgraph fits g
     if "project_init" in section:
-        algorithm["project_init"] = _expect(section["project_init"], "algorithm.project_init", bool)
-    return algorithm
+        settings["project_init"] = _expect(section["project_init"], "algorithm.project_init", bool)
+    return name, steps, settings
 
 
 def _resolve(
     data: dict, base_dir: Path, seed: int | None = None
-) -> tuple[WeightedNeighborGraph, dict | None, np.ndarray | None]:
+) -> tuple[WeightedNeighborGraph, tuple[str, int, dict] | None, np.ndarray | None]:
     """The weights, the parsed algorithm section and the initial state, each
     None when absent.  Every command comes through here, so every command
     rejects a malformed section, also one it does not use."""
@@ -336,18 +335,11 @@ def _run_scenario(data: dict, base_dir: Path, args) -> tuple[dict, object]:
     _require(data, "algorithm", "initial_state")
     if x0 is None:
         raise ScenarioError("random initial state needs a seed (scenario key or --seed)")
-    name = algorithm["name"]
-    steps = args.steps if args.steps is not None else algorithm["steps"]
-    if name == "gradient":
-        traj = run_gradient(w, x0, steps, algorithm.get("stepsize"))
-    elif name == "fixed_step":
-        traj = run_fixed_step(w, x0, steps)
-    elif name == "metropolis_tv":
-        traj = run_metropolis_tv(w, x0, algorithm["schedule"], steps)
-    elif name == "cycle_projection":
-        traj = run_cycle_projection(w, x0, steps, algorithm.get("project_init", False))
-    else:
-        traj = run_general_projection(w, x0, steps)
+    name, steps, settings = algorithm
+    if args.steps is not None:
+        steps = args.steps
+    # looked up at call time, so a replaced engine is the one called
+    traj = getattr(simulate, f"run_{name}")(w, x0, steps=steps, **settings)
     spectral = spectral_report(_round_matrix_for_summary(name, w), w.n)
     summary = {
         "algorithm": name,
@@ -375,10 +367,10 @@ def cmd_analyze(args) -> int:
     data = load_scenario(Path(args.scenario))
     w, algorithm, _ = _resolve(data, Path(args.scenario).parent)
     _require(data, "algorithm")
-    name = algorithm["name"]
+    name, _, settings = algorithm
     if name == "metropolis_tv":
         reports = []
-        for k, sub in enumerate(algorithm["schedule"].subgraphs):
+        for k, sub in enumerate(settings["schedule"].subgraphs):
             rep = spectral_report(build_update_matrix("metropolis_tv", w, sub), w.n)
             reports.append({"subgraph": k, **rep.to_json()})
         payload = {"algorithm": name, "per_subgraph": reports}

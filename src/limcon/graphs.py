@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -97,9 +98,6 @@ class DirectedGraph:
         """Unordered endpoint pairs (a, b), a < b, of the underlying graph."""
         pairs = {(min(j, i), max(j, i)) for j, i in self.arcs}
         return tuple(sorted(pairs))
-
-    def is_spanning_subgraph_of(self, other: "DirectedGraph") -> bool:
-        return self.m == other.m and set(self.arcs) <= set(other.arcs)
 
     @classmethod
     def from_text(cls, text: str) -> "DirectedGraph":
@@ -250,7 +248,8 @@ class EarDecomposition:
         ears = []
         for entry in data:
             _check_keys(entry, "ear", required=("kind", "arcs"))
-            ears.append(Ear(entry["kind"], tuple((int(j), int(i)) for j, i in entry["arcs"])))
+            arcs = tuple((_integer(j, "ear arc"), _integer(i, "ear arc")) for j, i in entry["arcs"])
+            ears.append(Ear(entry["kind"], arcs))
         # Symmetric ears pair each arc with its reverse along the traversal;
         # ordinary two-length cycle ears look the same, so additionally demand
         # a first cycle of >= 3 pairs, which only symmetric decompositions have.
@@ -266,6 +265,14 @@ def _check_keys(obj: dict, where: str, required: tuple[str, ...], optional: tupl
     for problem, found in (("unknown", set(obj) - keys - set(optional)), ("missing", keys - set(obj))):
         if found:
             raise ValueError(f"{where}: {problem} keys {sorted(found)}")
+
+
+def _integer(value, where: str) -> int:
+    """value as an int if it is one (numpy integers included); a float is refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{where} must be an integer, got {value!r}") from None
 
 
 def _is_paired(ear: Ear) -> bool:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import DirectedGraph, is_directed_cycle, is_symmetric
+from .graphs import DirectedGraph, _integer, is_directed_cycle, is_symmetric
 from .linalg import matrix_rank, mixed_norm_2_inf
 from .wellconfig import WeightedNeighborGraph
 
@@ -25,17 +25,6 @@ CONSENSUS_STREAK = 10
 
 ALGORITHMS = ("gradient", "fixed_step", "metropolis_tv", "cycle_projection", "general_projection")
 EIG_COUNT_TOL = 1e-8
-
-
-def metropolis_weights(g: DirectedGraph) -> dict[tuple[int, int], float]:
-    """Per-arc weights 1 / (1 + max(d_i, d_j)) on a symmetric graph.
-
-    Symmetric in the arc direction, and every agent's weights sum to
-    strictly less than one.
-    """
-    if not is_symmetric(g):
-        raise ValueError("Metropolis weights are defined for symmetric graphs")
-    return {(j, i): 1.0 / (1.0 + max(g.degree(i), g.degree(j))) for j, i in g.arcs}
 
 
 @dataclass(frozen=True)
@@ -101,7 +90,7 @@ class Schedule:
     @classmethod
     def scripted(cls, subgraphs, script) -> "Schedule":
         subgraphs = tuple(subgraphs)
-        script = tuple(int(s) for s in script)
+        script = tuple(_integer(s, "schedule script entry") for s in script)
         if any(s < 0 or s >= len(subgraphs) for s in script):
             raise ValueError("script indices out of range")
         return cls(subgraphs, script)
@@ -113,15 +102,30 @@ class Schedule:
             raise ValueError(f"schedule script of length {len(self.script)} exhausted at round {t}")
         return self.script[t]
 
-    def graph_at(self, t: int) -> DirectedGraph:
-        return self.subgraphs[self.index_at(t)]
+    def arc_weights(self, base: DirectedGraph) -> np.ndarray:
+        """The (len(subgraphs), d) table of Metropolis weights: row k holds
+        1 / (1 + max(d_i, d_j)), degrees counted in scheduled graph k, on each
+        of base's arcs (canonical order) that graph has, and 0 on the others.
 
-    def validate_for(self, base: DirectedGraph) -> None:
+        Symmetric in the arc direction, and every agent's weights in a row sum
+        to strictly less than one.  Raises unless every scheduled graph is a
+        symmetric spanning subgraph of base.
+        """
+        # canonical order sorts the arcs by (head, tail), so head * m + tail ascends
+        base_keys = base.arc_ends @ np.array([1, base.m])
+        table = np.zeros((len(self.subgraphs), base.d))
         for k, sub in enumerate(self.subgraphs):
-            if not sub.is_spanning_subgraph_of(base):
+            tails, heads = sub.arc_ends.T
+            keys = tails + heads * base.m
+            at = np.searchsorted(base_keys, keys)
+            # sub.d > base.d also keeps take() off an empty base
+            if sub.m != base.m or sub.d > base.d or not np.array_equal(base_keys.take(at, mode="clip"), keys):
                 raise ValueError(f"scheduled graph {k} is not a spanning subgraph of the base graph")
-            if not is_symmetric(sub):
+            if not np.array_equal(np.sort(heads + tails * base.m), keys):
                 raise ValueError(f"scheduled graph {k} is not symmetric")
+            degree = np.bincount(heads, minlength=base.m)
+            table[k, at] = 1.0 / (1.0 + np.maximum(degree[heads], degree[tails]))
+        return table
 
 
 @dataclass
@@ -255,21 +259,13 @@ def _round_operator(algorithm: str, wn: WeightedNeighborGraph, subgraph: Directe
         return RoundOperator.from_weights(wn, _damping(g, half=True))
     if algorithm == "metropolis_tv":
         _require_symmetric(g, "the Metropolis iteration")
-        if subgraph is not None and not subgraph.is_spanning_subgraph_of(g):
-            raise ValueError("the subgraph must be a spanning subgraph of the graph")
-        return _metropolis_operator(wn, g if subgraph is None else subgraph)
+        weights = Schedule.fixed(g if subgraph is None else subgraph).arc_weights(g)[0]
+        return RoundOperator.from_weights(wn, 0.5, arc_weights=weights)
     if algorithm == "cycle_projection" and not is_directed_cycle(g):
         raise ValueError("cycle projection requires a directed cycle")
     if algorithm in ("cycle_projection", "general_projection"):
         return RoundOperator.from_weights(wn, _damping(g, half=False), two_sided=False)
     raise ValueError(f"no fixed round matrix for algorithm {algorithm!r}")
-
-
-def _metropolis_operator(wn: WeightedNeighborGraph, sub: DirectedGraph) -> RoundOperator:
-    """The Metropolis round on a symmetric spanning subgraph of wn's graph:
-    its arcs carry their positive Metropolis weights, the others 0."""
-    weights = metropolis_weights(sub)
-    return RoundOperator.from_weights(wn, 0.5, arc_weights=np.array([weights.get(arc, 0.0) for arc in wn.graph.arcs]))
 
 
 def _run(w: WeightedNeighborGraph, x0, steps: int, step) -> Trajectory:
@@ -329,11 +325,11 @@ def run_metropolis_tv(w: WeightedNeighborGraph, x0, schedule: Schedule, steps: i
     """Time-varying Metropolis iteration over scheduled symmetric spanning
     subgraphs: x(t+1) = (I - 1/2 Jbar(t) C' Wbar(t) C Jbar'(t)) x(t)."""
     _require_symmetric(w.graph, "the Metropolis iteration")
-    schedule.validate_for(w.graph)
+    table = schedule.arc_weights(w.graph)
     if schedule.script is not None and steps > len(schedule.script):
         raise ValueError(f"schedule script covers {len(schedule.script)} rounds, requested {steps}")
     wn = w.normalized()
-    ops = [_metropolis_operator(wn, sub) for sub in schedule.subgraphs]
+    ops = [RoundOperator.from_weights(wn, 0.5, arc_weights=weights) for weights in table]
     return _run(w, x0, steps, lambda t, x: ops[schedule.index_at(t)].apply(x))
 
 

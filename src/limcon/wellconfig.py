@@ -23,6 +23,7 @@ from .graphs import (
     DirectedGraph,
     EarDecomposition,
     _check_keys,
+    _integer,
     ear_decomposition,
     incidence_matrix,
     is_weakly_connected,
@@ -528,8 +529,8 @@ def weights_from_json(data: dict) -> WeightedNeighborGraph:
     weights = {}
     for entry in data["arcs"]:
         _check_keys(entry, "arc", required=("j", "i", "C"))
-        arc = (int(entry["j"]), int(entry["i"]))
+        arc = (_integer(entry["j"], "arc j"), _integer(entry["i"], "arc i"))
         arcs.append(arc)
         weights[arc] = np.asarray(entry["C"], dtype=float)
-    graph = DirectedGraph(int(data["m"]), tuple(arcs))
-    return WeightedNeighborGraph(graph, int(data["n"]), weights)
+    graph = DirectedGraph(_integer(data["m"], "weight-file m"), tuple(arcs))
+    return WeightedNeighborGraph(graph, _integer(data["n"], "weight-file n"), weights)

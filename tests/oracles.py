@@ -51,6 +51,18 @@ def metropolis_step_agents(w_norm, x, sub):
     return out
 
 
+def metropolis_arc_weights(base, subgraphs):
+    """Metropolis weights of each subgraph on base's arcs, arc by arc:
+    1 / (1 + max(d_i, d_j)) with degrees counted from the subgraph's arc list,
+    0 on an arc the subgraph lacks."""
+    rows = []
+    for sub in subgraphs:
+        degree = {v: sum(1 for _, head in sub.arcs if head == v) for v in range(1, sub.m + 1)}
+        arcs = set(sub.arcs)
+        rows.append([1.0 / (1.0 + max(degree[i], degree[j])) if (j, i) in arcs else 0.0 for j, i in base.arcs])
+    return np.array(rows).reshape(len(subgraphs), len(base.arcs))
+
+
 def cycle_step_agents(w_norm, x):
     """One directed-cycle projection round, agent by agent."""
     g = w_norm.graph

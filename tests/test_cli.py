@@ -510,10 +510,23 @@ def test_unused_algorithm_settings_rejected(section, key, tmp_path, capsys):
         ({"algorithm": {"name": "metropolis_tv", "steps": 3}}, "algorithm (metropolis_tv): missing keys ['schedule']"),
         ({"algorithm": {**METROPOLIS, "steps": "many"}}, "algorithm.steps must be an integer, got a string"),
         ({"algorithm": _metropolis(subgraphs=[[[1, 3], [3, 1]]])}, "scheduled graph 0 is not a spanning subgraph"),
+        ({"algorithm": _metropolis(subgraphs=[[[1, 2], [3, 4], [4, 3]]])}, "scheduled graph 0 is not symmetric"),
+        ({"algorithm": _metropolis(subgraphs=[[[1, 2], [2, 1], [1, 2]]])}, "duplicate arc (1, 2)"),
+        ({"algorithm": _metropolis(subgraphs=[[[1, 5], [5, 1]]])}, "arc (1, 5) out of range for m=4"),
+        ({"algorithm": _metropolis(script=[0, 1])}, "script indices out of range"),
+        ({"algorithm": _metropolis(mode="periodic")}, "algorithm.schedule (periodic): unknown keys ['script']"),
+        ({"algorithm": _metropolis(mode="fixed", script=[5, -1, "x"])}, "algorithm.schedule (fixed): unknown keys ['script']"),
+        (
+            {"algorithm": {**METROPOLIS, "schedule": {"mode": "scripted", "subgraphs": [[[1, 2], [2, 1]]]}}},
+            "algorithm.schedule (scripted): missing keys ['script']",
+        ),
         ({"initial_state": {"random": {"seed": "x"}}}, "initial_state.random.seed must be an integer, got a string"),
         ({"initial_state": {"random": {"seed": 1}, "junk": 1}}, "initial_state: unknown keys ['junk']"),
     ],
-    ids=["no-schedule", "steps", "schedule-arcs", "seed", "initial-state-key"],
+    ids=[
+        "no-schedule", "steps", "schedule-arcs", "asymmetric-subgraph", "duplicate-arc", "out-of-range-arc",
+        "script-index", "periodic-script", "fixed-script", "scripted-no-script", "seed", "initial-state-key",
+    ],
 )
 def test_every_command_parses_algorithm_and_initial_state(overrides, message, tmp_path, capsys):
     scenario = write_scenario(tmp_path, "s.json", symmetric_square_scenario(**overrides))
@@ -523,6 +536,22 @@ def test_every_command_parses_algorithm_and_initial_state(overrides, message, tm
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section", SECTIONS, ids=lambda s: s["name"])
+def test_run_calls_the_engine_through_the_module(section, tmp_path, capsys, monkeypatch):
+    # the engine is looked up in limcon.simulate at call time, so a replaced one is called
+    import limcon.simulate
+
+    engine = f"run_{section['name']}"
+    real, calls = getattr(limcon.simulate, engine), []
+    monkeypatch.setattr(limcon.simulate, engine, lambda *a, **k: calls.append(sorted(k)) or real(*a, **k))
+    data = symmetric_square_scenario(algorithm=section)
+    if section["name"] == "cycle_projection":
+        data.update(graph={"m": 4, "arcs": [[1, 2], [2, 3], [3, 4], [4, 1]]}, weights={"synthesize": {"mode": "free"}})
+    assert main(["run", "--scenario", write_scenario(tmp_path, "s.json", data), "--out", str(tmp_path / "o")]) == 0
+    assert calls == [sorted(set(section) - {"name"})]  # steps and the engine's own settings, by keyword
+    capsys.readouterr()
 
 
 def test_random_state_without_seed_is_legal_until_run(tmp_path, capsys):

@@ -19,7 +19,6 @@ from limcon import (
     is_well_configured,
     kernel_basis,
     local_agreement_residual,
-    metropolis_weights,
     mixed_norm_2_inf,
     run_cycle_projection,
     run_fixed_step,
@@ -43,6 +42,7 @@ from oracles import (
     fixed_step_agents,
     general_step_agents,
     gradient_step_agents,
+    metropolis_arc_weights,
     metropolis_step_agents,
     spanning_incidence_matrix,
     spanning_weight_matrix,
@@ -84,9 +84,13 @@ def test_damping_matches_per_agent_degrees(sc_corpus):
             assert np.array_equal(_damping(g, half), loop)
 
 
+def metropolis_weights(g):
+    """The arc -> weight map of g's own Metropolis row."""
+    return dict(zip(g.arcs, Schedule.fixed(g).arc_weights(g)[0].tolist()))
+
+
 def test_metropolis_pair():
-    g = symmetric_cycle(2) if False else DirectedGraph(2, ((1, 2), (2, 1)))
-    w = metropolis_weights(g)
+    w = metropolis_weights(DirectedGraph(2, ((1, 2), (2, 1))))
     assert w[(1, 2)] == w[(2, 1)] == pytest.approx(0.5)
 
 
@@ -111,8 +115,22 @@ def test_metropolis_symmetry_and_row_sums(sym_corpus):
 
 
 def test_metropolis_rejects_directed():
-    with pytest.raises(ValueError):
-        metropolis_weights(directed_cycle(3))
+    with pytest.raises(ValueError, match="scheduled graph 0 is not symmetric"):
+        Schedule.fixed(directed_cycle(3)).arc_weights(directed_cycle(3))
+
+
+def random_symmetric_subgraph(g, rng):
+    """A spanning subgraph of symmetric g that keeps each pair with probability 1/2, both arcs."""
+    pairs = [pair for pair in g.undirected_pairs if rng.random() < 0.5]
+    return DirectedGraph(g.m, tuple(arc for a, b in pairs for arc in ((a, b), (b, a))))
+
+
+def test_arc_weights_match_the_per_arc_oracle_bit_for_bit(sym_corpus):
+    rng = np.random.default_rng(11)
+    for g in sym_corpus.values():
+        subgraphs = [g, *(random_symmetric_subgraph(g, rng) for _ in range(4))]
+        table = Schedule.periodic(subgraphs).arc_weights(g)
+        assert np.array_equal(table, metropolis_arc_weights(g, subgraphs))
 
 
 # ---------------------------------------------------------------- schedules
@@ -143,22 +161,32 @@ def test_harmonic_stepsize_series_conditions():
 def test_schedule_validation():
     base = symmetric_cycle(4)
     sched = two_subgraph_schedule()
-    sched.validate_for(base)
-    bad = Schedule.periodic([directed_cycle(4)])
-    with pytest.raises(ValueError, match="symmetric"):
-        bad.validate_for(base)
+    assert sched.arc_weights(base).shape == (2, base.d)
+    bad = Schedule.periodic([two_subgraph_schedule().subgraphs[0], directed_cycle(4)])
+    with pytest.raises(ValueError, match="scheduled graph 1 is not symmetric"):
+        bad.arc_weights(base)
     foreign = Schedule.periodic([DirectedGraph(4, ((1, 3), (3, 1)))])
+    with pytest.raises(ValueError, match="scheduled graph 0 is not a spanning subgraph of the base graph"):
+        foreign.arc_weights(base)
     with pytest.raises(ValueError, match="spanning"):
-        foreign.validate_for(base)
+        Schedule.fixed(symmetric_cycle(5)).arc_weights(base)  # another vertex count
+    with pytest.raises(ValueError, match="spanning"):
+        Schedule.fixed(base).arc_weights(DirectedGraph(4, ()))  # a base without arcs
+    assert Schedule.fixed(DirectedGraph(4, ())).arc_weights(base).tolist() == [[0.0] * base.d]
     with pytest.raises(ValueError):
         Schedule.scripted([base], [0, 1])
 
 
+def test_scripted_schedule_refuses_non_integer_entries():
+    base = symmetric_cycle(4)
+    assert Schedule.scripted([base], [np.int64(0)]).script == (0,)
+    with pytest.raises(ValueError, match="schedule script entry must be an integer, got 0.5"):
+        Schedule.scripted([base], [0, 0.5])
+
+
 def test_periodic_schedule_cycles():
     sched = two_subgraph_schedule()
-    assert sched.graph_at(0) is sched.subgraphs[0]
-    assert sched.graph_at(1) is sched.subgraphs[1]
-    assert sched.graph_at(2) is sched.subgraphs[0]
+    assert [sched.index_at(t) for t in range(3)] == [0, 1, 0]
 
 
 # ------------------------------------------------- stacked vs per-agent
@@ -198,7 +226,7 @@ def test_metropolis_matches_per_agent_updates():
     expect = x.copy()
     wn = w.normalized()
     for t in range(4):
-        expect = metropolis_step_agents(wn, expect, sched.graph_at(t))
+        expect = metropolis_step_agents(wn, expect, sched.subgraphs[sched.index_at(t)])
     assert np.abs(traj.states[-1] - expect).max() < 1e-12
 
 

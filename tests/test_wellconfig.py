@@ -384,6 +384,29 @@ def test_weights_json_missing_keys_raise_value_error():
             weights_from_json({**data, "arcs": arcs})
 
 
+@pytest.mark.parametrize(
+    "field, value", [("m", 2.9), ("n", 1.5), ("j", 1.7), ("i", 2.0)], ids=["m", "n", "j", "i"]
+)
+def test_weights_json_refuses_non_integers(field, value):
+    data = weights_to_json(synthesize_weights(backlinked_cycle_graph(), 2))
+    if field in ("j", "i"):
+        data["arcs"][0][field] = value
+    else:
+        data[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
+        weights_from_json(data)
+    data = weights_to_json(synthesize_weights(backlinked_cycle_graph(), 2))
+    data["m"], data["arcs"][0]["j"] = np.int64(3), np.int32(data["arcs"][0]["j"])  # numpy integers are integers
+    assert weights_from_json(data).m == 3
+
+
+def test_ear_json_refuses_non_integer_arc_ends():
+    ear = ear_decomposition(directed_cycle(3)).to_json()[0]
+    ear["arcs"][0] = [1.9, ear["arcs"][0][1]]
+    with pytest.raises(ValueError, match="ear arc must be an integer, got 1.9"):
+        EarDecomposition.from_json([ear])
+
+
 def test_ear_json_missing_keys_raise_value_error():
     ear = ear_decomposition(directed_cycle(3)).to_json()[0]
     for key in ("kind", "arcs"):
