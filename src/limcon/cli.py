@@ -181,11 +181,13 @@ def _build_initial_state(section: dict, m: int, n: int, seed_override: int | Non
         return np.tile(value, (m, 1))
     cfg = section["random"]
     _check_keys(cfg, "initial_state.random", required=(), optional=("seed",))
-    seed = seed_override if seed_override is not None else cfg.get("seed")
-    if seed is None:
-        return None
-    rng = np.random.default_rng(_expect(seed, "initial_state.random.seed", int))
-    return rng.standard_normal((m, n))
+    seed = None
+    for where, value in (("initial_state.random.seed", cfg.get("seed")), ("--seed", seed_override)):
+        if value is not None:  # both are checked; --seed, the later, wins
+            if _expect(value, where, int) < 0:
+                raise ScenarioError(f"{where} must be a non-negative integer, got {value}")
+            seed = value
+    return None if seed is None else np.random.default_rng(seed).standard_normal((m, n))
 
 
 def _build_stepsize(section: dict) -> StepsizeSchedule:

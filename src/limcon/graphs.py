@@ -4,10 +4,9 @@ incidence matrices, and (symmetric) ear decompositions."""
 from __future__ import annotations
 
 import heapq
-import itertools
 import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -26,27 +25,52 @@ class DirectedGraph:
     Arcs are (tail j, head i) pairs: j sends to i.  The stored tuple is in
     canonical order: grouped by head ascending, then by tail ascending.  All
     matrix constructions index arcs in this order, so results are
-    bit-reproducible.
+    bit-reproducible.  This class owns that order: `arc_ends`, the arcs'
+    zero-based (tail, head) agents, and `arc_keys`, their ascending keys
+    head * m + tail, index it.  The constructor takes integers only and names
+    the first arc, in the given order, that is out of range, a self-arc or
+    a repeat.
     """
 
     m: int
     arcs: tuple[Arc, ...]
+    arc_ends: np.ndarray = field(init=False, repr=False, compare=False)  # (d, 2), read-only
+    arc_keys: np.ndarray = field(init=False, repr=False, compare=False)  # (d,), read-only
 
     def __post_init__(self):
-        if self.m < 1:
+        m = _integer(self.m, "vertex count")
+        if m < 1:
             raise ValueError("vertex count must be >= 1")
-        seen: set[Arc] = set()
-        for raw in self.arcs:
-            j, i = (int(v) for v in raw)
-            if not (1 <= j <= self.m and 1 <= i <= self.m):
-                raise ValueError(f"arc ({j}, {i}) out of range for m={self.m}")
-            if j == i:
+        given = tuple(self.arcs)
+        ends = np.array(given) if given else np.zeros((0, 2), dtype=np.intp)
+        if ends.ndim != 2 or ends.shape[1] != 2:
+            raise ValueError("arcs must be (tail, head) pairs")
+        if ends.dtype.kind not in "iu":
+            # the first non-integer raises; an end too wide for intp is out of range
+            ends = np.array([[min(max(_integer(v, f"end of arc {tuple(arc)}"), 0), m + 1) for v in arc] for arc in given])
+        ends = ends.astype(np.intp) - 1
+        tails, heads = ends.T
+        keys = heads * m + tails
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        repeat = np.zeros(len(keys), dtype=bool)
+        repeat[order[1:]] = keys[1:] == keys[:-1]  # the later of two equal arcs
+        outside = ((ends < 0) | (ends >= m)).any(axis=1)
+        offending = outside | (tails == heads) | repeat
+        if offending.any():
+            k = int(np.argmax(offending))
+            j, i = given[k]
+            if outside[k]:
+                raise ValueError(f"arc ({j}, {i}) out of range for m={m}")
+            if tails[k] == heads[k]:
                 raise ValueError(f"self-arc ({j}, {i}) not allowed")
-            if (j, i) in seen:
-                raise ValueError(f"duplicate arc ({j}, {i})")
-            seen.add((j, i))
-        canonical = tuple(sorted(seen, key=lambda a: (a[1], a[0])))
-        object.__setattr__(self, "arcs", canonical)
+            raise ValueError(f"duplicate arc ({j}, {i})")
+        ends = ends[order]
+        ends.flags.writeable = keys.flags.writeable = False
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "arcs", tuple(map(tuple, (ends + 1).tolist())))
+        object.__setattr__(self, "arc_ends", ends)
+        object.__setattr__(self, "arc_keys", keys)
 
     @property
     def d(self) -> int:
@@ -56,14 +80,31 @@ class DirectedGraph:
     def arc_index(self) -> dict[Arc, int]:
         return {arc: k for k, arc in enumerate(self.arcs)}
 
+    def arc_indices(self, ends) -> np.ndarray:
+        """Canonical index of the arc of each zero-based (tail, head) row of
+        ends, or -1 where the graph has no such arc; ends lie in 0..m-1."""
+        ends = np.asarray(ends)
+        keys = ends[:, 1] * self.m + ends[:, 0]
+        at = np.searchsorted(self.arc_keys, keys)
+        # a key past the last arc's finds the appended -1, which is no key
+        return np.where(np.append(self.arc_keys, -1)[at] == keys, at, -1)
+
     @cached_property
-    def arc_ends(self) -> np.ndarray:
-        """(d, 2) read-only array of the arcs' zero-based (tail, head) agents,
-        in canonical order."""
-        flat = np.fromiter(itertools.chain.from_iterable(self.arcs), dtype=np.intp, count=2 * self.d)
-        ends = flat.reshape(self.d, 2) - 1
-        ends.flags.writeable = False
-        return ends
+    def reverse(self) -> np.ndarray:
+        """(d,) read-only: per arc (j, i), the canonical index of (i, j), or -1."""
+        back = self.arc_indices(self.arc_ends[:, ::-1])
+        back.flags.writeable = False
+        return back
+
+    @cached_property
+    def pair_lead(self) -> np.ndarray:
+        """(d,) read-only: per arc, the canonical index of the arc that leads
+        its unordered pair {a, b}: the arc a -> b with a < b, or the pair's
+        only arc."""
+        tails, heads = self.arc_ends.T
+        lead = np.where((tails < heads) | (self.reverse < 0), np.arange(self.d), self.reverse)
+        lead.flags.writeable = False
+        return lead
 
     @cached_property
     def _in_neighbors(self) -> dict[int, tuple[int, ...]]:
@@ -96,8 +137,8 @@ class DirectedGraph:
     @cached_property
     def undirected_pairs(self) -> tuple[tuple[int, int], ...]:
         """Unordered endpoint pairs (a, b), a < b, of the underlying graph."""
-        pairs = {(min(j, i), max(j, i)) for j, i in self.arcs}
-        return tuple(sorted(pairs))
+        leads = self.arc_ends[self.pair_lead == np.arange(self.d)]
+        return tuple(sorted(map(tuple, (np.sort(leads, axis=1) + 1).tolist())))
 
     @classmethod
     def from_text(cls, text: str) -> "DirectedGraph":
@@ -128,14 +169,28 @@ def _reachable(adj: dict[int, tuple[int, ...]], start: int) -> set[int]:
     return seen
 
 
+def _component_labels(m: int, edges: np.ndarray) -> np.ndarray:
+    """Per agent, the index of its connected component under the (k, 2)
+    zero-based edges, the components numbered in order of their first agent.
+
+    Each pass hooks every root that has an edge to a smaller root onto the
+    smallest such root, then jumps pointers until every agent points at its
+    root; a root is always the smallest agent of its tree.
+    """
+    root = np.arange(m)
+    while True:
+        a, b = root[edges[:, 0]], root[edges[:, 1]]
+        split = a != b
+        if not split.any():
+            return np.unique(root, return_inverse=True)[1]
+        np.minimum.at(root, np.maximum(a, b)[split], np.minimum(a, b)[split])
+        while not np.array_equal(root[root], root):
+            root = root[root]
+
+
 def is_weakly_connected(g: DirectedGraph) -> bool:
     """True iff the underlying undirected graph is connected."""
-    adj: dict[int, set[int]] = {v: set() for v in range(1, g.m + 1)}
-    for j, i in g.arcs:
-        adj[j].add(i)
-        adj[i].add(j)
-    frozen = {v: tuple(ws) for v, ws in adj.items()}
-    return len(_reachable(frozen, 1)) == g.m
+    return not _component_labels(g.m, g.arc_ends).any()
 
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
@@ -147,8 +202,7 @@ def is_strongly_connected(g: DirectedGraph) -> bool:
 
 def is_symmetric(g: DirectedGraph) -> bool:
     """True iff the arc set is closed under reversal."""
-    arcs = set(g.arcs)
-    return all((i, j) in arcs for j, i in arcs)
+    return bool((g.reverse >= 0).all())
 
 
 def is_directed_cycle(g: DirectedGraph) -> bool:

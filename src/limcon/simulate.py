@@ -39,22 +39,22 @@ class StepsizeSchedule:
 
     @classmethod
     def harmonic(cls, a: float = 1.0, b: float = 2.0) -> "StepsizeSchedule":
-        # a/(t+b) with a>0, b>=1 sums to infinity while its squares converge.
-        if a <= 0 or b < 1:
-            raise ValueError("harmonic stepsize needs a > 0 and b >= 1")
+        # a/(t+b) with a>0, b>=1 sums to infinity while its squares converge
+        if not (0 < a < np.inf and 1 <= b < np.inf):
+            raise ValueError("harmonic stepsize needs finite a > 0 and b >= 1")
         return cls("harmonic", a=a, b=b)
 
     @classmethod
     def constant(cls, value: float) -> "StepsizeSchedule":
-        if value <= 0:
-            raise ValueError("constant stepsize must be positive")
+        if not 0 < value < np.inf:
+            raise ValueError("constant stepsize must be positive and finite")
         return cls("constant", value=value)
 
     @classmethod
     def scripted(cls, values) -> "StepsizeSchedule":
         values = tuple(float(v) for v in values)
-        if not values or any(v <= 0 for v in values):
-            raise ValueError("scripted stepsizes must be positive")
+        if not values or not all(0 < v < np.inf for v in values):
+            raise ValueError("scripted stepsizes must be positive and finite")
         return cls("scripted", values=values)
 
     def alpha(self, t: int) -> float:
@@ -111,18 +111,15 @@ class Schedule:
         to strictly less than one.  Raises unless every scheduled graph is a
         symmetric spanning subgraph of base.
         """
-        # canonical order sorts the arcs by (head, tail), so head * m + tail ascends
-        base_keys = base.arc_ends @ np.array([1, base.m])
         table = np.zeros((len(self.subgraphs), base.d))
         for k, sub in enumerate(self.subgraphs):
-            tails, heads = sub.arc_ends.T
-            keys = tails + heads * base.m
-            at = np.searchsorted(base_keys, keys)
-            # sub.d > base.d also keeps take() off an empty base
-            if sub.m != base.m or sub.d > base.d or not np.array_equal(base_keys.take(at, mode="clip"), keys):
+            # base's lookup needs ends in its range, so the vertex counts go first
+            at = base.arc_indices(sub.arc_ends) if sub.m == base.m else None
+            if at is None or (at < 0).any():
                 raise ValueError(f"scheduled graph {k} is not a spanning subgraph of the base graph")
-            if not np.array_equal(np.sort(heads + tails * base.m), keys):
+            if not is_symmetric(sub):
                 raise ValueError(f"scheduled graph {k} is not symmetric")
+            tails, heads = sub.arc_ends.T
             degree = np.bincount(heads, minlength=base.m)
             table[k, at] = 1.0 / (1.0 + np.maximum(degree[heads], degree[tails]))
         return table

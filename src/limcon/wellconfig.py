@@ -23,6 +23,7 @@ from .graphs import (
     DirectedGraph,
     EarDecomposition,
     _check_keys,
+    _component_labels,
     _integer,
     ear_decomposition,
     incidence_matrix,
@@ -294,45 +295,17 @@ def _pair_values(w: WeightedNeighborGraph) -> tuple[np.ndarray, np.ndarray, floa
     one SVD without vectors.
     """
     g, n = w.graph, w.n
-    ends = g.arc_ends  # (tail, head)
-    # canonical order sorts the arcs by (head, tail), so these keys ascend
-    key = ends[:, 1] * g.m + ends[:, 0]
-    back_key = ends[:, 0] * g.m + ends[:, 1]
-    back = np.minimum(np.searchsorted(key, back_key), g.d - 1)
-    arcs = np.arange(g.d)
-    # each pair leads with its arc a -> b, a < b, or with its only arc
-    lead = np.where((ends[:, 0] < ends[:, 1]) | (key[back] != back_key), arcs, back)
-    first = np.flatnonzero(lead == arcs)
+    lead = g.pair_lead
+    is_lead = lead == np.arange(g.d)
+    first = np.flatnonzero(is_lead)
     slot = np.searchsorted(first, lead)
     counts = w.row_counts
-    start = np.where(lead == arcs, 0, counts[lead])  # a back arc's rows go below its lead's
+    start = np.where(is_lead, 0, counts[lead])  # a back arc's rows go below its lead's
     stack = _stack_rows(w, slot, start, len(first))
     rows = np.bincount(slot, weights=counts, minlength=len(first))
     s = np.sqrt(2.0) * np.linalg.svd(stack, compute_uv=False) if stack.size else np.zeros((len(first), 0))
     smallest = s[:, n - 1] if s.shape[1] >= n else np.zeros(len(first))
-    return ends[first], np.where(rows >= n, smallest, 0.0), float(s.max(initial=0.0))
-
-
-def _component_labels(m: int, edges: np.ndarray) -> np.ndarray:
-    """Per agent, the index of its connected component under the (k, 2)
-    zero-based edges, the components numbered in order of their first agent.
-
-    Each pass hooks every root that has an edge to a smaller root onto the
-    smallest such root, then jumps pointers until every agent points at its
-    root; a root is always the smallest agent of its tree.
-    """
-    root = np.arange(m)
-    while True:
-        a, b = root[edges[:, 0]], root[edges[:, 1]]
-        split = a != b
-        if not split.any():
-            return np.unique(root, return_inverse=True)[1]
-        np.minimum.at(root, np.maximum(a, b)[split], np.minimum(a, b)[split])
-        while True:
-            up = root[root]
-            if np.array_equal(up, root):
-                break
-            root = up
+    return g.arc_ends[first], np.where(rows >= n, smallest, 0.0), float(s.max(initial=0.0))
 
 
 def is_well_configured(w: WeightedNeighborGraph, rtol: float = RANK_RTOL, arc_order=None) -> WellConfigReport:

@@ -8,6 +8,58 @@ the implementations they check.
 import numpy as np
 
 
+def canonical_arcs(m, arcs):
+    """The canonical arc tuple, checked arc by arc in the given order (range,
+    then self-arc, then repeat) with DirectedGraph's messages, then sorted by
+    (head, tail)."""
+    if m < 1:
+        raise ValueError("vertex count must be >= 1")
+    seen = set()
+    for raw in arcs:
+        j, i = (int(v) for v in raw)
+        if not (1 <= j <= m and 1 <= i <= m):
+            raise ValueError(f"arc ({j}, {i}) out of range for m={m}")
+        if j == i:
+            raise ValueError(f"self-arc ({j}, {i}) not allowed")
+        if (j, i) in seen:
+            raise ValueError(f"duplicate arc ({j}, {i})")
+        seen.add((j, i))
+    return tuple(sorted(seen, key=lambda a: (a[1], a[0])))
+
+
+def reverse_positions(arcs):
+    """Per arc (j, i), the position of (i, j) in arcs, or -1."""
+    position = {arc: k for k, arc in enumerate(arcs)}
+    return [position.get((i, j), -1) for j, i in arcs]
+
+
+def pair_leads(arcs):
+    """Per arc, the position in arcs of the arc that leads its unordered pair
+    {a, b}: (a, b) with a < b if present, else the arc itself."""
+    position = {arc: k for k, arc in enumerate(arcs)}
+    return [position.get((min(arc), max(arc)), k) for k, arc in enumerate(arcs)]
+
+
+def is_symmetric_set(arcs):
+    """True iff the arc set is closed under reversal."""
+    arcs = set(arcs)
+    return all((i, j) in arcs for j, i in arcs)
+
+
+def is_weakly_connected_bfs(m, arcs):
+    """Breadth-first search from vertex 1 over the arcs taken both ways."""
+    adj = {v: set() for v in range(1, m + 1)}
+    for j, i in arcs:
+        adj[j].add(i)
+        adj[i].add(j)
+    seen, queue = {1}, [1]
+    for v in queue:
+        for w in adj[v] - seen:
+            seen.add(w)
+            queue.append(w)
+    return len(seen) == m
+
+
 def gradient_step_agents(w, x, alpha):
     """One diminishing-step round, agent by agent, on the raw weights."""
     g = w.graph

@@ -147,6 +147,21 @@ def test_random_init_without_seed_rejected(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "seed, flag, message",
+    [
+        (5, "-1", "--seed must be a non-negative integer, got -1"),
+        ("x", "4", "initial_state.random.seed must be an integer, got a string"),
+        (-1, "4", "initial_state.random.seed must be a non-negative integer, got -1"),
+    ],
+)
+def test_seed_flag_and_scenario_seed_are_both_checked(seed, flag, message, tmp_path, capsys):
+    scenario = write_scenario(tmp_path, "s.json", symmetric_square_scenario(initial_state={"random": {"seed": seed}}))
+    assert main(["run", "--scenario", scenario, "--out", str(tmp_path / "o"), "--seed", flag]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_seed_flag_with_explicit_init_rejected(tmp_path, capsys):
     data = symmetric_square_scenario(initial_state={"explicit": [[0, 0]] * 4})
     code = main(["run", "--scenario", write_scenario(tmp_path, "s.json", data), "--out", str(tmp_path / "o"), "--seed", "1"])
@@ -470,6 +485,13 @@ WRONG_TYPES = [
     (("weights",), _explicit((3, 4), [[float("inf"), 0]]), "arc (3, 4) has non-finite entries"),
     (("weights",), _explicit((4, 1), [[[1, 0], [0, 1]]]), "arc (4, 1) must be a matrix"),
     (("weights",), _explicit((1, 4), [[1, 0, 0]]), "arc (1, 4) must have 2 columns, has 3"),
+    # json.dumps writes NaN and Infinity, which json.loads reads back as 1e400 reads: nan and inf
+    (("algorithm",), _gradient(kind="constant", value=float("nan")), "constant stepsize must be positive and finite"),
+    (("algorithm",), _gradient(kind="constant", value=json.loads("1e400")), "constant stepsize must be positive and finite"),
+    (("algorithm",), _gradient(kind="harmonic", a=float("nan")), "harmonic stepsize needs finite a > 0 and b >= 1"),
+    (("algorithm",), _gradient(kind="harmonic", b=json.loads("1e400")), "harmonic stepsize needs finite a > 0 and b >= 1"),
+    (("algorithm",), _gradient(kind="scripted", values=[0.1, float("nan")]), "scripted stepsizes must be positive and finite"),
+    (("algorithm",), _gradient(kind="scripted", values=[json.loads("1e400")]), "scripted stepsizes must be positive and finite"),
 ]
 
 
@@ -522,10 +544,12 @@ def test_unused_algorithm_settings_rejected(section, key, tmp_path, capsys):
         ),
         ({"initial_state": {"random": {"seed": "x"}}}, "initial_state.random.seed must be an integer, got a string"),
         ({"initial_state": {"random": {"seed": 1}, "junk": 1}}, "initial_state: unknown keys ['junk']"),
+        ({"initial_state": {"random": {"seed": -1}}}, "initial_state.random.seed must be a non-negative integer, got -1"),
     ],
     ids=[
         "no-schedule", "steps", "schedule-arcs", "asymmetric-subgraph", "duplicate-arc", "out-of-range-arc",
         "script-index", "periodic-script", "fixed-script", "scripted-no-script", "seed", "initial-state-key",
+        "negative-seed",
     ],
 )
 def test_every_command_parses_algorithm_and_initial_state(overrides, message, tmp_path, capsys):

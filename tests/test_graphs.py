@@ -28,6 +28,8 @@ from limcon import (
     validate_ear_decomposition,
 )
 
+from oracles import canonical_arcs, is_symmetric_set, is_weakly_connected_bfs, pair_leads, reverse_positions
+
 
 def test_canonical_ordering_is_agent_major():
     g = DirectedGraph(3, ((3, 2), (2, 1), (1, 2), (3, 1)))
@@ -44,6 +46,84 @@ def test_constructor_rejections():
         DirectedGraph(2, ((1, 3),))
     with pytest.raises(ValueError):
         DirectedGraph(0, ())
+
+
+@pytest.mark.parametrize(
+    "m, arcs, message",
+    [
+        (3, ((1.9, 2), (2, 3)), r"end of arc \(1.9, 2\) must be an integer, got 1.9"),
+        (2.5, ((1, 2),), "vertex count must be an integer, got 2.5"),
+        (3, ((1, 2), (2, np.float64(3.0))), r"end of arc \(2, .*3.0\)\) must be an integer"),
+        (3, [("1", "2")], "end of arc .* must be an integer, got '1'"),
+    ],
+)
+def test_constructor_refuses_non_integers(m, arcs, message):
+    with pytest.raises(ValueError, match=message):
+        DirectedGraph(m, arcs)
+
+
+def test_constructor_takes_numpy_integers():
+    g = DirectedGraph(np.int64(3), ((np.int64(3), np.int32(1)), (np.uint8(1), 2), (True, 3)))
+    assert g == DirectedGraph(3, ((3, 1), (1, 2), (1, 3)))
+    assert all(type(v) is int for arc in g.arcs for v in (g.m, *arc))
+    assert DirectedGraph(3, np.array([[2, 1], [1, 2]])).arcs == ((2, 1), (1, 2))
+    # ends beyond any fixed-width integer are out of range, not an overflow
+    with pytest.raises(ValueError, match=r"arc \(1, 36893488147419103232\) out of range for m=3"):
+        DirectedGraph(3, ((1, 2), (1, 2**65)))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_graph_without_arcs(m):
+    g = DirectedGraph(m, ())
+    assert g.arcs == () and g.arc_ends.shape == (0, 2) and g.reverse.shape == (0,)
+    assert g.undirected_pairs == ()
+    assert g.arc_indices(np.array([[0, 1]])).tolist() == [-1]
+    assert is_symmetric(g)
+    assert is_weakly_connected(g) == (m == 1)
+    assert not g.arc_ends.flags.writeable and not g.reverse.flags.writeable
+
+
+@st.composite
+def arc_lists(draw):
+    """Arc lists in any order, some given as sets, with out-of-range arcs,
+    self-arcs and repeated arcs planted among valid ones."""
+    m = draw(st.integers(1, 6))
+    valid = st.tuples(st.integers(1, m), st.integers(1, m)).filter(lambda a: a[0] != a[1])
+    arcs = draw(st.lists(valid, unique=True, max_size=m * (m - 1)))  # in any order
+    if draw(st.booleans()):
+        return m, set(arcs)
+    outside = st.sampled_from([-1, 0, m + 1, 2 * m])
+    faults = [
+        st.tuples(outside, st.integers(1, m)),
+        st.tuples(st.integers(1, m), outside),
+        st.integers(1, m).map(lambda v: (v, v)),
+    ]
+    if arcs:
+        faults.insert(0, st.sampled_from(arcs))  # a repeat of a valid arc
+    for arc in draw(st.lists(st.one_of(faults), max_size=2)):
+        arcs.insert(draw(st.integers(0, len(arcs))), arc)
+    return m, tuple(arcs)
+
+
+@settings(max_examples=500, deadline=None)
+@given(arc_lists())
+def test_constructor_matches_the_per_arc_oracle(case):
+    m, arcs = case
+    try:
+        expected = canonical_arcs(m, arcs)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            DirectedGraph(m, arcs)
+        assert str(got.value) == str(exc)
+        return
+    g = DirectedGraph(m, arcs)
+    assert g.arcs == expected
+    assert g.arc_ends.tolist() == [[j - 1, i - 1] for j, i in expected]
+    assert g.reverse.tolist() == reverse_positions(expected)
+    assert g.pair_lead.tolist() == pair_leads(expected)
+    assert g.undirected_pairs == tuple(sorted({(min(arc), max(arc)) for arc in expected}))
+    assert is_symmetric(g) == is_symmetric_set(expected)
+    assert is_weakly_connected(g) == is_weakly_connected_bfs(m, expected)
 
 
 def test_degree_sum_equals_arc_count(sc_corpus):

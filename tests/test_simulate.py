@@ -143,6 +143,16 @@ def test_stepsize_validation():
         StepsizeSchedule.harmonic(b=0.5)
     with pytest.raises(ValueError):
         StepsizeSchedule.constant(-1.0)
+    makers = (
+        StepsizeSchedule.constant,
+        lambda v: StepsizeSchedule.scripted([0.1, v]),
+        lambda v: StepsizeSchedule.harmonic(a=v),
+        lambda v: StepsizeSchedule.harmonic(b=v),
+    )
+    for make in makers:
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                make(bad)
     ss = StepsizeSchedule.harmonic()
     assert ss.alpha(0) == pytest.approx(0.5)
     scripted = StepsizeSchedule.scripted([0.1, 0.2])

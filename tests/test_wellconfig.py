@@ -629,7 +629,8 @@ def contraction_wng(rng):
 
 
 def test_contracted_verdict_matches_dense_nullity_at_unit_scale():
-    from limcon.wellconfig import _component_labels, _pair_values
+    from limcon.graphs import _component_labels
+    from limcon.wellconfig import _pair_values
 
     rng = np.random.default_rng(51)
     seen = {"one agent": 0, "merged": 0, "kept kernel pair": 0, "arc inside a component": 0, "refused": 0}
@@ -661,7 +662,7 @@ def test_contracted_verdict_matches_dense_nullity_at_unit_scale():
 
 
 def test_components_are_numbered_by_first_agent():
-    from limcon.wellconfig import _component_labels
+    from limcon.graphs import _component_labels
 
     edges = np.array([[4, 2], [5, 0], [3, 1], [1, 6]])
     assert _component_labels(7, edges).tolist() == [0, 1, 2, 1, 2, 0, 1]
