@@ -190,6 +190,15 @@ def _build_initial_state(section: dict, m: int, n: int, seed_override: int | Non
     return None if seed is None else np.random.default_rng(seed).standard_normal((m, n))
 
 
+def _stepsize(make, *args, **kwargs) -> StepsizeSchedule:
+    """make(*args, **kwargs), with the constructor's error, which names the
+    parameter and the value, put under algorithm.stepsize."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"algorithm.stepsize.{exc}") from None
+
+
 def _build_stepsize(section: dict) -> StepsizeSchedule:
     _check_keys(section, "algorithm.stepsize", required=("kind",), optional=("a", "b", "value", "values"))
     kind = section["kind"]
@@ -197,14 +206,14 @@ def _build_stepsize(section: dict) -> StepsizeSchedule:
     if kind == "harmonic":
         _check_keys(section, where, required=("kind",), optional=("a", "b"))
         given = {k: _number(section[k], f"algorithm.stepsize.{k}") for k in ("a", "b") if k in section}
-        return StepsizeSchedule.harmonic(**given)
+        return _stepsize(StepsizeSchedule.harmonic, **given)
     if kind == "constant":
         _check_keys(section, where, required=("kind", "value"))
-        return StepsizeSchedule.constant(_number(section["value"], "algorithm.stepsize.value"))
+        return _stepsize(StepsizeSchedule.constant, _number(section["value"], "algorithm.stepsize.value"))
     if kind == "scripted":
         _check_keys(section, where, required=("kind", "values"))
         values = _expect(section["values"], "algorithm.stepsize.values", list)
-        return StepsizeSchedule.scripted([_number(v, "algorithm.stepsize.values[]") for v in values])
+        return _stepsize(StepsizeSchedule.scripted, [_number(v, f"algorithm.stepsize.values[{k}]") for k, v in enumerate(values)])
     raise ScenarioError(f"algorithm.stepsize.kind must be harmonic|constant|scripted, got {kind!r}")
 
 

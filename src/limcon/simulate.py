@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import DirectedGraph, _integer, is_directed_cycle, is_symmetric
-from .linalg import matrix_rank, mixed_norm_2_inf
+from .linalg import matrix_rank, mixed_norm_2_inf, numerical_rank
 from .wellconfig import WeightedNeighborGraph
 
 # A run counts as converged after this many consecutive rounds below tolerance.
@@ -25,6 +25,14 @@ CONSENSUS_STREAK = 10
 
 ALGORITHMS = ("gradient", "fixed_step", "metropolis_tv", "cycle_projection", "general_projection")
 EIG_COUNT_TOL = 1e-8
+
+
+def _finite_above(value: float, name: str, least: float | None = None) -> float:
+    """value itself if it is finite and positive (or, given least, at least
+    least); otherwise a ValueError naming the parameter and the value."""
+    if not ((value > 0 if least is None else value >= least) and value < np.inf):  # false for NaN too
+        raise ValueError(f"{name} must be {'positive' if least is None else f'>= {least:g}'} and finite, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -40,21 +48,17 @@ class StepsizeSchedule:
     @classmethod
     def harmonic(cls, a: float = 1.0, b: float = 2.0) -> "StepsizeSchedule":
         # a/(t+b) with a>0, b>=1 sums to infinity while its squares converge
-        if not (0 < a < np.inf and 1 <= b < np.inf):
-            raise ValueError("harmonic stepsize needs finite a > 0 and b >= 1")
-        return cls("harmonic", a=a, b=b)
+        return cls("harmonic", a=_finite_above(a, "a"), b=_finite_above(b, "b", least=1.0))
 
     @classmethod
     def constant(cls, value: float) -> "StepsizeSchedule":
-        if not 0 < value < np.inf:
-            raise ValueError("constant stepsize must be positive and finite")
-        return cls("constant", value=value)
+        return cls("constant", value=_finite_above(value, "value"))
 
     @classmethod
     def scripted(cls, values) -> "StepsizeSchedule":
-        values = tuple(float(v) for v in values)
-        if not values or not all(0 < v < np.inf for v in values):
-            raise ValueError("scripted stepsizes must be positive and finite")
+        values = tuple(_finite_above(float(v), f"values[{k}]") for k, v in enumerate(values))
+        if not values:
+            raise ValueError("values must not be empty")
         return cls("scripted", values=values)
 
     def alpha(self, t: int) -> float:
@@ -384,9 +388,9 @@ class SpectralReport:
 
     ones/zeros/inside_unit/outside partition the spectrum by modulus at the
     counting tolerance; paracontracting is only decided for symmetric input.
-    The mixed norm and the fixed-space dimension are computed from `matrix`
-    on first access, so a caller that reads only the counts pays for neither;
-    the report keeps the matrix, which must not change meanwhile.
+    The mixed norm and the fixed-space dimension are computed on first
+    access, so a caller that reads only the counts pays for neither; the
+    report keeps the matrix, which must not change meanwhile.
     """
 
     eigenvalues: np.ndarray
@@ -406,7 +410,16 @@ class SpectralReport:
 
     @cached_property
     def one_eigenspace_dim(self) -> int:
-        return self.matrix.shape[0] - matrix_rank(self.matrix - np.eye(self.matrix.shape[0]))
+        """Dimension of the fixed space, the nullity of A - I at RANK_RTOL.
+
+        A symmetric A - I has the singular values |lambda - 1| of A's own
+        eigenvalues, so their count above the cut-off is its rank and no
+        second factorization is needed; any other A takes the rank of A - I.
+        """
+        size = self.matrix.shape[0]
+        if self.symmetric:
+            return size - numerical_rank(np.sort(np.abs(self.eigenvalues - 1.0))[::-1])
+        return size - matrix_rank(self.matrix - np.eye(size))
 
     def summary_dict(self) -> dict:
         return {
@@ -424,8 +437,8 @@ class SpectralReport:
             mixed_norm=self.mixed_norm,
             one_eigenspace_dim=self.one_eigenspace_dim,
             degenerate=self.degenerate,
-            eigenvalues_real=[float(v) for v in np.real(self.eigenvalues)],
-            eigenvalues_imag=[float(v) for v in np.imag(self.eigenvalues)],
+            eigenvalues_real=np.real(self.eigenvalues).tolist(),
+            eigenvalues_imag=np.imag(self.eigenvalues).tolist(),
         )
         return out
 
@@ -437,7 +450,10 @@ def spectral_report(mat: np.ndarray, n: int, tol: float = EIG_COUNT_TOL) -> Spec
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("spectral report needs a square matrix")
-    symmetric = bool(np.allclose(mat, mat.T, atol=1e-12, rtol=0.0))
+    # one pass; a non-finite entry makes a NaN or inf difference, so such a
+    # matrix is never symmetric and eigvals refuses it
+    with np.errstate(invalid="ignore"):
+        symmetric = bool(np.abs(mat - mat.T).max(initial=0.0) <= 1e-12)
     eig = np.linalg.eigvalsh(mat) if symmetric else np.linalg.eigvals(mat)
     modulus = np.abs(eig)
     at_one = np.abs(eig - 1.0) <= tol
@@ -449,7 +465,7 @@ def spectral_report(mat: np.ndarray, n: int, tol: float = EIG_COUNT_TOL) -> Spec
     outside = int(eig.size - ones - zeros - inside_unit)
     paracontracting: bool | None = None
     if symmetric:
-        paracontracting = bool(np.min(eig) > -1.0 + tol and np.max(eig) <= 1.0 + tol)
+        paracontracting = bool(np.all(eig > -1.0 + tol) and np.all(eig <= 1.0 + tol))
     return SpectralReport(
         eigenvalues=eig,
         ones=ones,

@@ -359,3 +359,14 @@ def agreement_nullity_dense(w, rtol=1e-10):
         return amap.shape[1]
     _, s, _ = np.linalg.svd(amap)
     return amap.shape[1] - int(np.sum(s > rtol * s[0]))
+
+
+def one_eigenspace_dim_dense(a, rtol=1e-10):
+    """Fixed-space dimension mn - rank(A - I), from a full SVD of A - I cut
+    at rtol times its largest singular value."""
+    a = np.asarray(a, dtype=float)
+    diff = a - np.eye(a.shape[0])
+    if diff.size == 0 or not diff.any():
+        return a.shape[0]
+    s = np.linalg.svd(diff, compute_uv=False)
+    return a.shape[0] - int(np.sum(s > rtol * s[0]))

@@ -222,21 +222,36 @@ def test_analyze_fixed_step(tmp_path, capsys):
     assert payload["report"]["outside"] == 0
 
 
-def test_run_summary_computes_no_mixed_norm(tmp_path, capsys, monkeypatch):
+def analyze_calls(algorithm, tmp_path, capsys, monkeypatch):
+    """The mixed-norm and rank calls that run and then analyze make on the
+    square scenario with this algorithm, and the analyze report."""
     import limcon.simulate
 
     calls = []
     for name in ("mixed_norm_2_inf", "matrix_rank"):
         real = getattr(limcon.simulate, name)
         monkeypatch.setattr(limcon.simulate, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
-    scenario = write_scenario(tmp_path, "s.json", symmetric_square_scenario())
+    scenario = write_scenario(tmp_path, "s.json", symmetric_square_scenario(algorithm={"name": algorithm, "steps": 30}))
     assert main(["run", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 0
     assert calls == []
     capsys.readouterr()
     assert main(["analyze", "--scenario", scenario]) == 0
-    assert sorted(calls) == ["matrix_rank", "mixed_norm_2_inf"]
-    report = json.loads(capsys.readouterr().out)["report"]
+    return sorted(calls), json.loads(capsys.readouterr().out)["report"]
+
+
+def test_run_summary_computes_no_mixed_norm(tmp_path, capsys, monkeypatch):
+    # a symmetric map reads its fixed space from its own eigenvalues
+    calls, report = analyze_calls("fixed_step", tmp_path, capsys, monkeypatch)
+    assert calls == ["mixed_norm_2_inf"]
+    assert report["symmetric"] is True
     assert report["one_eigenspace_dim"] == 2 and report["mixed_norm"] >= 1.0
+
+
+def test_analyze_ranks_a_non_symmetric_map(tmp_path, capsys, monkeypatch):
+    calls, report = analyze_calls("general_projection", tmp_path, capsys, monkeypatch)
+    assert calls == ["matrix_rank", "mixed_norm_2_inf"]
+    assert report["symmetric"] is False
+    assert report["one_eigenspace_dim"] == 3 and report["mixed_norm"] >= 1.0
 
 
 def test_analyze_time_varying_reports_per_subgraph(tmp_path, capsys):
@@ -471,7 +486,7 @@ WRONG_TYPES = [
     (("algorithm",), _gradient(kind="harmonic", a="1"), "algorithm.stepsize.a"),
     (("algorithm",), _gradient(kind="constant", value=[1]), "algorithm.stepsize.value"),
     (("algorithm",), _gradient(kind="scripted", values=0.1), "algorithm.stepsize.values"),
-    (("algorithm",), _gradient(kind="scripted", values=[{}]), "algorithm.stepsize.values[]"),
+    (("algorithm",), _gradient(kind="scripted", values=[{}]), "algorithm.stepsize.values[0]"),
     (("initial_state", "random", "seed"), 1.5, "initial_state.random.seed"),
     (("initial_state",), {"explicit": {"rows": 4}}, "initial_state.explicit"),
     (("initial_state",), {"consensus": {"value": "zero"}}, "initial_state.consensus.value"),
@@ -486,12 +501,15 @@ WRONG_TYPES = [
     (("weights",), _explicit((4, 1), [[[1, 0], [0, 1]]]), "arc (4, 1) must be a matrix"),
     (("weights",), _explicit((1, 4), [[1, 0, 0]]), "arc (1, 4) must have 2 columns, has 3"),
     # json.dumps writes NaN and Infinity, which json.loads reads back as 1e400 reads: nan and inf
-    (("algorithm",), _gradient(kind="constant", value=float("nan")), "constant stepsize must be positive and finite"),
-    (("algorithm",), _gradient(kind="constant", value=json.loads("1e400")), "constant stepsize must be positive and finite"),
-    (("algorithm",), _gradient(kind="harmonic", a=float("nan")), "harmonic stepsize needs finite a > 0 and b >= 1"),
-    (("algorithm",), _gradient(kind="harmonic", b=json.loads("1e400")), "harmonic stepsize needs finite a > 0 and b >= 1"),
-    (("algorithm",), _gradient(kind="scripted", values=[0.1, float("nan")]), "scripted stepsizes must be positive and finite"),
-    (("algorithm",), _gradient(kind="scripted", values=[json.loads("1e400")]), "scripted stepsizes must be positive and finite"),
+    (("algorithm",), _gradient(kind="constant", value=float("nan")), "algorithm.stepsize.value must be positive and finite, got nan"),
+    (("algorithm",), _gradient(kind="constant", value=json.loads("1e400")), "algorithm.stepsize.value must be positive and finite, got inf"),
+    (("algorithm",), _gradient(kind="harmonic", a=float("nan")), "algorithm.stepsize.a must be positive and finite, got nan"),
+    (("algorithm",), _gradient(kind="harmonic", b=json.loads("1e400")), "algorithm.stepsize.b must be >= 1 and finite, got inf"),
+    (("algorithm",), _gradient(kind="scripted", values=[0.1, float("nan")]), "algorithm.stepsize.values[1] must be positive and finite, got nan"),
+    (("algorithm",), _gradient(kind="scripted", values=[json.loads("1e400")]), "algorithm.stepsize.values[0] must be positive and finite, got inf"),
+    (("algorithm",), _gradient(kind="constant", value=0), "algorithm.stepsize.value must be positive and finite, got 0.0"),
+    (("algorithm",), _gradient(kind="harmonic", b=0.5), "algorithm.stepsize.b must be >= 1 and finite, got 0.5"),
+    (("algorithm",), _gradient(kind="scripted", values=[]), "algorithm.stepsize.values must not be empty"),
 ]
 
 

@@ -2,14 +2,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limcon import (
+    RANK_RTOL,
     DirectedGraph,
+    RankGap,
     Schedule,
     StepsizeSchedule,
     WeightedNeighborGraph,
     backlinked_cycle_graph,
     build_update_matrix,
+    complete_symmetric,
     consensus_error,
     consensus_span,
     directed_cycle,
@@ -44,6 +49,7 @@ from oracles import (
     gradient_step_agents,
     metropolis_arc_weights,
     metropolis_step_agents,
+    one_eigenspace_dim_dense,
     spanning_incidence_matrix,
     spanning_weight_matrix,
     stacked_laplacian_kron,
@@ -139,10 +145,14 @@ def test_arc_weights_match_the_per_arc_oracle_bit_for_bit(sym_corpus):
 def test_stepsize_validation():
     with pytest.raises(ValueError):
         StepsizeSchedule.harmonic(a=0)
-    with pytest.raises(ValueError):
-        StepsizeSchedule.harmonic(b=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^value must be positive and finite, got -1.0$"):
         StepsizeSchedule.constant(-1.0)
+    with pytest.raises(ValueError, match=r"^b must be >= 1 and finite, got 0.5$"):
+        StepsizeSchedule.harmonic(b=0.5)
+    with pytest.raises(ValueError, match=r"^values\[1\] must be positive and finite, got 0.0$"):
+        StepsizeSchedule.scripted([0.1, 0])
+    with pytest.raises(ValueError, match="^values must not be empty$"):
+        StepsizeSchedule.scripted([])
     makers = (
         StepsizeSchedule.constant,
         lambda v: StepsizeSchedule.scripted([0.1, v]),
@@ -722,3 +732,120 @@ def test_one_eigenspace_dim_counts_the_fixed_space(sym_corpus):
             expected = kernel_basis(mat - np.eye(mat.shape[0])).shape[1]
             assert spectral_report(mat, 2).one_eigenspace_dim == expected, name
     assert spectral_report(np.eye(4), 2).one_eigenspace_dim == 4
+
+
+def planted_fixed_space(rng, ones, gaps):
+    """A random orthogonal similarity of diag(1 x ones, 1 - gaps)."""
+    lam = np.concatenate([np.ones(ones), 1.0 - np.asarray(gaps, dtype=float)])
+    q = np.linalg.qr(rng.standard_normal((len(lam), len(lam))))[0]
+    a = (q * lam) @ q.T
+    return (a + a.T) / 2.0
+
+
+def symmetric_fixed_space_corpus():
+    """Named symmetric maps: fixed-step maps on uniform-degree graphs,
+    Metropolis maps on random symmetric subgraphs, gradient stacked
+    Laplacians, identities, planted eigenvalues at 1 and a near-identity."""
+    rng = np.random.default_rng(71)
+    maps = {}
+    for g in (symmetric_cycle(3), symmetric_cycle(5), symmetric_cycle(8), complete_symmetric(4), complete_symmetric(5)):
+        random = WeightedNeighborGraph(g, 3, {arc: rng.standard_normal((int(rng.integers(1, 4)), 3)) for arc in g.arcs})
+        for label, w in (("synth", synthesize_symmetric_weights(g, 3)), ("identity", identity_weights(g, 3)), ("random", random)):
+            maps[f"fixed_step m={g.m} {label}"] = build_update_matrix("fixed_step", w)
+            maps[f"gradient m={g.m} {label}"] = stacked_laplacian(w)
+            for k in range(3):
+                pairs = [p for p in g.undirected_pairs if rng.random() < 0.5] or [g.undirected_pairs[0]]
+                sub = DirectedGraph(g.m, tuple(arc for a, b in pairs for arc in ((a, b), (b, a))))
+                maps[f"metropolis m={g.m} {label} {k}"] = build_update_matrix("metropolis_tv", w, sub)
+    for size in range(1, 5):
+        maps[f"eye {size}"] = np.eye(size)
+    for ones in range(1, 5):
+        maps[f"planted {ones}"] = planted_fixed_space(rng, ones, rng.uniform(0.1, 1.9, 6))
+    s = rng.standard_normal((6, 6))
+    maps["near identity"] = np.eye(6) + 1e-12 * (s + s.T)
+    return maps
+
+
+def test_symmetric_fixed_space_matches_dense_rank(monkeypatch):
+    import limcon.simulate
+
+    calls = []
+    real = limcon.simulate.matrix_rank
+    monkeypatch.setattr(limcon.simulate, "matrix_rank", lambda *a: calls.append(a) or real(*a))
+    for name, mat in symmetric_fixed_space_corpus().items():
+        rep = spectral_report(mat, 1)
+        assert rep.symmetric, name
+        assert rep.one_eigenspace_dim == one_eigenspace_dim_dense(mat), name
+    assert calls == []
+    # a projection map is not symmetric and keeps the dense rank of A - I
+    mat = build_update_matrix("general_projection", counterexample_wng())
+    rep = spectral_report(mat, 2)
+    assert not rep.symmetric
+    assert rep.one_eigenspace_dim == one_eigenspace_dim_dense(mat) > 2
+    assert len(calls) == 1
+
+
+# Eigenvalues and singular values of A - I are computed differently, so a
+# distance from 1 near the cut-off may fall on different sides; the gap of
+# the dense singular values is narrow then.  When A is so near the identity
+# that the cut-off falls below A's own roundoff, neither count is determined
+# (seed=0, ones=2, exponents=[-9]: the dense SVD keeps two roundoff values of
+# 5e-17 above a cut-off of 1e-19, where eigvalsh returns 1 exactly).
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ones=st.integers(0, 4),
+    exponents=st.lists(st.integers(-14, 0), min_size=1, max_size=8),
+)
+def test_symmetric_fixed_space_matches_dense_rank_under_rescaling(seed, ones, exponents):
+    rng = np.random.default_rng(seed)
+    # distances from 1 of either sign, scaled by 10 ** exponents
+    gaps = rng.uniform(0.5, 1.5, len(exponents)) * rng.choice([-1.0, 1.0], len(exponents)) * 10.0 ** np.array(exponents)
+    mat = planted_fixed_space(rng, ones, gaps)
+    rep = spectral_report(mat, 1)
+    assert rep.symmetric
+    s = np.linalg.svd(mat - np.eye(len(mat)), compute_uv=False)
+    cutoff = RANK_RTOL * s[0]
+    roundoff = len(mat) * np.finfo(float).eps * np.abs(rep.eigenvalues).max()
+    undetermined = RankGap.at(s, cutoff).narrow() or cutoff < RankGap.MARGIN * roundoff
+    assert rep.one_eigenspace_dim == one_eigenspace_dim_dense(mat) or undetermined
+
+
+@pytest.mark.parametrize(
+    "upper, lower, symmetric",
+    [
+        (1e-12, 0.0, True),  # an asymmetry of exactly the tolerance
+        (np.nextafter(1e-12, 1.0), 0.0, False),
+        (0.5, 0.5 + 1e-13, True),
+        (np.nan, 0.0, False),
+        (np.nan, np.nan, False),
+        (np.inf, 0.0, False),
+        (-np.inf, 0.0, False),
+        (np.inf, -np.inf, False),
+    ],
+)
+def test_symmetry_verdict_equals_the_allclose_verdict(upper, lower, symmetric):
+    mat = np.eye(3)
+    mat[0, 2], mat[2, 0] = upper, lower
+    assert bool(np.allclose(mat, mat.T, atol=1e-12, rtol=0.0)) is symmetric
+    if np.isfinite(mat).all():
+        assert spectral_report(mat, 1).symmetric is symmetric
+    else:
+        # called not symmetric, it goes to eigvals, which refuses non-finite
+        # entries (eigvalsh would not)
+        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+            spectral_report(mat, 1)
+
+
+def test_symmetry_verdict_on_empty_and_infinite_pairs():
+    empty = np.zeros((0, 0))
+    assert np.allclose(empty, empty.T, atol=1e-12, rtol=0.0)
+    rep = spectral_report(empty, 1)
+    assert rep.symmetric and rep.paracontracting and rep.one_eigenspace_dim == 0
+    # allclose calls an inf facing an equal inf close and went on to report
+    # NaN eigenvalues; the one-pass verdict sees inf - inf = NaN and refuses
+    mat = np.eye(2)
+    mat[0, 1] = mat[1, 0] = np.inf
+    assert np.allclose(mat, mat.T, atol=1e-12, rtol=0.0)
+    with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+        spectral_report(mat, 1)
