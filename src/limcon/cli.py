@@ -296,11 +296,12 @@ def _out_dir(args, data: dict) -> Path:
 
 def _write_trajectory_csv(path: Path, traj) -> None:
     rounds, m, n = traj.states.shape
-    row = "%d,%d," + ",".join(["%.17g"] * n) + "\n"
+    # one round's rows with the agent indices in place; format puts in t
+    rows = "".join(f"{{0}},{a}," + ",".join(["%.17g"] * n) + "\n" for a in range(1, m + 1))
     with path.open("w") as out:
         out.write("t,agent," + ",".join(f"comp_{c + 1}" for c in range(n)) + "\n")
         for t in range(rounds):
-            out.write("".join(row % (t, a, *x) for a, x in enumerate(traj.states[t].tolist(), 1)))
+            out.write(rows.format(t) % tuple(traj.states[t].ravel().tolist()))
 
 
 def _round_matrix_for_summary(name: str, w: WeightedNeighborGraph) -> np.ndarray:

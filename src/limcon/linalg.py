@@ -61,13 +61,13 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def numerical_rank(s, rtol: float = RANK_RTOL) -> int:
-    """Count of the singular values s (largest first) above rtol * s[0]."""
-    return int(np.sum(s > rtol * s[0])) if len(s) else 0
+def numerical_rank(s, rtol: float = RANK_RTOL, floor: float = 0.0) -> int:
+    """Count of the singular values s (largest first) above rtol * s[0] and floor."""
+    return int(np.sum(s > max(rtol * s[0], floor))) if len(s) else 0
 
 
-def matrix_rank(a, rtol: float = RANK_RTOL) -> int:
-    return numerical_rank(singular_values(a), rtol)
+def matrix_rank(a, rtol: float = RANK_RTOL, floor: float = 0.0) -> int:
+    return numerical_rank(singular_values(a), rtol, floor)
 
 
 def subspace_intersection(a, b, rtol: float = RANK_RTOL) -> np.ndarray:

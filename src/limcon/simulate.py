@@ -10,13 +10,14 @@ same operator for the equivalent dense round map for diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .graphs import DirectedGraph, _integer, is_directed_cycle, is_symmetric
-from .linalg import matrix_rank, mixed_norm_2_inf, numerical_rank
+from .linalg import RANK_RTOL, matrix_rank, mixed_norm_2_inf, numerical_rank
 from .wellconfig import WeightedNeighborGraph
 
 # A run counts as converged after this many consecutive rounds below tolerance.
@@ -131,14 +132,21 @@ class Schedule:
 
 @dataclass
 class Trajectory:
-    """Recorded run: stacked states per round plus per-round metrics.  It does
-    not name the engine that made it; the caller knows which one it ran."""
+    """Recorded run: stacked states and per-round consensus errors, with the
+    residuals under its weights computed on first read.  It does not name
+    the engine that made it; the caller knows which one it ran."""
 
     states: np.ndarray  # (rounds+1, m, n)
     consensus_errors: np.ndarray
-    residuals: np.ndarray
     converged: bool
     steps_run: int
+    weights: WeightedNeighborGraph = field(repr=False)
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        tails, heads = self.weights.graph.arc_ends.T
+        c = self.weights.padded_weights()
+        return np.array([_agreement_residual(c, heads, tails, x) for x in self.states])
 
     @property
     def final_consensus_error(self) -> float:
@@ -146,7 +154,7 @@ class Trajectory:
 
     @property
     def final_residual(self) -> float:
-        return float(self.residuals[-1])
+        return local_agreement_residual(self.weights, self.states[-1])
 
 
 def consensus_error(x, n: int | None = None) -> float:
@@ -156,7 +164,9 @@ def consensus_error(x, n: int | None = None) -> float:
         if n is None:
             raise ValueError("flat states need the per-agent dimension n")
         x = x.reshape(-1, n)
-    return float(np.max(np.linalg.norm(x - x.mean(axis=0), axis=1)))
+    # the reductions of x.mean and np.linalg.norm, without their call overhead
+    d = x - np.add.reduce(x, axis=0) / x.shape[0]
+    return math.sqrt(np.add.reduce(d * d, axis=1).max())
 
 
 def _agreement_residual(c: np.ndarray, heads: np.ndarray, tails: np.ndarray, x: np.ndarray) -> float:
@@ -274,11 +284,8 @@ def _run(w: WeightedNeighborGraph, x0, steps: int, step) -> Trajectory:
     if steps < 0:
         raise ValueError("steps must be >= 0")
     x = _coerce_state(x0, w.m, w.n)
-    tails, heads = w.graph.arc_ends.T
-    c = w.padded_weights()
     states = [x]
     errors = [consensus_error(x)]
-    residuals = [_agreement_residual(c, heads, tails, x)]
     streak = 1 if errors[0] < CONSENSUS_TOL else 0
     converged = streak >= CONSENSUS_STREAK
     for t in range(steps):
@@ -288,15 +295,14 @@ def _run(w: WeightedNeighborGraph, x0, steps: int, step) -> Trajectory:
         states.append(x)
         err = consensus_error(x)
         errors.append(err)
-        residuals.append(_agreement_residual(c, heads, tails, x))
         streak = streak + 1 if err < CONSENSUS_TOL else 0
         converged = streak >= CONSENSUS_STREAK
     return Trajectory(
         states=np.stack(states),
         consensus_errors=np.array(errors),
-        residuals=np.array(residuals),
         converged=converged,
         steps_run=len(states) - 1,
+        weights=w,
     )
 
 
@@ -410,16 +416,19 @@ class SpectralReport:
 
     @cached_property
     def one_eigenspace_dim(self) -> int:
-        """Dimension of the fixed space, the nullity of A - I at RANK_RTOL.
+        """Dimension of the fixed space, the nullity of A - I at RANK_RTOL,
+        never cut below A's own roundoff, size * eps * ||A||.
 
         A symmetric A - I has the singular values |lambda - 1| of A's own
         eigenvalues, so their count above the cut-off is its rank and no
         second factorization is needed; any other A takes the rank of A - I.
         """
         size = self.matrix.shape[0]
+        unit = size * np.finfo(float).eps
         if self.symmetric:
-            return size - numerical_rank(np.sort(np.abs(self.eigenvalues - 1.0))[::-1])
-        return size - matrix_rank(self.matrix - np.eye(size))
+            floor = unit * np.abs(self.eigenvalues).max(initial=0.0)
+            return size - numerical_rank(np.sort(np.abs(self.eigenvalues - 1.0))[::-1], RANK_RTOL, floor)
+        return size - matrix_rank(self.matrix - np.eye(size), RANK_RTOL, unit * np.linalg.norm(self.matrix))
 
     def summary_dict(self) -> dict:
         return {

@@ -363,10 +363,30 @@ def agreement_nullity_dense(w, rtol=1e-10):
 
 def one_eigenspace_dim_dense(a, rtol=1e-10):
     """Fixed-space dimension mn - rank(A - I), from a full SVD of A - I cut
-    at rtol times its largest singular value."""
+    at rtol times its largest singular value, but never below A's own
+    roundoff, size * eps * ||A||_2."""
     a = np.asarray(a, dtype=float)
     diff = a - np.eye(a.shape[0])
     if diff.size == 0 or not diff.any():
         return a.shape[0]
     s = np.linalg.svd(diff, compute_uv=False)
-    return a.shape[0] - int(np.sum(s > rtol * s[0]))
+    floor = a.shape[0] * np.finfo(float).eps * np.linalg.norm(a, 2)
+    return a.shape[0] - int(np.sum(s > max(rtol * s[0], floor)))
+
+
+def consensus_error_norm(x, n=None):
+    """max_i ||x_i - mean||_2 from x.mean and np.linalg.norm."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x.reshape(-1, n)
+    return float(np.max(np.linalg.norm(x - x.mean(axis=0), axis=1)))
+
+
+def trajectory_csv_per_row(states):
+    """The trajectory CSV text with one % per agent row."""
+    rounds, m, n = states.shape
+    row = "%d,%d," + ",".join(["%.17g"] * n) + "\n"
+    text = "t,agent," + ",".join(f"comp_{c + 1}" for c in range(n)) + "\n"
+    for t in range(rounds):
+        text += "".join(row % (t, a, *x) for a, x in enumerate(states[t].tolist(), 1))
+    return text

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from limcon import ear_decomposition, symmetric_cycle, weights_from_json, is_well_configured
 from limcon.cli import bundled_scenario_path, main
 
+from oracles import trajectory_csv_per_row
+
 
 def write_scenario(tmp_path, name, data):
     path = tmp_path / name
@@ -685,17 +687,33 @@ def test_malformed_output_section_rejected_with_out_flag(command, tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
-def test_trajectory_csv_matches_repr_formatting(tmp_path):
+@pytest.mark.parametrize("rounds, m, n", [(3, 4, 2), (13, 1, 3), (12, 3, 1), (12, 1, 1)])
+def test_trajectory_csv_matches_repr_formatting(rounds, m, n, tmp_path):
     from types import SimpleNamespace
 
     from limcon.cli import _write_trajectory_csv
 
     awkward = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -1 / 3, 1e22]
-    states = np.array(awkward * 3).reshape(3, 4, 2)
+    states = np.resize(awkward, rounds * m * n).reshape(rounds, m, n)
     _write_trajectory_csv(tmp_path / "t.csv", SimpleNamespace(states=states))
-    lines = ["t,agent,comp_1,comp_2"]
-    lines += [f"{t},{a + 1}," + ",".join(f"{v:.17g}" for v in states[t, a]) for t in range(3) for a in range(4)]
-    assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
+    lines = ["t,agent," + ",".join(f"comp_{c + 1}" for c in range(n))]
+    lines += [f"{t},{a + 1}," + ",".join(f"{v:.17g}" for v in states[t, a]) for t in range(rounds) for a in range(m)]
+    text = (tmp_path / "t.csv").read_text()
+    assert text == "\n".join(lines) + "\n" == trajectory_csv_per_row(states)
+
+
+def test_run_computes_the_residual_of_the_final_state_only(tmp_path, capsys, monkeypatch):
+    import limcon.simulate
+
+    states = []
+    real = limcon.simulate._agreement_residual
+    monkeypatch.setattr(limcon.simulate, "_agreement_residual", lambda c, h, t, x: states.append(x) or real(c, h, t, x))
+    scenario = write_scenario(tmp_path, "s.json", symmetric_square_scenario(algorithm={"name": "fixed_step", "steps": 30}))
+    assert main(["run", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["steps_run"] == 30 and len(states) == 1
+    rows = np.loadtxt(tmp_path / "o" / "trajectory.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(states[0], rows[-4:, 2:])
 
 
 @pytest.mark.parametrize("name", ["broadcast_pair", "path_lossy", "counterexample", "symmetric_nonzero_kernels"])

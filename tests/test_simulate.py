@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limcon import (
@@ -43,6 +43,7 @@ from conftest import weight_with_kernel
 from oracles import (
     block_diag,
     central_difference_gradient,
+    consensus_error_norm,
     cycle_step_agents,
     fixed_step_agents,
     general_step_agents,
@@ -613,6 +614,51 @@ def test_initial_state_shape_checks():
     assert traj.states.shape[1:] == (3, 2)
 
 
+def test_residuals_are_computed_on_first_read_per_state():
+    rng = np.random.default_rng(23)
+    g = symmetric_cycle(4)
+    w = synthesize_weights(g, 3, mode="nonzero-kernels")
+    x0 = rng.standard_normal((4, 3))
+    runs = [
+        run_fixed_step(w, x0, 40),
+        run_gradient(w, x0, 40),
+        run_metropolis_tv(w, x0, two_subgraph_schedule(), 40),
+        run_general_projection(w, x0, 40),
+        run_fixed_step(w, x0, 0),
+    ]
+    for traj in runs:
+        assert "residuals" not in vars(traj)
+        # final_residual reads the last state alone
+        final = traj.final_residual
+        assert "residuals" not in vars(traj)
+        loop = np.array([local_agreement_residual(w, x) for x in traj.states])
+        assert traj.residuals.tobytes() == loop.tobytes()
+        assert final == traj.residuals[-1]
+
+
+@pytest.mark.parametrize(
+    "x, n",
+    [
+        (np.random.default_rng(3).standard_normal((7, 3)), None),
+        (np.random.default_rng(4).standard_normal((40, 5)) * 1e-3 + 2.0, None),
+        (np.random.default_rng(5).standard_normal((1, 4)), None),  # m = 1
+        (np.random.default_rng(6).standard_normal(12), 3),  # flat, with n
+        (np.random.default_rng(7).standard_normal(12), 1),
+        (np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]]), None),
+        (np.array([[5e-324, -5e-324], [2.2250738585072014e-308, 0.0], [-1e-310, 3e-320]]), None),
+        (np.array([[1e300, 0.0], [-1e300, 1.0], [1e300, 2.0]]), None),  # d*d overflows to inf
+        (np.array([[1e308, 1e308], [1e308, -1e308]]), None),  # the sum overflows
+        (np.array([[np.nan, 0.0], [1.0, 2.0]]), None),
+        (np.array([[1.0, 2.0], [np.inf, 2.0]]), None),
+    ],
+)
+def test_consensus_error_equals_the_norm_formula_bit_for_bit(x, n):
+    with np.errstate(all="ignore"):
+        mine, reference = consensus_error(x, n), consensus_error_norm(x, n)
+    assert isinstance(mine, float)
+    assert np.array([mine]).tobytes() == np.array([reference]).tobytes()
+
+
 def test_consensus_error_and_residual_on_consensus():
     w = identity_weights(symmetric_cycle(3), 2)
     x = np.tile([1.0, 2.0], (3, 1))
@@ -787,16 +833,17 @@ def test_symmetric_fixed_space_matches_dense_rank(monkeypatch):
 
 # Eigenvalues and singular values of A - I are computed differently, so a
 # distance from 1 near the cut-off may fall on different sides; the gap of
-# the dense singular values is narrow then.  When A is so near the identity
-# that the cut-off falls below A's own roundoff, neither count is determined
-# (seed=0, ones=2, exponents=[-9]: the dense SVD keeps two roundoff values of
-# 5e-17 above a cut-off of 1e-19, where eigvalsh returns 1 exactly).
+# the dense singular values is narrow then.  Near the identity the cut-off is
+# A's own roundoff (seed=0, ones=2, exponents=[-9]: the dense SVD has two
+# roundoff values of 5e-17 where eigvalsh returns 1 exactly, and both counts
+# drop them).
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     ones=st.integers(0, 4),
     exponents=st.lists(st.integers(-14, 0), min_size=1, max_size=8),
 )
+@example(seed=0, ones=2, exponents=[-9])
 def test_symmetric_fixed_space_matches_dense_rank_under_rescaling(seed, ones, exponents):
     rng = np.random.default_rng(seed)
     # distances from 1 of either sign, scaled by 10 ** exponents
@@ -805,10 +852,27 @@ def test_symmetric_fixed_space_matches_dense_rank_under_rescaling(seed, ones, ex
     rep = spectral_report(mat, 1)
     assert rep.symmetric
     s = np.linalg.svd(mat - np.eye(len(mat)), compute_uv=False)
-    cutoff = RANK_RTOL * s[0]
-    roundoff = len(mat) * np.finfo(float).eps * np.abs(rep.eigenvalues).max()
-    undetermined = RankGap.at(s, cutoff).narrow() or cutoff < RankGap.MARGIN * roundoff
-    assert rep.one_eigenspace_dim == one_eigenspace_dim_dense(mat) or undetermined
+    cutoff = max(RANK_RTOL * s[0], len(mat) * np.finfo(float).eps * np.linalg.norm(mat, 2))
+    dense = one_eigenspace_dim_dense(mat)
+    assert rep.one_eigenspace_dim == dense or RankGap.at(s, cutoff).narrow()
+    if (seed, ones, exponents) == (0, 2, [-9]):
+        assert rep.one_eigenspace_dim == dense == 2
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fixed_space_near_the_identity_is_counted_above_roundoff(seed):
+    # two fixed directions beside ten eigenvalues 1e-9 from 1: a cut-off at
+    # RANK_RTOL alone would be 1e-19, far below the roundoff of A - I.  At
+    # 4 x 4 the floor, 4 eps ||A||, is no wider than eigvalsh's own error in
+    # |lambda - 1| (seed 5 gives 4 eps there), so this runs at 12 x 12.
+    rng = np.random.default_rng(seed)
+    gaps = rng.uniform(0.5, 1.5, 10) * 1e-9
+    v = np.eye(12) + 0.1 * rng.standard_normal((12, 12))
+    general = (v * np.concatenate([np.ones(2), 1.0 - gaps])) @ np.linalg.inv(v)
+    for mat, symmetric in ((planted_fixed_space(rng, 2, gaps), True), (general, False)):
+        rep = spectral_report(mat, 1)
+        assert rep.symmetric is symmetric
+        assert rep.one_eigenspace_dim == one_eigenspace_dim_dense(mat) == 2
 
 
 @pytest.mark.parametrize(
