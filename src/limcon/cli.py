@@ -32,7 +32,6 @@ from .wellconfig import (
     is_well_configured,
     synthesize_symmetric_weights,
     synthesize_weights,
-    weights_to_json,
 )
 
 SCHEMA_VERSION = 1
@@ -90,15 +89,25 @@ def _array(value, where: str) -> np.ndarray:
         raise ScenarioError(f"{where} must be a numeric array") from exc
 
 
-def load_scenario(path: Path) -> dict:
+def _read_json(path: Path, what: str):
     try:
         text = path.read_text()
     except OSError as exc:
-        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
+        raise ScenarioError(f"cannot read {what} {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+
+
+def _finite(values: np.ndarray, where: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ScenarioError(f"{where} must be finite")
+    return values
+
+
+def load_scenario(path: Path) -> dict:
+    data = _read_json(path, "scenario")
     _check_keys(
         data,
         f"{path}",
@@ -117,8 +126,11 @@ def load_scenario(path: Path) -> dict:
 def _build_graph(section: dict, base_dir: Path) -> DirectedGraph:
     if isinstance(section, dict) and "path" in section:
         _check_keys(section, "graph", required=("path",))
-        text = (base_dir / _expect(section["path"], "graph.path", str)).read_text()
-        return DirectedGraph.from_text(text)
+        path = base_dir / _expect(section["path"], "graph.path", str)
+        try:
+            return DirectedGraph.from_text(path.read_text())
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: {exc}") from None
     _check_keys(section, "graph", required=("m", "arcs"))
     return DirectedGraph(_expect(section["m"], "graph.m", int), _arcs(section["arcs"], "graph.arcs"))
 
@@ -145,7 +157,7 @@ def _build_weights(section: dict, g: DirectedGraph, n: int, base_dir: Path) -> W
     if dec_cfg != "auto":
         _check_keys(dec_cfg, "weights.synthesize.decomposition", required=("path",))
         dec_path = base_dir / _expect(dec_cfg["path"], "weights.synthesize.decomposition.path", str)
-        raw = _expect(json.loads(dec_path.read_text()), f"{dec_path}", list)
+        raw = _expect(_read_json(dec_path, "decomposition"), f"{dec_path}", list)
         for ear in raw:
             _check_keys(ear, f"{dec_path}: ear", required=("kind", "arcs"))
             _arcs(ear["arcs"], f"{dec_path}: ear arcs")
@@ -169,7 +181,7 @@ def _build_initial_state(section: dict, m: int, n: int, seed_override: int | Non
         state = _array(section["explicit"], "initial_state.explicit")
         if state.shape != (m, n):
             raise ScenarioError(f"initial_state.explicit must be {m} rows of {n} values")
-        return state
+        return _finite(state, "initial_state.explicit")
     if kind == "consensus":
         if seed_override is not None:
             raise ScenarioError("--seed given but the initial state is a consensus state")
@@ -178,7 +190,7 @@ def _build_initial_state(section: dict, m: int, n: int, seed_override: int | Non
         value = _array(cfg["value"], "initial_state.consensus.value") if "value" in cfg else np.zeros(n)
         if value.shape != (n,):
             raise ScenarioError(f"initial_state.consensus.value must have {n} entries")
-        return np.tile(value, (m, 1))
+        return np.tile(_finite(value, "initial_state.consensus.value"), (m, 1))
     cfg = section["random"]
     _check_keys(cfg, "initial_state.random", required=(), optional=("seed",))
     seed = None
@@ -257,6 +269,8 @@ def _build_algorithm(section: dict, g: DirectedGraph) -> tuple[str, int, dict]:
     required, optional = _SETTINGS.get(name, ((), ()))
     _check_keys(section, f"algorithm ({name})", required=("name", "steps", *required), optional=optional)
     steps = _expect(section["steps"], "algorithm.steps", int)
+    if steps < 0:
+        raise ScenarioError(f"algorithm.steps must be >= 0, got {steps}")
     settings = {}
     if "stepsize" in section:
         settings["stepsize"] = _build_stepsize(section["stepsize"])
@@ -304,6 +318,25 @@ def _write_trajectory_csv(path: Path, traj) -> None:
             out.write(rows.format(t) % tuple(traj.states[t].ravel().tolist()))
 
 
+def _write_weights_json(path: Path, w: WeightedNeighborGraph) -> None:
+    """The bytes of json.dumps(weights_to_json(w), indent=2) plus a newline,
+    one %-format call per arc.  %r of a float is float.__repr__, which json
+    writes for every finite number, and the weights are finite."""
+    row = "        [\n" + ",\n".join(["          %r"] * w.n) + "\n        ]"
+    templates = {}  # per row count
+    values = w.rows.ravel().tolist()
+    arcs, start = [], 0
+    for (j, i), r in zip(w.graph.arcs, w.row_counts.tolist()):
+        if r not in templates:
+            rows = "[\n" + ",\n".join([row] * r) + "\n      ]" if r else "[]"
+            templates[r] = '    {\n      "j": %d,\n      "i": %d,\n      "C": ' + rows + "\n    }"
+        stop = start + r * w.n
+        arcs.append(templates[r] % (j, i, *values[start:stop]))
+        start = stop
+    body = "[\n" + ",\n".join(arcs) + "\n  ]" if arcs else "[]"
+    path.write_text(f'{{\n  "m": {w.m},\n  "n": {w.n},\n  "arcs": {body}\n}}\n')
+
+
 def _round_matrix_for_summary(name: str, w: WeightedNeighborGraph) -> np.ndarray:
     if name == "gradient":
         # No fixed round map; report on the descended quadratic's matrix.
@@ -337,7 +370,7 @@ def cmd_synth(args) -> int:
     out = _out_dir(args, data)
     out.mkdir(parents=True, exist_ok=True)
     target = out / "weights.json"
-    target.write_text(json.dumps(weights_to_json(w), indent=2) + "\n")
+    _write_weights_json(target, w)
     print(json.dumps({"weights": str(target), "well_configured": True, "kernel_dim": report.kernel_dim}))
     return 0
 
@@ -349,6 +382,8 @@ def _run_scenario(data: dict, base_dir: Path, args) -> tuple[dict, object]:
         raise ScenarioError("random initial state needs a seed (scenario key or --seed)")
     name, steps, settings = algorithm
     if args.steps is not None:
+        if args.steps < 0:
+            raise ScenarioError(f"--steps must be >= 0, got {args.steps}")
         steps = args.steps
     # looked up at call time, so a replaced engine is the one called
     traj = getattr(simulate, f"run_{name}")(w, x0, steps=steps, **settings)

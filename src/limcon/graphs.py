@@ -143,15 +143,18 @@ class DirectedGraph:
     @classmethod
     def from_text(cls, text: str) -> "DirectedGraph":
         """Parse the graph text format: first line "m d", then one "j i" per line."""
-        rows = [line.split() for line in text.splitlines() if line.strip()]
-        if not rows or len(rows[0]) != 2:
+        rows = [(lineno, line.split()) for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
+        if not rows or len(rows[0][1]) != 2:
             raise ValueError("graph text must start with a header line 'm d'")
-        m, d = (int(tok) for tok in rows[0])
-        arcs = []
-        for lineno, row in enumerate(rows[1:], start=2):
+        pairs = []
+        for lineno, row in rows:
             if len(row) != 2:
                 raise ValueError(f"line {lineno}: expected 'j i', got {' '.join(row)!r}")
-            arcs.append((int(row[0]), int(row[1])))
+            try:
+                pairs.append((int(row[0]), int(row[1])))
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected two integers, got {' '.join(row)!r}") from None
+        (m, d), arcs = pairs[0], pairs[1:]
         if len(arcs) != d:
             raise ValueError(f"header promises {d} arcs, found {len(arcs)}")
         return cls(m, tuple(arcs))

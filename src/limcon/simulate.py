@@ -218,7 +218,9 @@ class RoundOperator:
             self._movers, scales = heads[None], head_scale[None]
         else:
             self._movers, scales = np.stack([heads, tails]), np.stack([head_scale, tail_scale])
-        self._scales = scales[:, :, None]  # (sides, d, 1)
+        # (sides, d, n): each arc's scale repeated over its n entries, so a
+        # round's scaling is one flat multiply instead of a broadcast
+        self._scales = np.repeat(scales[:, :, None], self.n, axis=2)
         self._slots = (self._movers[:, :, None] * self.n + np.arange(self.n)).ravel()
 
     @classmethod
@@ -240,7 +242,9 @@ class RoundOperator:
         return cls(w.m, heads, tails, blocks, scale[heads], -scale[tails] if two_sided else None)
 
     def delta(self, x: np.ndarray) -> np.ndarray:
-        pulled = np.matmul(self.blocks, (x[self.heads] - x[self.tails])[:, :, None])[:, :, 0]
+        diff = x.take(self.heads, 0)
+        diff -= x.take(self.tails, 0)
+        pulled = np.matmul(self.blocks, diff[:, :, None])[:, :, 0]
         moves = (self._scales * pulled).ravel()
         return np.bincount(self._slots, weights=moves, minlength=self.m * self.n).reshape(self.m, self.n)
 
@@ -251,7 +255,7 @@ class RoundOperator:
         """Delta as a dense mn x mn matrix, O((mn)^2 + d n^2)."""
         m, n = self.m, self.n
         out = np.zeros((m, m, n, n))
-        moved = self._scales[..., None] * self.blocks  # (sides, d, n, n)
+        moved = self._scales[:, :, :1, None] * self.blocks  # (sides, d, n, n)
         np.add.at(out, (self._movers, self.heads), moved)
         np.add.at(out, (self._movers, self.tails), -moved)
         return out.transpose(0, 2, 1, 3).reshape(m * n, m * n)

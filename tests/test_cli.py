@@ -10,8 +10,19 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from limcon import ear_decomposition, symmetric_cycle, weights_from_json, is_well_configured
-from limcon.cli import bundled_scenario_path, main
+from limcon import (
+    DirectedGraph,
+    WeightedNeighborGraph,
+    directed_cycle,
+    ear_decomposition,
+    is_well_configured,
+    symmetric_cycle,
+    synthesize_symmetric_weights,
+    synthesize_weights,
+    weights_from_json,
+    weights_to_json,
+)
+from limcon.cli import _resolve, _write_weights_json, bundled_scenario_path, main
 
 from oracles import trajectory_csv_per_row
 
@@ -201,6 +212,22 @@ def test_graph_from_text_file(tmp_path, capsys):
         "weights": {"synthesize": {"mode": "free"}},
     }
     assert main(["verify", "--scenario", write_scenario(tmp_path, "s.json", data)]) == 0
+
+
+def test_graph_text_error_names_the_file_and_line(tmp_path, capsys):
+    (tmp_path / "g.txt").write_text("3 2\n\n1 2\n2 x\n")
+    data = {"schema_version": 1, "graph": {"path": "g.txt"}, "n": 2, "weights": {"synthesize": {"mode": "free"}}}
+    assert main(["verify", "--scenario", write_scenario(tmp_path, "s.json", data)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {tmp_path / 'g.txt'}: line 4: expected two integers, got '2 x'"]
+
+
+def test_decomposition_file_with_invalid_json_names_the_file(tmp_path, capsys):
+    (tmp_path / "dec.json").write_text("{'ears': []}")
+    data = symmetric_square_scenario(weights={"synthesize": {"decomposition": {"path": "dec.json"}}})
+    assert main(["synth", "--scenario", write_scenario(tmp_path, "s.json", data), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / 'dec.json'}: invalid JSON at line 1 column 2: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_decomposition_from_file(tmp_path, capsys):
@@ -565,11 +592,17 @@ def test_unused_algorithm_settings_rejected(section, key, tmp_path, capsys):
         ({"initial_state": {"random": {"seed": "x"}}}, "initial_state.random.seed must be an integer, got a string"),
         ({"initial_state": {"random": {"seed": 1}, "junk": 1}}, "initial_state: unknown keys ['junk']"),
         ({"initial_state": {"random": {"seed": -1}}}, "initial_state.random.seed must be a non-negative integer, got -1"),
+        ({"algorithm": {"name": "fixed_step", "steps": -1}}, "algorithm.steps must be >= 0, got -1"),
+        ({"initial_state": {"explicit": [[0, 1], [2, 3], [4, float("nan")], [6, 7]]}}, "initial_state.explicit must be finite"),
+        (
+            {"initial_state": {"consensus": {"value": [json.loads("1e400"), 0]}}},
+            "initial_state.consensus.value must be finite",
+        ),
     ],
     ids=[
         "no-schedule", "steps", "schedule-arcs", "asymmetric-subgraph", "duplicate-arc", "out-of-range-arc",
         "script-index", "periodic-script", "fixed-script", "scripted-no-script", "seed", "initial-state-key",
-        "negative-seed",
+        "negative-seed", "negative-steps", "nan-explicit-state", "inf-consensus-state",
     ],
 )
 def test_every_command_parses_algorithm_and_initial_state(overrides, message, tmp_path, capsys):
@@ -596,6 +629,14 @@ def test_run_calls_the_engine_through_the_module(section, tmp_path, capsys, monk
     assert main(["run", "--scenario", write_scenario(tmp_path, "s.json", data), "--out", str(tmp_path / "o")]) == 0
     assert calls == [sorted(set(section) - {"name"})]  # steps and the engine's own settings, by keyword
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["run", "counterexample"])
+def test_negative_steps_flag_is_named(command, tmp_path, capsys):
+    scenario = ["--scenario", write_scenario(tmp_path, "s.json", symmetric_square_scenario())] if command == "run" else []
+    assert main([command, *scenario, "--out", str(tmp_path / "o"), "--steps", "-1"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: --steps must be >= 0, got -1"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_random_state_without_seed_is_legal_until_run(tmp_path, capsys):
@@ -700,6 +741,80 @@ def test_trajectory_csv_matches_repr_formatting(rounds, m, n, tmp_path):
     lines += [f"{t},{a + 1}," + ",".join(f"{v:.17g}" for v in states[t, a]) for t in range(rounds) for a in range(m)]
     text = (tmp_path / "t.csv").read_text()
     assert text == "\n".join(lines) + "\n" == trajectory_csv_per_row(states)
+
+
+def indent_encoder_weights_json(w) -> str:
+    """weights.json as json's own (pure-Python) indent encoder writes it."""
+    return json.dumps(weights_to_json(w), indent=2) + "\n"
+
+
+def assert_written_weights_match(w, path):
+    text = path.read_text()
+    assert text == indent_encoder_weights_json(w)
+    again = weights_from_json(json.loads(text))
+    assert again.graph == w.graph and again.n == w.n
+    assert np.array_equal(again.row_counts, w.row_counts)
+    assert again.rows.tobytes() == w.rows.tobytes()  # bit for bit, -0.0 and subnormals included
+
+
+AWKWARD_FLOATS = [0.0, -0.0, 5e-324, 1e-7, 1e16, 0.1, 1 / 3, 2.0**53, 1e308]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4), n=st.integers(1, 4))
+def test_weights_json_matches_the_indent_encoder(data, m, n):
+    pairs = [(j, i) for j in range(1, m + 1) for i in range(1, m + 1) if j != i]
+    arcs = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    entry = st.sampled_from([v for a in AWKWARD_FLOATS for v in (a, -a)]) | st.floats(allow_nan=False, allow_infinity=False)
+    table = {}
+    for arc in arcs:
+        rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n + 1))
+        table[arc] = np.array(rows, dtype=float).reshape(len(rows), n)
+    w = WeightedNeighborGraph(DirectedGraph(m, tuple(arcs)), n, table)
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_weights_json(Path(tmp) / "weights.json", w)
+        assert_written_weights_match(w, Path(tmp) / "weights.json")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "synthesize, graph",
+    [(synthesize_weights, directed_cycle(6)), (synthesize_symmetric_weights, symmetric_cycle(6))],
+    ids=["directed", "symmetric"],
+)
+def test_synthesized_weights_json_matches_the_indent_encoder(synthesize, graph, n, tmp_path):
+    # n = 1 leaves arcs without rows; each graph is one ear longer than n, so "free" pads with identities
+    w = synthesize(graph, n, mode="free")
+    assert (w.row_counts == 0).any() if n == 1 else (w.row_counts == n).any()
+    _write_weights_json(tmp_path / "weights.json", w)
+    assert_written_weights_match(w, tmp_path / "weights.json")
+
+
+@pytest.mark.parametrize("name", ["broadcast_pair", "path_lossy", "counterexample", "symmetric_nonzero_kernels"])
+def test_bundled_weights_json_matches_the_indent_encoder(name, tmp_path, capsys):
+    scenario = bundled_scenario_path(name)
+    data = json.loads(scenario.read_text())
+    w = _resolve(data, scenario.parent)[0]
+    _write_weights_json(tmp_path / "direct.json", w)
+    assert_written_weights_match(w, tmp_path / "direct.json")
+    if "synthesize" in data["weights"]:
+        assert main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 0
+        assert_written_weights_match(w, tmp_path / "o" / "weights.json")
+    capsys.readouterr()
+
+
+def test_synth_does_not_use_the_pure_python_json_encoder(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError, match="pure-Python"):
+        json.dumps({"C": [[1.0]]}, indent=2)
+    scenario = str(bundled_scenario_path("symmetric_nonzero_kernels"))
+    assert main(["synth", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+    monkeypatch.undo()
+    assert json.loads(capsys.readouterr().out)["well_configured"] is True
+    assert weights_from_json(json.loads((tmp_path / "weights.json").read_text())).n == 2
 
 
 def test_run_computes_the_residual_of_the_final_state_only(tmp_path, capsys, monkeypatch):
