@@ -114,7 +114,7 @@ def load_scenario(path: Path) -> dict:
         required=("schema_version", "graph", "n", "weights"),
         optional=("algorithm", "initial_state", "output"),
     )
-    if data["schema_version"] != SCHEMA_VERSION:
+    if _expect(data["schema_version"], "schema_version", int) != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema_version {data['schema_version']!r}; expected {SCHEMA_VERSION}")
     if "output" in data:
         # checked here, not where it is read: --out would skip that
@@ -361,9 +361,9 @@ def cmd_verify(args) -> int:
 
 def cmd_synth(args) -> int:
     data = load_scenario(Path(args.scenario))
+    w, _, _ = _resolve(data, Path(args.scenario).parent)
     if "synthesize" not in data["weights"]:
         raise ScenarioError("synth needs a weights.synthesize section")
-    w, _, _ = _resolve(data, Path(args.scenario).parent)
     report = is_well_configured(w, rtol=args.tol)
     if not report.well_configured:
         raise ScenarioError("refusing to emit weights that fail verification")

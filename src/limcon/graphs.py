@@ -17,6 +17,9 @@ Arc = tuple[int, int]
 CHI_MAX_VERTICES = 8
 CHI_MAX_ARCS = 16
 
+# The largest vertex count whose arc keys head * m + tail fit in an int64.
+MAX_VERTICES = 3_037_000_499
+
 
 @dataclass(frozen=True)
 class DirectedGraph:
@@ -39,8 +42,8 @@ class DirectedGraph:
 
     def __post_init__(self):
         m = _integer(self.m, "vertex count")
-        if m < 1:
-            raise ValueError("vertex count must be >= 1")
+        if not 1 <= m <= MAX_VERTICES:
+            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {m}")
         given = tuple(self.arcs)
         ends = np.array(given) if given else np.zeros((0, 2), dtype=np.intp)
         if ends.ndim != 2 or ends.shape[1] != 2:
@@ -303,9 +306,12 @@ class EarDecomposition:
     @classmethod
     def from_json(cls, data: list[dict]) -> "EarDecomposition":
         ears = []
-        for entry in data:
+        for entry in _list(data, "ear decomposition"):
             _check_keys(entry, "ear", required=("kind", "arcs"))
-            arcs = tuple((_integer(j, "ear arc"), _integer(i, "ear arc")) for j, i in entry["arcs"])
+            pairs = _list(entry["arcs"], "ear arcs")
+            if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+                raise ValueError("ear arcs must be a list of [j, i] pairs")
+            arcs = tuple((_integer(j, "ear arc"), _integer(i, "ear arc")) for j, i in pairs)
             ears.append(Ear(entry["kind"], arcs))
         # Symmetric ears pair each arc with its reverse along the traversal;
         # ordinary two-length cycle ears look the same, so additionally demand
@@ -324,12 +330,19 @@ def _check_keys(obj: dict, where: str, required: tuple[str, ...], optional: tupl
             raise ValueError(f"{where}: {problem} keys {sorted(found)}")
 
 
+def _list(value, where: str) -> list:
+    """value if it is a list, as a JSON array reads."""
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _integer(value, where: str) -> int:
-    """value as an int if it is one (numpy integers included); a float is refused, not truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{where} must be an integer, got {value!r}") from None
+    """value as an int if it is one (numpy integers included); a float is
+    refused, not truncated, and a boolean is no integer."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def _is_paired(ear: Ear) -> bool:

@@ -31,13 +31,12 @@ def kernel_basis(a, rtol: float = RANK_RTOL) -> np.ndarray:
     Right singular vectors whose singular value falls below rtol * sigma_max
     span the numerical nullspace.  A tall or square a takes the thin SVD,
     whose Vh is already cols x cols, so no rows x rows U is ever formed; a
-    wide a needs the full Vh, and its U is small.  An all-zero a has the
-    whole space as kernel, without an SVD.
+    wide a needs the full Vh, and its U is small.  An a without rows, or
+    all zero, has no singular value above the cut-off, and its Vh is the
+    identity: the whole space is the kernel.
     """
     a = _as_matrix(a)
     rows, cols = a.shape
-    if rows == 0 or not a.any():
-        return np.eye(cols)
     _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)
     return vh[numerical_rank(s, rtol) :].T.copy()
 
@@ -45,19 +44,15 @@ def kernel_basis(a, rtol: float = RANK_RTOL) -> np.ndarray:
 def column_space_basis(a, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal columns spanning the column space of a."""
     a = _as_matrix(a)
-    if a.shape[1] == 0 or not a.any():
-        return np.zeros((a.shape[0], 0))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     rank = numerical_rank(s, rtol)
     return u[:, :rank].copy()
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values of a, largest first, from an SVD without vectors;
-    zeros, without an SVD, for an all-zero a."""
+    """The min(a.shape) singular values of a, largest first, from an SVD
+    without vectors: all zero for an all-zero a, none for an empty one."""
     a = _as_matrix(a)
-    if a.size == 0 or not a.any():
-        return np.zeros(min(a.shape))
     return np.linalg.svd(a, compute_uv=False)
 
 
@@ -84,8 +79,6 @@ def subspace_intersection(a, b, rtol: float = RANK_RTOL) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if a.shape[0] != b.shape[0]:
         raise ValueError("subspaces must share the ambient dimension")
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return np.zeros((a.shape[0], 0))
     _, sines, vh = np.linalg.svd(a - b @ (b.T @ a), full_matrices=False)
     return a @ vh[sines <= rtol].T
 
@@ -103,8 +96,6 @@ def subspace_family_independent(bases, rtol: float = RANK_RTOL) -> bool:
     if any(b.shape[0] != n for b in bases):
         raise ValueError("subspaces must share the ambient dimension")
     total = sum(b.shape[1] for b in bases)
-    if total == 0:
-        return True
     if total > n:
         return False
     stacked = np.hstack(bases)
@@ -126,6 +117,5 @@ def mixed_norm_2_inf(q, block: int) -> float:
     blocks = q.reshape(m, block, m, block).transpose(0, 2, 1, 3)
     nonzero = blocks.any(axis=(2, 3))
     gauge = np.zeros((m, m))
-    if nonzero.any():
-        gauge[nonzero] = np.linalg.svd(blocks[nonzero], compute_uv=False)[:, 0]
+    gauge[nonzero] = np.linalg.svd(blocks[nonzero], compute_uv=False)[:, 0]
     return float(np.max(gauge.sum(axis=1)))

@@ -25,6 +25,7 @@ CONSENSUS_TOL = 1e-9
 CONSENSUS_STREAK = 10
 
 ALGORITHMS = ("gradient", "fixed_step", "metropolis_tv", "cycle_projection", "general_projection")
+# spectral_report counts an eigenvalue within this of 1 (or 0) as at 1 (or 0).
 EIG_COUNT_TOL = 1e-8
 
 
@@ -157,13 +158,9 @@ class Trajectory:
         return local_agreement_residual(self.weights, self.states[-1])
 
 
-def consensus_error(x, n: int | None = None) -> float:
-    """max_i ||x_i - mean||_2 over the agents."""
+def consensus_error(x) -> float:
+    """max_i ||x_i - mean||_2 over the agents, for x the (m, n) state."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        if n is None:
-            raise ValueError("flat states need the per-agent dimension n")
-        x = x.reshape(-1, n)
     # the reductions of x.mean and np.linalg.norm, without their call overhead
     d = x - np.add.reduce(x, axis=0) / x.shape[0]
     return math.sqrt(np.add.reduce(d * d, axis=1).max())
@@ -456,7 +453,7 @@ class SpectralReport:
         return out
 
 
-def spectral_report(mat: np.ndarray, n: int, tol: float = EIG_COUNT_TOL) -> SpectralReport:
+def spectral_report(mat: np.ndarray, n: int) -> SpectralReport:
     """Count eigenvalues at 1, at 0, strictly inside the unit circle, and
     everything else, plus the paracontraction verdict; the mixed norm over
     n-blocks and the fixed-space dimension follow on demand."""
@@ -469,16 +466,16 @@ def spectral_report(mat: np.ndarray, n: int, tol: float = EIG_COUNT_TOL) -> Spec
         symmetric = bool(np.abs(mat - mat.T).max(initial=0.0) <= 1e-12)
     eig = np.linalg.eigvalsh(mat) if symmetric else np.linalg.eigvals(mat)
     modulus = np.abs(eig)
-    at_one = np.abs(eig - 1.0) <= tol
-    at_zero = modulus <= tol
-    inside = (modulus < 1.0 - tol) & ~at_one & ~at_zero
+    at_one = np.abs(eig - 1.0) <= EIG_COUNT_TOL
+    at_zero = modulus <= EIG_COUNT_TOL
+    inside = (modulus < 1.0 - EIG_COUNT_TOL) & ~at_one & ~at_zero
     ones = int(np.sum(at_one))
     zeros = int(np.sum(at_zero))
     inside_unit = int(np.sum(inside))
     outside = int(eig.size - ones - zeros - inside_unit)
     paracontracting: bool | None = None
     if symmetric:
-        paracontracting = bool(np.all(eig > -1.0 + tol) and np.all(eig <= 1.0 + tol))
+        paracontracting = bool(np.all(eig > -1.0 + EIG_COUNT_TOL) and np.all(eig <= 1.0 + EIG_COUNT_TOL))
     return SpectralReport(
         eigenvalues=eig,
         ones=ones,

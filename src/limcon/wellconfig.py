@@ -25,6 +25,7 @@ from .graphs import (
     _check_keys,
     _component_labels,
     _integer,
+    _list,
     ear_decomposition,
     incidence_matrix,
     is_weakly_connected,
@@ -105,8 +106,8 @@ class WeightedNeighborGraph:
     def weight(self, arc: Arc) -> np.ndarray:
         return self.weights[arc]
 
-    def kernel(self, arc: Arc, rtol: float = RANK_RTOL) -> np.ndarray:
-        return kernel_basis(self.weights[arc], rtol)
+    def kernel(self, arc: Arc) -> np.ndarray:
+        return kernel_basis(self.weights[arc])
 
     def normalized(self, rtol: float = RANK_RTOL) -> "WeightedNeighborGraph":
         """Replace every weight by an orthonormal basis of its row space.
@@ -146,10 +147,9 @@ def _stack_rows(w: WeightedNeighborGraph, slot: np.ndarray, start: np.ndarray, s
     slot[k] from row start[k] on; r is the deepest row reached."""
     counts = w.row_counts
     out = np.zeros((slots, int((start + counts).max(initial=0)), w.n))
-    if out.size:
-        arc = np.repeat(np.arange(len(counts)), counts)
-        first = np.cumsum(counts) - counts  # each arc's first row in w.rows
-        out[slot[arc], start[arc] + np.arange(len(arc)) - first[arc]] = w.rows
+    arc = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts  # each arc's first row in w.rows
+    out[slot[arc], start[arc] + np.arange(len(arc)) - first[arc]] = w.rows
     return out
 
 
@@ -200,12 +200,11 @@ def agreement_map(w: WeightedNeighborGraph, arc_order=None, labels=None) -> np.n
     shift = (np.cumsum(w.row_counts) - w.row_counts)[arcs] - (np.cumsum(counts) - counts)
     c = w.rows[np.repeat(shift, counts) + np.arange(counts.sum())]
     out = np.zeros((len(c), width * n))
-    if len(out):
-        rows = np.arange(len(out))[:, None]
-        comps = np.arange(n)
-        tails, heads = (np.repeat(end, counts)[:, None] for end in ends.T)
-        out[rows, heads * n + comps] = c
-        out[rows, tails * n + comps] = -c
+    rows = np.arange(len(out))[:, None]
+    comps = np.arange(n)
+    tails, heads = (np.repeat(end, counts)[:, None] for end in ends.T)
+    out[rows, heads * n + comps] = c
+    out[rows, tails * n + comps] = -c
     return out
 
 
@@ -254,8 +253,6 @@ class RankGap:
 class WellConfigReport:
     well_configured: bool
     kernel_dim: int
-    m: int
-    n: int
     witness: np.ndarray | None  # (m, n); local agreement without consensus
     # around the cut-off rtol * sigma*: of the quotient map's rank, or of the
     # pair contraction when that cut is narrower
@@ -303,7 +300,7 @@ def _pair_values(w: WeightedNeighborGraph) -> tuple[np.ndarray, np.ndarray, floa
     start = np.where(is_lead, 0, counts[lead])  # a back arc's rows go below its lead's
     stack = _stack_rows(w, slot, start, len(first))
     rows = np.bincount(slot, weights=counts, minlength=len(first))
-    s = np.sqrt(2.0) * np.linalg.svd(stack, compute_uv=False) if stack.size else np.zeros((len(first), 0))
+    s = np.sqrt(2.0) * np.linalg.svd(stack, compute_uv=False)
     smallest = s[:, n - 1] if s.shape[1] >= n else np.zeros(len(first))
     return g.arc_ends[first], np.where(rows >= n, smallest, 0.0), float(s.max(initial=0.0))
 
@@ -336,10 +333,8 @@ def is_well_configured(w: WeightedNeighborGraph, rtol: float = RANK_RTOL, arc_or
     dim = amap.shape[1] - int(np.sum(s > tau))
     witness = None
     if dim != n:
-        kernel = np.eye(amap.shape[1])
-        if len(amap) and amap.any():
-            _, s, vh = np.linalg.svd(amap, full_matrices=len(amap) < amap.shape[1])
-            kernel = vh[int(np.sum(s > tau)) :].T
+        _, s, vh = np.linalg.svd(amap, full_matrices=len(amap) < amap.shape[1])
+        kernel = vh[int(np.sum(s > tau)) :].T
         dim = kernel.shape[1]
         if dim != n:
             # per agent its component's state, less the consensus part
@@ -350,7 +345,7 @@ def is_well_configured(w: WeightedNeighborGraph, rtol: float = RANK_RTOL, arc_or
             witness = resid[:, :, pick] / norms[pick]
     # the quotient map's gap, unless the contraction cut is strictly narrower
     gap = min(RankGap.at(s, tau), RankGap.at(smallest, tau), key=RankGap.margin)
-    return WellConfigReport(dim == n, dim, w.m, w.n, witness, gap)
+    return WellConfigReport(dim == n, dim, witness, gap)
 
 
 def disagreement_overlap_dim(w: WeightedNeighborGraph, rtol: float = RANK_RTOL) -> int:
@@ -375,8 +370,6 @@ def disagreement_overlap_dim(w: WeightedNeighborGraph, rtol: float = RANK_RTOL) 
     # the rows of vh[k] past arc k's rank span K_k
     in_kernel = np.arange(n) >= np.sum(s > rtol * s.max(initial=0.0), axis=1)[:, None]
     owner = np.nonzero(in_kernel)[0]  # the arc of each kernel column
-    if r == 0 or len(owner) == 0:
-        return 0
     if len(owner) < r * n:
         # column (k, t) is (I - QQ')[:, k] (x) v_kt
         p = -q @ q[owner].T
@@ -470,7 +463,8 @@ def _synthesize(
     else:
         validate_ear_decomposition(g, decomposition)
     width = 2 if symmetric else 1
-    axes = [axis_complement(n, s) for s in range(n)]  # the weights copy them
+    # the kernel axes, then the identity past an ear's n-th slot; the weights copy them
+    axes = [*(axis_complement(n, s) for s in range(n)), np.eye(n)]
     weights: dict[Arc, np.ndarray] = {}
     for ear in decomposition.ears:
         slots = ear.length // width
@@ -480,7 +474,7 @@ def _synthesize(
                 f"{what} exceeds state dimension {n}; nonzero kernels require max ear length <= n"
             )
         for t, arc in enumerate(ear.arcs):
-            weights[arc] = axes[t // width] if t < n * width else np.eye(n)
+            weights[arc] = axes[min(t // width, n)]
     return WeightedNeighborGraph(g, n, weights)
 
 
@@ -500,10 +494,14 @@ def weights_from_json(data: dict) -> WeightedNeighborGraph:
     _check_keys(data, "weight-file", required=("m", "n", "arcs"))
     arcs = []
     weights = {}
-    for entry in data["arcs"]:
+    for entry in _list(data["arcs"], "weight-file arcs"):
         _check_keys(entry, "arc", required=("j", "i", "C"))
         arc = (_integer(entry["j"], "arc j"), _integer(entry["i"], "arc i"))
         arcs.append(arc)
-        weights[arc] = np.asarray(entry["C"], dtype=float)
+        c = _list(entry["C"], f"C of arc {arc}")
+        try:
+            weights[arc] = np.asarray(c, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"C of arc {arc} must be a numeric matrix") from None
     graph = DirectedGraph(_integer(data["m"], "weight-file m"), tuple(arcs))
     return WeightedNeighborGraph(graph, _integer(data["n"], "weight-file n"), weights)

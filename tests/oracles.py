@@ -374,11 +374,9 @@ def one_eigenspace_dim_dense(a, rtol=1e-10):
     return a.shape[0] - int(np.sum(s > max(rtol * s[0], floor)))
 
 
-def consensus_error_norm(x, n=None):
+def consensus_error_norm(x):
     """max_i ||x_i - mean||_2 from x.mean and np.linalg.norm."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, n)
     return float(np.max(np.linalg.norm(x - x.mean(axis=0), axis=1)))
 
 

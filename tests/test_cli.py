@@ -539,6 +539,8 @@ WRONG_TYPES = [
     (("algorithm",), _gradient(kind="constant", value=0), "algorithm.stepsize.value must be positive and finite, got 0.0"),
     (("algorithm",), _gradient(kind="harmonic", b=0.5), "algorithm.stepsize.b must be >= 1 and finite, got 0.5"),
     (("algorithm",), _gradient(kind="scripted", values=[]), "algorithm.stepsize.values must not be empty"),
+    (("schema_version",), True, "schema_version must be an integer, got a boolean"),
+    (("schema_version",), 1.0, "schema_version must be an integer, got a number"),
 ]
 
 
@@ -700,7 +702,7 @@ FUZZED_PATHS = [
 @given(
     path=st.sampled_from(FUZZED_PATHS),
     value=JSON_VALUES,
-    command=st.sampled_from(["verify", "run", "analyze"]),
+    command=st.sampled_from(["verify", "synth", "run", "analyze"]),
     algorithm=st.sampled_from([METROPOLIS, GRADIENT]),
 )
 def test_fuzzed_scenarios_fail_cleanly(path, value, command, algorithm):
@@ -711,7 +713,7 @@ def test_fuzzed_scenarios_fail_cleanly(path, value, command, algorithm):
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         scenario = write_scenario(Path(tmp), "s.json", data)
-        out = ["--out", str(Path(tmp) / "o")] if command == "run" else []
+        out = ["--out", str(Path(tmp) / "o")] if command in ("synth", "run") else []
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main([command, "--scenario", scenario, *out])
     assert code in (0, 1, 2)
@@ -852,3 +854,66 @@ def test_verify_warns_near_the_rank_cutoff(small, code, tmp_path, capsys):
     assert captured.err.count("warning:") == 1
     gap = json.loads(captured.out)["rank_gap"]
     assert gap["cutoff"] == pytest.approx(np.sqrt(2.0) * 1e-10)
+
+
+def test_synth_symmetric_writes_the_symmetric_synthesis(tmp_path, capsys):
+    data = symmetric_square_scenario(weights={"synthesize": {"mode": "free", "symmetric": True}})
+    assert main(["synth", "--scenario", write_scenario(tmp_path, "s.json", data), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    w = synthesize_symmetric_weights(DirectedGraph(4, tuple(SQUARE_ARCS)), 2)
+    assert (tmp_path / "o" / "weights.json").read_text() == json.dumps(weights_to_json(w), indent=2) + "\n"
+
+
+def test_fixed_schedule_runs_as_its_one_subgraph_periodic(tmp_path, capsys):
+    outputs = []
+    for mode in ("fixed", "periodic"):
+        data = symmetric_square_scenario(algorithm={**_metropolis(mode=mode), "steps": 50})
+        del data["algorithm"]["schedule"]["script"]
+        out = tmp_path / mode
+        assert main(["run", "--scenario", write_scenario(tmp_path, f"{mode}.json", data), "--out", str(out)]) == 0
+        files = [(out / name).read_bytes() for name in ("trajectory.csv", "summary.json")]
+        outputs.append((capsys.readouterr().out, *files))
+    assert outputs[0] == outputs[1]
+
+
+_DROP = object()  # removes the section
+
+
+# (command, scenario overrides, extra arguments, the one error line)
+CLI_ERRORS = [
+    ("run", {"initial_state": {"explicit": [[0, 1]]}}, [], "initial_state.explicit must be 4 rows of 2 values"),
+    ("run", {"initial_state": {"consensus": {}}}, ["--seed", "3"], "--seed given but the initial state is a consensus state"),
+    ("run", {"initial_state": {"consensus": {"value": [1, 2, 3]}}}, [], "initial_state.consensus.value must have 2 entries"),
+    ("run", {"algorithm": _gradient(kind="cosine")}, [], "algorithm.stepsize.kind must be harmonic|constant|scripted, got 'cosine'"),
+    ("run", {"algorithm": _metropolis(mode="random")}, [], "algorithm.schedule.mode must be fixed|periodic|scripted, got 'random'"),
+    (
+        "run",
+        {"algorithm": {**METROPOLIS, "schedule": {"mode": "fixed", "subgraphs": [SQUARE_ARCS, SQUARE_ARCS]}}},
+        [],
+        "fixed schedule needs exactly one subgraph",
+    ),
+    ("run", {"algorithm": _DROP}, [], "scenario has no 'algorithm' section"),
+    ("run", {"initial_state": _DROP}, [], "scenario has no 'initial_state' section"),
+    ("analyze", {"algorithm": _DROP}, [], "scenario has no 'algorithm' section"),
+    ("synth", {"weights": _explicit(None, None)}, [], "synth needs a weights.synthesize section"),
+    ("synth", {"weights": 5}, [], "weights must be an object, got int"),
+    ("synth", {"weights": 1.5}, [], "weights must be an object, got float"),
+    ("synth", {"weights": None}, [], "weights must be an object, got NoneType"),
+    ("synth", {"weights": True}, [], "weights must be an object, got bool"),
+    *(
+        (command, {"graph": {"m": 10**30, "arcs": SQUARE_ARCS}}, [], f"vertex count must be in 1..3037000499, got {10**30}")
+        for command in ("verify", "synth", "run", "analyze")
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, overrides, extra, message", CLI_ERRORS, ids=[f"{c[0]}-{k}" for k, c in enumerate(CLI_ERRORS)]
+)
+def test_cli_error_branches_print_one_line(command, overrides, extra, message, tmp_path, capsys):
+    data = symmetric_square_scenario(**overrides)
+    data = {key: value for key, value in data.items() if value is not _DROP}
+    out = [] if command == "verify" else ["--out", str(tmp_path / "o")]
+    assert main([command, "--scenario", write_scenario(tmp_path, "s.json", data), *out, *extra]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "o").exists()

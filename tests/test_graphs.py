@@ -62,6 +62,13 @@ def test_constructor_refuses_non_integers(m, arcs, message):
         DirectedGraph(m, arcs)
 
 
+@pytest.mark.parametrize("m", [10**30, 3_037_000_500, 0, True, np.True_])
+def test_constructor_refuses_vertex_counts_whose_arc_keys_leave_int64(m):
+    # head * m + tail must fit in an int64 for every arc; a boolean is no count
+    with pytest.raises(ValueError, match="vertex count must be"):
+        DirectedGraph(m, ((1, 2),))
+
+
 def test_constructor_takes_numpy_integers():
     g = DirectedGraph(np.int64(3), ((np.int64(3), np.int32(1)), (np.uint8(1), 2), (True, 3)))
     assert g == DirectedGraph(3, ((3, 1), (1, 2), (1, 3)))

@@ -12,7 +12,7 @@ from limcon import (
     symmetric_cycle,
     synthesize_symmetric_weights,
 )
-from limcon.linalg import column_space_basis, matrix_rank
+from limcon.linalg import column_space_basis, matrix_rank, singular_values
 
 from conftest import random_subspace
 from oracles import brute_force_independent, mixed_norm_2_inf_loop, subspaces_equal, symmetric_3x3_eigenvalues
@@ -44,6 +44,26 @@ def test_kernel_residual_and_orthonormality():
 
 def test_kernel_of_zero_rows_is_everything():
     assert np.array_equal(kernel_basis(np.zeros((0, 4))), np.eye(4))
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (2, 4), (4, 2), (3, 3), (3, 0), (0, 0)])
+def test_empty_and_zero_matrices_take_the_svd_path(shape):
+    # numpy's SVD answers these itself: Vh is the identity and every singular value is zero
+    zero = np.zeros(shape)
+    rows, cols = shape
+    assert np.array_equal(kernel_basis(zero), np.eye(cols))
+    assert column_space_basis(zero).shape == (rows, 0)
+    assert np.array_equal(singular_values(zero), np.zeros(min(shape)))
+    assert matrix_rank(zero) == 0
+
+
+def test_empty_subspaces_take_the_svd_path():
+    empty, plane = np.zeros((4, 0)), np.eye(4)[:, :2]
+    assert subspace_intersection(empty, plane).shape == (4, 0)
+    assert subspace_intersection(empty, empty).shape == (4, 0)
+    assert subspace_family_independent([empty, empty])
+    assert subspace_family_independent([np.zeros((0, 0))])
+    assert mixed_norm_2_inf(np.zeros((6, 6)), 2) == 0.0
 
 
 def test_eigenvalues_identity_and_diag():

@@ -642,8 +642,8 @@ def test_residuals_are_computed_on_first_read_per_state():
         (np.random.default_rng(3).standard_normal((7, 3)), None),
         (np.random.default_rng(4).standard_normal((40, 5)) * 1e-3 + 2.0, None),
         (np.random.default_rng(5).standard_normal((1, 4)), None),  # m = 1
-        (np.random.default_rng(6).standard_normal(12), 3),  # flat, with n
-        (np.random.default_rng(7).standard_normal(12), 1),
+        (np.random.default_rng(6).standard_normal(12), 3),  # a flat draw, taken as (4, 3)
+        (np.random.default_rng(7).standard_normal(12), 1),  # n = 1
         (np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]]), None),
         (np.array([[5e-324, -5e-324], [2.2250738585072014e-308, 0.0], [-1e-310, 3e-320]]), None),
         (np.array([[1e300, 0.0], [-1e300, 1.0], [1e300, 2.0]]), None),  # d*d overflows to inf
@@ -653,8 +653,10 @@ def test_residuals_are_computed_on_first_read_per_state():
     ],
 )
 def test_consensus_error_equals_the_norm_formula_bit_for_bit(x, n):
+    if n is not None:
+        x = x.reshape(-1, n)
     with np.errstate(all="ignore"):
-        mine, reference = consensus_error(x, n), consensus_error_norm(x, n)
+        mine, reference = consensus_error(x), consensus_error_norm(x)
     assert isinstance(mine, float)
     assert np.array([mine]).tobytes() == np.array([reference]).tobytes()
 

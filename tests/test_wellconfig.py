@@ -362,6 +362,34 @@ def test_zero_row_weight_roundtrips():
     assert wz.normalized().weight((1, 2)).shape == (0, 2)
 
 
+def _uniform_weights(g, n, rows):
+    return WeightedNeighborGraph(g, n, {arc: np.zeros((rows, n)) for arc in g.arcs})
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        _uniform_weights(DirectedGraph(1, ()), 2, 0),
+        _uniform_weights(directed_cycle(3), 2, 0),
+        _uniform_weights(directed_cycle(3), 2, 1),
+        _uniform_weights(symmetric_cycle(4), 1, 3),
+        WeightedNeighborGraph(directed_path(3), 2, {(1, 2): np.zeros((0, 2)), (2, 3): np.eye(2)}),
+    ],
+    ids=["no-arcs", "no-rows", "zero-rows", "zero-tall", "one-empty-arc"],
+)
+def test_empty_and_zero_weights_take_the_general_path(w):
+    # the verifiers read these from numpy's SVD of empty and all-zero stacks
+    report = is_well_configured(w)
+    nullity = agreement_nullity_dense(w)
+    assert report.kernel_dim == nullity and report.well_configured == (nullity == w.n)
+    assert disagreement_overlap_dim(w) == disagreement_overlap_dim_dense(w)
+    assert is_well_configured_via_overlap(w) == report.well_configured
+    if not report:
+        assert np.linalg.norm(report.witness) == pytest.approx(1.0)
+        assert consensus_error(report.witness) > 1e-3
+        assert local_agreement_residual(w, report.witness) < 1e-12
+
+
 def test_weights_json_roundtrip():
     w = synthesize_weights(backlinked_cycle_graph(), 2)
     data = weights_to_json(w)
@@ -385,7 +413,9 @@ def test_weights_json_missing_keys_raise_value_error():
 
 
 @pytest.mark.parametrize(
-    "field, value", [("m", 2.9), ("n", 1.5), ("j", 1.7), ("i", 2.0)], ids=["m", "n", "j", "i"]
+    "field, value",
+    [("m", 2.9), ("n", 1.5), ("j", 1.7), ("i", 2.0), ("n", True), ("j", True)],
+    ids=["m", "n", "j", "i", "bool-n", "bool-j"],
 )
 def test_weights_json_refuses_non_integers(field, value):
     data = weights_to_json(synthesize_weights(backlinked_cycle_graph(), 2))
@@ -398,6 +428,40 @@ def test_weights_json_refuses_non_integers(field, value):
     data = weights_to_json(synthesize_weights(backlinked_cycle_graph(), 2))
     data["m"], data["arcs"][0]["j"] = np.int64(3), np.int32(data["arcs"][0]["j"])  # numpy integers are integers
     assert weights_from_json(data).m == 3
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda d: d.update(arcs=5), "weight-file arcs must be a list, got int"),
+        (lambda d: d["arcs"][0].update(C={}), r"C of arc \(\d, \d\) must be a list, got dict"),
+        (lambda d: d["arcs"][0].update(C=5), r"C of arc \(\d, \d\) must be a list, got int"),
+        (lambda d: d["arcs"][0].update(C=[[1, {}]]), r"C of arc \(\d, \d\) must be a numeric matrix"),
+        (lambda d: d["arcs"][0].update(C=[[1, "x"]]), r"C of arc \(\d, \d\) must be a numeric matrix"),
+    ],
+    ids=["arcs", "C-object", "C-number", "C-nested-object", "C-string"],
+)
+def test_weights_json_refuses_wrong_types(change, message):
+    data = weights_to_json(synthesize_weights(backlinked_cycle_graph(), 2))
+    change(data)
+    with pytest.raises(ValueError, match=message):
+        weights_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([{"kind": "cycle", "arcs": [[True, 2], [2, 3], [3, 1]]}], "ear arc must be an integer, got True"),
+        ([{"kind": "cycle", "arcs": 3}], "ear arcs must be a list, got int"),
+        ([{"kind": "cycle", "arcs": [[1, 2, 3]]}], r"ear arcs must be a list of \[j, i\] pairs"),
+        ([{"kind": "cycle", "arcs": [5]}], r"ear arcs must be a list of \[j, i\] pairs"),
+        ({"kind": "cycle"}, "ear decomposition must be a list, got dict"),
+    ],
+    ids=["bool-end", "arcs-number", "triple", "arc-number", "object"],
+)
+def test_ear_json_refuses_wrong_types(data, message):
+    with pytest.raises(ValueError, match=message):
+        EarDecomposition.from_json(data)
 
 
 def test_ear_json_refuses_non_integer_arc_ends():
