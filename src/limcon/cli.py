@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import simulate
-from .graphs import DirectedGraph, EarDecomposition, _check_keys
+from .graphs import DirectedGraph, EarDecomposition, _check_keys, ear_decomposition, symmetric_ear_decomposition
 from .linalg import RANK_RTOL
 from .simulate import (
     ALGORITHMS,
@@ -30,6 +30,7 @@ from .simulate import (
 from .wellconfig import (
     WeightedNeighborGraph,
     is_well_configured,
+    proves_by_ears,
     synthesize_symmetric_weights,
     synthesize_weights,
 )
@@ -135,7 +136,9 @@ def _build_graph(section: dict, base_dir: Path) -> DirectedGraph:
     return DirectedGraph(_expect(section["m"], "graph.m", int), _arcs(section["arcs"], "graph.arcs"))
 
 
-def _build_weights(section: dict, g: DirectedGraph, n: int, base_dir: Path) -> WeightedNeighborGraph:
+def _build_weights(
+    section: dict, g: DirectedGraph, n: int, base_dir: Path
+) -> tuple[WeightedNeighborGraph, EarDecomposition | None]:
     _check_keys(section, "weights", required=(), optional=("explicit", "synthesize"))
     if ("explicit" in section) == ("synthesize" in section):
         raise ScenarioError("weights: exactly one of 'explicit' or 'synthesize' is required")
@@ -147,14 +150,15 @@ def _build_weights(section: dict, g: DirectedGraph, n: int, base_dir: Path) -> W
             if arc in table:
                 raise ScenarioError(f"weights.explicit: arc {arc} is listed twice")
             table[arc] = _array(entry["C"], "weights.explicit[].C")
-        return WeightedNeighborGraph(g, n, table)
+        return WeightedNeighborGraph(g, n, table), None
     cfg = section["synthesize"]
     _check_keys(cfg, "weights.synthesize", required=(), optional=("mode", "symmetric", "decomposition"))
     mode = cfg.get("mode", "free")
     symmetric = _expect(cfg.get("symmetric", False), "weights.synthesize.symmetric", bool)
     dec_cfg = cfg.get("decomposition", "auto")
-    decomposition = None
-    if dec_cfg != "auto":
+    if dec_cfg == "auto":
+        decomposition = symmetric_ear_decomposition(g) if symmetric else ear_decomposition(g)
+    else:
         _check_keys(dec_cfg, "weights.synthesize.decomposition", required=("path",))
         dec_path = base_dir / _expect(dec_cfg["path"], "weights.synthesize.decomposition.path", str)
         raw = _expect(_read_json(dec_path, "decomposition"), f"{dec_path}", list)
@@ -162,9 +166,8 @@ def _build_weights(section: dict, g: DirectedGraph, n: int, base_dir: Path) -> W
             _check_keys(ear, f"{dec_path}: ear", required=("kind", "arcs"))
             _arcs(ear["arcs"], f"{dec_path}: ear arcs")
         decomposition = EarDecomposition.from_json(raw)
-    if symmetric:
-        return synthesize_symmetric_weights(g, n, decomposition, mode)
-    return synthesize_weights(g, n, decomposition, mode)
+    synthesize = synthesize_symmetric_weights if symmetric else synthesize_weights
+    return synthesize(g, n, decomposition, mode), decomposition
 
 
 def _build_initial_state(section: dict, m: int, n: int, seed_override: int | None) -> np.ndarray | None:
@@ -284,16 +287,16 @@ def _build_algorithm(section: dict, g: DirectedGraph) -> tuple[str, int, dict]:
 
 def _resolve(
     data: dict, base_dir: Path, seed: int | None = None
-) -> tuple[WeightedNeighborGraph, tuple[str, int, dict] | None, np.ndarray | None]:
-    """The weights, the parsed algorithm section and the initial state, each
-    None when absent.  Every command comes through here, so every command
-    rejects a malformed section, also one it does not use."""
+) -> tuple[WeightedNeighborGraph, EarDecomposition | None, tuple[str, int, dict] | None, np.ndarray | None]:
+    """The weights, the ear decomposition they were synthesized from, the algorithm
+    section and the initial state, each None when absent.  Every command comes
+    through here, so every command rejects a malformed section, also one it does not use."""
     n = _expect(data["n"], "n", int)
     g = _build_graph(data["graph"], base_dir)
-    w = _build_weights(data["weights"], g, n, base_dir)
+    w, decomposition = _build_weights(data["weights"], g, n, base_dir)
     algorithm = _build_algorithm(data["algorithm"], g) if "algorithm" in data else None
     x0 = _build_initial_state(data["initial_state"], g.m, n, seed) if "initial_state" in data else None
-    return w, algorithm, x0
+    return w, decomposition, algorithm, x0
 
 
 def _require(data: dict, *sections: str) -> None:
@@ -310,12 +313,12 @@ def _out_dir(args, data: dict) -> Path:
 
 def _write_trajectory_csv(path: Path, traj) -> None:
     rounds, m, n = traj.states.shape
-    # one round's rows with the agent indices in place; format puts in t
-    rows = "".join(f"{{0}},{a}," + ",".join(["%.17g"] * n) + "\n" for a in range(1, m + 1))
+    # one round's rows with the agent indices in place; t replaces the "T"s
+    rows = "".join(f"T,{a}," + ",".join(["%.17g"] * n) + "\n" for a in range(1, m + 1))
     with path.open("w") as out:
         out.write("t,agent," + ",".join(f"comp_{c + 1}" for c in range(n)) + "\n")
         for t in range(rounds):
-            out.write(rows.format(t) % tuple(traj.states[t].ravel().tolist()))
+            out.write(rows.replace("T", str(t)) % tuple(traj.states[t].ravel().tolist()))
 
 
 def _write_weights_json(path: Path, w: WeightedNeighborGraph) -> None:
@@ -346,7 +349,7 @@ def _round_matrix_for_summary(name: str, w: WeightedNeighborGraph) -> np.ndarray
 
 def cmd_verify(args) -> int:
     data = load_scenario(Path(args.scenario))
-    w, _, _ = _resolve(data, Path(args.scenario).parent)
+    w = _resolve(data, Path(args.scenario).parent)[0]
     report = is_well_configured(w, rtol=args.tol)
     print(json.dumps(report.to_json(), indent=2))
     gap = report.rank_gap
@@ -361,22 +364,22 @@ def cmd_verify(args) -> int:
 
 def cmd_synth(args) -> int:
     data = load_scenario(Path(args.scenario))
-    w, _, _ = _resolve(data, Path(args.scenario).parent)
-    if "synthesize" not in data["weights"]:
+    w, decomposition, _, _ = _resolve(data, Path(args.scenario).parent)
+    if decomposition is None:
         raise ScenarioError("synth needs a weights.synthesize section")
-    report = is_well_configured(w, rtol=args.tol)
-    if not report.well_configured:
+    # the ear rule is only sufficient; where it fails, the primary verdict decides
+    if not proves_by_ears(w, decomposition, args.tol) and not is_well_configured(w, rtol=args.tol):
         raise ScenarioError("refusing to emit weights that fail verification")
     out = _out_dir(args, data)
     out.mkdir(parents=True, exist_ok=True)
     target = out / "weights.json"
     _write_weights_json(target, w)
-    print(json.dumps({"weights": str(target), "well_configured": True, "kernel_dim": report.kernel_dim}))
+    print(json.dumps({"weights": str(target), "well_configured": True, "kernel_dim": w.n}))
     return 0
 
 
 def _run_scenario(data: dict, base_dir: Path, args) -> tuple[dict, object]:
-    w, algorithm, x0 = _resolve(data, base_dir, args.seed)
+    w, _, algorithm, x0 = _resolve(data, base_dir, args.seed)
     _require(data, "algorithm", "initial_state")
     if x0 is None:
         raise ScenarioError("random initial state needs a seed (scenario key or --seed)")
@@ -412,7 +415,7 @@ def cmd_run(args) -> int:
 
 def cmd_analyze(args) -> int:
     data = load_scenario(Path(args.scenario))
-    w, algorithm, _ = _resolve(data, Path(args.scenario).parent)
+    w, _, algorithm, _ = _resolve(data, Path(args.scenario).parent)
     _require(data, "algorithm")
     name, _, settings = algorithm
     if name == "metropolis_tv":

@@ -280,29 +280,32 @@ def _require_weakly_connected(g: DirectedGraph) -> None:
         )
 
 
+def _pair_stacks(w: WeightedNeighborGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per adjacent pair, by lead arc: its canonical index, each arc's pair, and the
+    zero-padded (pairs, r, n) stacks [C_ab; C_ba] (one arc's rows if the other is absent)."""
+    lead = w.graph.pair_lead
+    is_lead = lead == np.arange(len(lead))
+    first = np.flatnonzero(is_lead)
+    slot = np.searchsorted(first, lead)
+    start = np.where(is_lead, 0, w.row_counts[lead])  # a back arc's rows go below its lead's
+    return first, slot, _stack_rows(w, slot, start, len(first))
+
+
 def _pair_values(w: WeightedNeighborGraph) -> tuple[np.ndarray, np.ndarray, float]:
     """Zero-based ends of each unordered adjacent pair {a, b}, and per pair
-    sqrt(2) times the n-th singular value of its stack [C_ab; C_ba] (one
-    arc's rows when the other is absent; 0 with fewer than n rows), plus
-    sqrt(2) times the largest singular value over all pairs.
+    sqrt(2) times the n-th singular value of its stack [C_ab; C_ba] (0 with
+    fewer than n rows), plus sqrt(2) times the largest singular value over
+    all pairs.
 
     Up to row signs, the pair's rows of the agreement map hold the stack in
     b's columns and its negative in a's, so their singular values are
-    sqrt(2) times the stack's.  All stacks, zero-padded to one shape, share
-    one SVD without vectors.
+    sqrt(2) times the stack's.  All stacks share one SVD without vectors.
     """
-    g, n = w.graph, w.n
-    lead = g.pair_lead
-    is_lead = lead == np.arange(g.d)
-    first = np.flatnonzero(is_lead)
-    slot = np.searchsorted(first, lead)
-    counts = w.row_counts
-    start = np.where(is_lead, 0, counts[lead])  # a back arc's rows go below its lead's
-    stack = _stack_rows(w, slot, start, len(first))
-    rows = np.bincount(slot, weights=counts, minlength=len(first))
+    first, slot, stack = _pair_stacks(w)
+    rows = np.bincount(slot, weights=w.row_counts, minlength=len(first))
     s = np.sqrt(2.0) * np.linalg.svd(stack, compute_uv=False)
-    smallest = s[:, n - 1] if s.shape[1] >= n else np.zeros(len(first))
-    return g.arc_ends[first], np.where(rows >= n, smallest, 0.0), float(s.max(initial=0.0))
+    smallest = s[:, w.n - 1] if s.shape[1] >= w.n else np.zeros(len(first))
+    return w.graph.arc_ends[first], np.where(rows >= w.n, smallest, 0.0), float(s.max(initial=0.0))
 
 
 def is_well_configured(w: WeightedNeighborGraph, rtol: float = RANK_RTOL, arc_order=None) -> WellConfigReport:
@@ -348,6 +351,14 @@ def is_well_configured(w: WeightedNeighborGraph, rtol: float = RANK_RTOL, arc_or
     return WellConfigReport(dim == n, dim, witness, gap)
 
 
+def _kernels(stacks: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each slot's kernel from one batched SVD of the (slots, r, n) stacks,
+    cut at rtol times the largest singular value over all slots: vh, and the
+    (slots, n) mask of the rows of vh[k] past slot k's rank, which span it."""
+    _, s, vh = np.linalg.svd(stacks)
+    return vh, np.arange(stacks.shape[2]) >= np.sum(s > rtol * s.max(initial=0.0), axis=1)[:, None]
+
+
 def disagreement_overlap_dim(w: WeightedNeighborGraph, rtol: float = RANK_RTOL) -> int:
     """Dimension of (image of the lifted incidence transpose) meet (kernel of
     the stacked weights), in per-arc signal space.
@@ -362,13 +373,12 @@ def disagreement_overlap_dim(w: WeightedNeighborGraph, rtol: float = RANK_RTOL) 
     assembled from Q and the K_k, never from the dn-row bases.  The stacked
     singular values are the union of the per-arc ones, so each arc is cut at
     rtol times the largest singular value over all arcs: the same rank
-    decision as one SVD of the whole stacked matrix.
+    decision as one SVD of the whole stacked matrix.  proves_by_ears shares
+    these kernels; the dense oracles stay the independent check of both.
     """
     q = column_space_basis(incidence_matrix(w.graph).T, rtol)
     (d, r), n = q.shape, w.n
-    _, s, vh = np.linalg.svd(w.padded_weights())
-    # the rows of vh[k] past arc k's rank span K_k
-    in_kernel = np.arange(n) >= np.sum(s > rtol * s.max(initial=0.0), axis=1)[:, None]
+    vh, in_kernel = _kernels(w.padded_weights(), rtol)
     owner = np.nonzero(in_kernel)[0]  # the arc of each kernel column
     if len(owner) < r * n:
         # column (k, t) is (I - QQ')[:, k] (x) v_kt
@@ -388,6 +398,31 @@ def is_well_configured_via_overlap(w: WeightedNeighborGraph, rtol: float = RANK_
     return disagreement_overlap_dim(w, rtol) == 0
 
 
+def proves_by_ears(w: WeightedNeighborGraph, decomposition: EarDecomposition, rtol: float = RANK_RTOL) -> bool:
+    """True when the paper's cycle criterion proves w well-configured ear by
+    ear, for decomposition a valid one of w's graph: by induction the agents
+    covered by earlier ears are forced equal and act as one node, and an
+    ear's new agents are forced equal to them when the kernels of its slots
+    (arcs, or a symmetric ear's pairs [C_ab; C_ba]) are independent.  The
+    rule is sufficient, not necessary."""
+    symmetric, ears, n = decomposition.symmetric, decomposition.ears, w.n
+    _, slot, stacks = _pair_stacks(w) if symmetric else (None, np.arange(w.graph.d), w.padded_weights())
+    index = w.graph.arc_index
+    # each ear's slots in order; a pair's forward arc stands for it
+    slots = slot[np.fromiter((index[arc] for ear in ears for arc in ear.arcs[:: 1 + symmetric]), dtype=np.intp)]
+    vh, in_kernel = _kernels(stacks, rtol)
+    picked = in_kernel[slots]
+    sizes = [len(ear.arcs) >> symmetric for ear in ears]
+    owner = np.repeat(np.repeat(np.arange(len(ears)), sizes), picked.sum(axis=1))  # the ear of each kernel vector
+    count = np.bincount(owner, minlength=len(ears))
+    if (count > n).any():  # more kernel vectors than dimensions
+        return False
+    families = np.zeros((len(ears), n, n))  # columns: the ear's kernel vectors
+    families[owner, :, np.arange(len(owner)) - (np.cumsum(count) - count)[owner]] = vh[slots][picked]
+    s = np.linalg.svd(families[count > 1], compute_uv=False)  # one or none is independent
+    return bool((np.sum(s > rtol * s[:, :1], axis=1) == count[count > 1]).all())
+
+
 def cycle_criterion(kernels, rtol: float = RANK_RTOL) -> bool:
     """Directed cycle verdict: well-configured iff the arc kernels form an
     independent family."""
@@ -405,11 +440,6 @@ def backlinked_cycle_criterion(k1, k2, k3, k4, rtol: float = RANK_RTOL) -> bool:
     """Verdict for the triangle-with-back-arc graph, arcs
     (1,2), (2,3), (3,1), (2,1) carrying kernels k1..k4 in that order."""
     return subspace_family_independent([subspace_intersection(k1, k4, rtol), k2, k3], rtol)
-
-
-def axis_complement(n: int, axis: int) -> np.ndarray:
-    """(n-1) x n orthonormal rows whose kernel is the given coordinate axis."""
-    return np.delete(np.eye(n), axis, axis=0)
 
 
 def synthesize_weights(
@@ -460,11 +490,11 @@ def _synthesize(
             if symmetric
             else "got a symmetric decomposition; use synthesize_symmetric_weights"
         )
-    else:
+    elif decomposition.grown_on is not g:  # one grown on g is valid by construction
         validate_ear_decomposition(g, decomposition)
     width = 2 if symmetric else 1
-    # the kernel axes, then the identity past an ear's n-th slot; the weights copy them
-    axes = [*(axis_complement(n, s) for s in range(n)), np.eye(n)]
+    # per kernel axis s the identity less row s, then past an ear's n-th slot the identity
+    axes = [*(np.delete(np.eye(n), s, axis=0) for s in range(n)), np.eye(n)]
     weights: dict[Arc, np.ndarray] = {}
     for ear in decomposition.ears:
         slots = ear.length // width

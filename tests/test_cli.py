@@ -16,6 +16,7 @@ from limcon import (
     directed_cycle,
     ear_decomposition,
     is_well_configured,
+    proves_by_ears,
     symmetric_cycle,
     synthesize_symmetric_weights,
     synthesize_weights,
@@ -917,3 +918,68 @@ def test_cli_error_branches_print_one_line(command, overrides, extra, message, t
     assert main([command, "--scenario", write_scenario(tmp_path, "s.json", data), *out, *extra]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "o").exists()
+
+
+def synth_cases(tmp_path):
+    """Scenarios for synth: the bundled one, and the square with directed
+    and symmetric synthesis in both modes."""
+    cases = [str(bundled_scenario_path("symmetric_nonzero_kernels"))]
+    for symmetric in (False, True):
+        for mode in ("free", "nonzero-kernels"):
+            n = 4 if symmetric else 2  # the square's symmetric ear has 4 pairs
+            data = symmetric_square_scenario(n=n, weights={"synthesize": {"mode": mode, "symmetric": symmetric}})
+            cases.append(write_scenario(tmp_path, f"s-{symmetric}-{mode}.json", data))
+    return cases
+
+
+def synth_output(scenario, out, capsys):
+    assert main(["synth", "--scenario", scenario, "--out", str(out)]) == 0
+    return capsys.readouterr().out, (out / "weights.json").read_text()
+
+
+def test_synth_proves_its_weights_by_ears_without_the_verdict(tmp_path, capsys, monkeypatch):
+    import limcon.cli
+
+    monkeypatch.setattr(limcon.cli, "is_well_configured", lambda *a, **k: pytest.fail("synth fell back"))
+    for scenario in synth_cases(tmp_path):
+        w, dec, _, _ = _resolve(json.loads(Path(scenario).read_text()), Path(scenario).parent)
+        assert proves_by_ears(w, dec)
+        stdout, _ = synth_output(scenario, tmp_path / "o", capsys)
+        assert json.loads(stdout)["kernel_dim"] == w.n
+
+
+def test_synth_falls_back_to_the_verdict_with_the_same_output(tmp_path, capsys, monkeypatch):
+    import limcon.cli
+
+    proved = [synth_output(scenario, tmp_path / "o", capsys) for scenario in synth_cases(tmp_path)]
+    calls = []
+    real = limcon.cli.is_well_configured
+    monkeypatch.setattr(limcon.cli, "proves_by_ears", lambda *a: False)
+    monkeypatch.setattr(limcon.cli, "is_well_configured", lambda *a, **k: calls.append(k) or real(*a, **k))
+    assert [synth_output(scenario, tmp_path / "o", capsys) for scenario in synth_cases(tmp_path)] == proved
+    assert len(calls) == len(proved)
+    # a verdict that fails too still refuses the weights
+    monkeypatch.setattr(limcon.cli, "is_well_configured", lambda *a, **k: False)
+    assert main(["synth", "--scenario", synth_cases(tmp_path)[0], "--out", str(tmp_path / "refused")]) == 1
+    assert capsys.readouterr().err == "error: refusing to emit weights that fail verification\n"
+    assert not (tmp_path / "refused").exists()
+
+
+def test_synth_tol_sets_the_ear_rule_cutoff(tmp_path, capsys, monkeypatch):
+    # With directed synthesis on the benchmark's digraph at seed 201 the
+    # quotient map's smallest kept singular value is 0.125; verify --tol 0.1
+    # cuts at 0.2 and says no with a narrow gap.  The weights are exactly
+    # well-configured, as the ear rule proves at the same tolerance.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import families
+
+    scenario = str(families.digraph(201, tmp_path).synth)
+    assert main(["verify", "--scenario", scenario, "--tol", "0.1"]) == 2
+    gap = json.loads(capsys.readouterr().out)["rank_gap"]
+    assert gap["cutoff"] == pytest.approx(0.2) and gap["first_dropped"] == pytest.approx(0.1823, abs=1e-4)
+    assert main(["verify", "--scenario", scenario]) == 0
+    assert json.loads(capsys.readouterr().out)["rank_gap"]["last_kept"] == pytest.approx(0.1254, abs=1e-4)
+    stdout, weights = synth_output(scenario, tmp_path / "tol", capsys)
+    assert main(["synth", "--scenario", scenario, "--tol", "0.1", "--out", str(tmp_path / "tol")]) == 0
+    assert (capsys.readouterr().out, (tmp_path / "tol" / "weights.json").read_text()) == (stdout, weights)
+    assert json.loads(stdout)["kernel_dim"] == 4

@@ -70,8 +70,11 @@ def test_constructor_refuses_vertex_counts_whose_arc_keys_leave_int64(m):
 
 
 def test_constructor_takes_numpy_integers():
-    g = DirectedGraph(np.int64(3), ((np.int64(3), np.int32(1)), (np.uint8(1), 2), (True, 3)))
-    assert g == DirectedGraph(3, ((3, 1), (1, 2), (1, 3)))
+    g = DirectedGraph(np.int64(3), ((np.int64(3), np.int32(1)), (np.uint8(1), 2)))
+    assert g == DirectedGraph(3, ((3, 1), (1, 2)))
+    # a boolean is no integer, even where numpy would read it as one
+    with pytest.raises(ValueError, match=r"end of arc \(True, 3\) must be an integer, got True"):
+        DirectedGraph(3, ((3, 1), (True, 3)))
     assert all(type(v) is int for arc in g.arcs for v in (g.m, *arc))
     assert DirectedGraph(3, np.array([[2, 1], [1, 2]])).arcs == ((2, 1), (1, 2))
     # ends beyond any fixed-width integer are out of range, not an overflow

@@ -27,15 +27,20 @@ from limcon import (
     is_well_configured,
     is_well_configured_via_overlap,
     local_agreement_residual,
+    proves_by_ears,
+    symmetric_closure,
     symmetric_cycle,
+    symmetric_ear_decomposition,
     synthesize_symmetric_weights,
     synthesize_weights,
     weights_from_json,
     weights_to_json,
 )
 from limcon.linalg import kernel_basis
+from limcon.wellconfig import SYNTHESIS_MODES
 
 from conftest import (
+    random_strongly_connected,
     random_subspace,
     random_weakly_connected_wng,
     weight_with_kernel,
@@ -864,3 +869,97 @@ def test_weights_match_the_pinned_digest():
         for c in mats:
             digest.update(repr(c.shape).encode() + c.tobytes())
     assert digest.hexdigest() == "f362b15428057c98d1040e797fa3bf12c8d9552af364f4bbd8ca1a331e5df5f0"
+
+
+def ear_rule_draw(seed, symmetric):
+    """Random kernels on a random strongly connected graph (m 2-7, n 1-4),
+    or on its symmetric closure, which is 2-connected, with half the pairs
+    sharing one weight; and the decomposition the synthesizers would use.
+    Half the kernels are spanned by coordinate axes, so that the kernels
+    within an ear can be dependent."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(3 if symmetric else 2, 8)), int(rng.integers(1, 5))
+    g = random_strongly_connected(rng, m, extra_arcs=int(rng.integers(0, m + 1)))
+    g = symmetric_closure(g) if symmetric else g
+    weights = {}
+    for j, i in g.arcs:
+        if (i, j) in weights and symmetric and rng.random() < 0.5:
+            weights[(j, i)] = weights[(i, j)]
+        elif rng.random() < 0.5:
+            weights[(j, i)] = weight_with_kernel(np.eye(n)[:, rng.random(n) < 0.3])
+        else:
+            weights[(j, i)] = weight_with_kernel(random_subspace(rng, n, int(rng.integers(0, n + 1))))
+    w = WeightedNeighborGraph(g, n, weights)
+    return w, symmetric_ear_decomposition(g) if symmetric else ear_decomposition(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), symmetric=st.booleans())
+def test_ear_rule_is_sound_at_unit_scale(seed, symmetric):
+    w, dec = ear_rule_draw(seed, symmetric)
+    if proves_by_ears(w, dec):
+        assert agreement_nullity_dense(w) == w.n
+
+
+def test_ear_rule_proves_a_share_of_random_draws():
+    # sufficient, not necessary: it says yes less often than the verdict,
+    # never where the verdict says no, and not never
+    for symmetric in (False, True):
+        draws = [ear_rule_draw(seed, symmetric) for seed in range(200)]
+        rule = [proves_by_ears(w, dec) for w, dec in draws]
+        verdict = [is_well_configured(w).well_configured for w, _ in draws]
+        assert all(v for r, v in zip(rule, verdict) if r)
+        assert 30 <= sum(rule) < sum(verdict), symmetric
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    symmetric=st.booleans(),
+    exponents=st.lists(st.integers(-6, 6), min_size=1, max_size=8),
+)
+def test_ear_rule_agrees_with_the_verdict_under_rescaling(seed, symmetric, exponents):
+    w, dec = ear_rule_draw(seed, symmetric)
+    scaled = {arc: c * 10.0 ** exponents[k % len(exponents)] for k, (arc, c) in enumerate(w.weights.items())}
+    w = WeightedNeighborGraph(w.graph, w.n, scaled)
+    if proves_by_ears(w, dec):
+        report = is_well_configured(w)
+        assert report.well_configured or report.rank_gap.narrow()
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 0.1, 0.9])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ear_rule_proves_every_synthesized_weight_set(sc_corpus, sym_corpus, n, rtol):
+    # both modes, directed synthesis on every strongly connected graph and
+    # symmetric synthesis on every 2-connected one; "free" pads the ears
+    # longer than n with identities, which the rule must see through
+    longer = 0
+    for name, g in {**sc_corpus, **sym_corpus}.items():
+        decs = [ear_decomposition(g)] + ([symmetric_ear_decomposition(g)] if name in sym_corpus else [])
+        for dec in decs:
+            synthesize = synthesize_symmetric_weights if dec.symmetric else synthesize_weights
+            slots = dec.max_length // (2 if dec.symmetric else 1)
+            longer += slots > n
+            for mode in SYNTHESIS_MODES if slots <= n else ["free"]:
+                assert proves_by_ears(synthesize(g, n, dec, mode), dec, rtol), (name, dec.symmetric, mode)
+    assert longer
+
+
+def test_ear_rule_takes_a_symmetric_ears_pair_kernels():
+    # on the symmetric triangle, one ear of three pairs, each arc a -> b has
+    # kernel e1 if a < b and e2 otherwise: every pair kernel is trivial,
+    # although the forward arcs' kernels alone are dependent
+    g = symmetric_cycle(3)
+    w = WeightedNeighborGraph(g, 2, {(a, b): np.eye(2)[[1 if a < b else 0]] for a, b in g.arcs})
+    assert proves_by_ears(w, symmetric_ear_decomposition(g))
+
+
+def test_ear_rule_fails_an_ear_with_too_many_or_dependent_kernels():
+    # the triangle 1 -> 2 -> 3 -> 1 is one ear; its kernels decide
+    e1, e2, trivial = np.eye(2)[:, :1], np.eye(2)[:, 1:], np.zeros((2, 0))
+    w = cycle_wng([e1, e2, trivial])
+    assert proves_by_ears(w, ear_decomposition(w.graph))
+    for kernels in ([e1, e1, trivial], [e1, e2, (e1 + e2) / np.sqrt(2)]):  # dependent; more vectors than n
+        w = cycle_wng(kernels)
+        assert not proves_by_ears(w, ear_decomposition(w.graph))
+        assert not is_well_configured(w)
