@@ -65,7 +65,6 @@ from .wellconfig import (
     identity_weights,
     is_well_configured,
     is_well_configured_via_overlap,
-    proves_by_ears,
     synthesize_symmetric_weights,
     synthesize_weights,
     weights_from_json,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import simulate
-from .graphs import DirectedGraph, EarDecomposition, _check_keys, ear_decomposition, symmetric_ear_decomposition
+from .graphs import DirectedGraph, EarDecomposition, _check_keys
 from .linalg import RANK_RTOL
 from .simulate import (
     ALGORITHMS,
@@ -29,10 +29,10 @@ from .simulate import (
 )
 from .wellconfig import (
     WeightedNeighborGraph,
+    _checked_decomposition,
+    _proves_by_ears,
+    _synthesize,
     is_well_configured,
-    proves_by_ears,
-    synthesize_symmetric_weights,
-    synthesize_weights,
 )
 
 SCHEMA_VERSION = 1
@@ -156,9 +156,8 @@ def _build_weights(
     mode = cfg.get("mode", "free")
     symmetric = _expect(cfg.get("symmetric", False), "weights.synthesize.symmetric", bool)
     dec_cfg = cfg.get("decomposition", "auto")
-    if dec_cfg == "auto":
-        decomposition = symmetric_ear_decomposition(g) if symmetric else ear_decomposition(g)
-    else:
+    decomposition = None
+    if dec_cfg != "auto":
         _check_keys(dec_cfg, "weights.synthesize.decomposition", required=("path",))
         dec_path = base_dir / _expect(dec_cfg["path"], "weights.synthesize.decomposition.path", str)
         raw = _expect(_read_json(dec_path, "decomposition"), f"{dec_path}", list)
@@ -166,8 +165,8 @@ def _build_weights(
             _check_keys(ear, f"{dec_path}: ear", required=("kind", "arcs"))
             _arcs(ear["arcs"], f"{dec_path}: ear arcs")
         decomposition = EarDecomposition.from_json(raw)
-    synthesize = synthesize_symmetric_weights if symmetric else synthesize_weights
-    return synthesize(g, n, decomposition, mode), decomposition
+    decomposition = _checked_decomposition(g, decomposition, symmetric)
+    return _synthesize(g, n, decomposition, mode), decomposition
 
 
 def _build_initial_state(section: dict, m: int, n: int, seed_override: int | None) -> np.ndarray | None:
@@ -367,8 +366,7 @@ def cmd_synth(args) -> int:
     w, decomposition, _, _ = _resolve(data, Path(args.scenario).parent)
     if decomposition is None:
         raise ScenarioError("synth needs a weights.synthesize section")
-    # the ear rule is only sufficient; where it fails, the primary verdict decides
-    if not proves_by_ears(w, decomposition, args.tol) and not is_well_configured(w, rtol=args.tol):
+    if not _proves_by_ears(w, decomposition, args.tol):
         raise ScenarioError("refusing to emit weights that fail verification")
     out = _out_dir(args, data)
     out.mkdir(parents=True, exist_ok=True)

@@ -48,9 +48,8 @@ class DirectedGraph:
         ends = np.array(given) if given else np.zeros((0, 2), dtype=np.intp)
         if ends.ndim != 2 or ends.shape[1] != 2:
             raise ValueError("arcs must be (tail, head) pairs")
-        # numpy reads True and False as 1 and 0, so only an end <= 1 can be a boolean
-        low = (ends.ravel() <= 1).nonzero()[0].tolist() if ends.dtype.kind in "iu" else None
-        if low is None or not {bool, np.bool_}.isdisjoint([type(given[k >> 1][k & 1]) for k in low]):
+        # numpy reads True and False as 1 and 0, but a boolean is no integer
+        if ends.dtype.kind not in "iu" or not {bool, np.bool_}.isdisjoint({type(v) for arc in given for v in arc}):
             # the first non-integer raises; an end too wide for intp is out of range
             ends = np.array([[min(max(_integer(v, f"end of arc {tuple(arc)}"), 0), m + 1) for v in arc] for arc in given])
         ends = ends.astype(np.intp) - 1
@@ -60,7 +59,7 @@ class DirectedGraph:
         keys = keys[order]
         repeat = np.zeros(len(keys), dtype=bool)
         repeat[order[1:]] = keys[1:] == keys[:-1]  # the later of two equal arcs
-        outside = np.maximum(tails.view(np.uintp), heads.view(np.uintp)) >= m  # a negative end wraps around
+        outside = ((ends < 0) | (ends >= m)).any(axis=1)
         offending = outside | (tails == heads) | repeat
         if offending.any():
             k = int(np.argmax(offending))
@@ -294,8 +293,6 @@ class Ear:
 class EarDecomposition:
     ears: tuple[Ear, ...]
     symmetric: bool = False
-    # the graph it was grown on, for which it is valid by construction
-    grown_on: DirectedGraph | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.ears)
@@ -506,9 +503,7 @@ def _grow_ears(g: DirectedGraph, first: list[Arc], symmetric: bool) -> EarDecomp
         if v not in visited:
             path += _extend_to_visited(adj, v, visited, u if symmetric else 0)
         attach("cycle" if path[-1][1] == u else "path", path)
-    out = EarDecomposition(tuple(ears), symmetric=symmetric)
-    object.__setattr__(out, "grown_on", g)
-    return out
+    return EarDecomposition(tuple(ears), symmetric=symmetric)
 
 
 def ear_decomposition(g: DirectedGraph) -> EarDecomposition:

@@ -373,7 +373,7 @@ def disagreement_overlap_dim(w: WeightedNeighborGraph, rtol: float = RANK_RTOL) 
     assembled from Q and the K_k, never from the dn-row bases.  The stacked
     singular values are the union of the per-arc ones, so each arc is cut at
     rtol times the largest singular value over all arcs: the same rank
-    decision as one SVD of the whole stacked matrix.  proves_by_ears shares
+    decision as one SVD of the whole stacked matrix.  _proves_by_ears shares
     these kernels; the dense oracles stay the independent check of both.
     """
     q = column_space_basis(incidence_matrix(w.graph).T, rtol)
@@ -398,13 +398,14 @@ def is_well_configured_via_overlap(w: WeightedNeighborGraph, rtol: float = RANK_
     return disagreement_overlap_dim(w, rtol) == 0
 
 
-def proves_by_ears(w: WeightedNeighborGraph, decomposition: EarDecomposition, rtol: float = RANK_RTOL) -> bool:
+def _proves_by_ears(w: WeightedNeighborGraph, decomposition: EarDecomposition, rtol: float = RANK_RTOL) -> bool:
     """True when the paper's cycle criterion proves w well-configured ear by
     ear, for decomposition a valid one of w's graph: by induction the agents
     covered by earlier ears are forced equal and act as one node, and an
     ear's new agents are forced equal to them when the kernels of its slots
     (arcs, or a symmetric ear's pairs [C_ab; C_ba]) are independent.  The
-    rule is sufficient, not necessary."""
+    rule is sufficient, not necessary.  It trusts decomposition: on one that
+    misses a vertex or an arc it can say yes wrongly."""
     symmetric, ears, n = decomposition.symmetric, decomposition.ears, w.n
     _, slot, stacks = _pair_stacks(w) if symmetric else (None, np.arange(w.graph.d), w.padded_weights())
     index = w.graph.arc_index
@@ -456,7 +457,7 @@ def synthesize_weights(
     an ear longer than n is refused; in "free" mode the overflow arcs fall
     back to full-information identity weights.
     """
-    return _synthesize(g, n, decomposition, mode, symmetric=False)
+    return _synthesize(g, n, _checked_decomposition(g, decomposition, False), mode)
 
 
 def synthesize_symmetric_weights(
@@ -472,26 +473,30 @@ def synthesize_symmetric_weights(
     pair of an ear with more than n pairs is refused in "nonzero-kernels"
     mode and padded with identities in "free" mode.
     """
-    return _synthesize(g, n, decomposition, mode, symmetric=True)
+    return _synthesize(g, n, _checked_decomposition(g, decomposition, True), mode)
 
 
-def _synthesize(
-    g: DirectedGraph, n: int, decomposition: EarDecomposition | None, mode: str, symmetric: bool
-) -> WeightedNeighborGraph:
-    # One kernel axis per slot of an ear: an arc, or in a symmetric ear a
-    # two-length cycle, whose arcs sit side by side in the ear.
-    if mode not in SYNTHESIS_MODES:
-        raise ValueError(f"mode must be one of {SYNTHESIS_MODES}, got {mode!r}")
+def _checked_decomposition(g: DirectedGraph, decomposition: EarDecomposition | None, symmetric: bool) -> EarDecomposition:
+    """decomposition checked to be a valid one of g, or when None one grown on g."""
     if decomposition is None:
-        decomposition = symmetric_ear_decomposition(g) if symmetric else ear_decomposition(g)
-    elif decomposition.symmetric != symmetric:
+        return symmetric_ear_decomposition(g) if symmetric else ear_decomposition(g)
+    if decomposition.symmetric != symmetric:
         raise ValueError(
             "synthesize_symmetric_weights needs a symmetric decomposition"
             if symmetric
             else "got a symmetric decomposition; use synthesize_symmetric_weights"
         )
-    elif decomposition.grown_on is not g:  # one grown on g is valid by construction
-        validate_ear_decomposition(g, decomposition)
+    validate_ear_decomposition(g, decomposition)
+    return decomposition
+
+
+def _synthesize(g: DirectedGraph, n: int, decomposition: EarDecomposition, mode: str) -> WeightedNeighborGraph:
+    """The synthesized weights for decomposition, a valid one of g."""
+    # One kernel axis per slot of an ear: an arc, or in a symmetric ear a
+    # two-length cycle, whose arcs sit side by side in the ear.
+    if mode not in SYNTHESIS_MODES:
+        raise ValueError(f"mode must be one of {SYNTHESIS_MODES}, got {mode!r}")
+    symmetric = decomposition.symmetric
     width = 2 if symmetric else 1
     # per kernel axis s the identity less row s, then past an ear's n-th slot the identity
     axes = [*(np.delete(np.eye(n), s, axis=0) for s in range(n)), np.eye(n)]

@@ -16,7 +16,6 @@ from limcon import (
     directed_cycle,
     ear_decomposition,
     is_well_configured,
-    proves_by_ears,
     symmetric_cycle,
     synthesize_symmetric_weights,
     synthesize_weights,
@@ -24,6 +23,7 @@ from limcon import (
     weights_to_json,
 )
 from limcon.cli import _resolve, _write_weights_json, bundled_scenario_path, main
+from limcon.wellconfig import _proves_by_ears
 
 from oracles import trajectory_csv_per_row
 
@@ -943,26 +943,35 @@ def test_synth_proves_its_weights_by_ears_without_the_verdict(tmp_path, capsys, 
     monkeypatch.setattr(limcon.cli, "is_well_configured", lambda *a, **k: pytest.fail("synth fell back"))
     for scenario in synth_cases(tmp_path):
         w, dec, _, _ = _resolve(json.loads(Path(scenario).read_text()), Path(scenario).parent)
-        assert proves_by_ears(w, dec)
+        assert _proves_by_ears(w, dec)
         stdout, _ = synth_output(scenario, tmp_path / "o", capsys)
         assert json.loads(stdout)["kernel_dim"] == w.n
 
 
-def test_synth_falls_back_to_the_verdict_with_the_same_output(tmp_path, capsys, monkeypatch):
+def test_synth_refuses_weights_the_ear_rule_does_not_prove(tmp_path, capsys, monkeypatch):
     import limcon.cli
 
-    proved = [synth_output(scenario, tmp_path / "o", capsys) for scenario in synth_cases(tmp_path)]
-    calls = []
-    real = limcon.cli.is_well_configured
-    monkeypatch.setattr(limcon.cli, "proves_by_ears", lambda *a: False)
-    monkeypatch.setattr(limcon.cli, "is_well_configured", lambda *a, **k: calls.append(k) or real(*a, **k))
-    assert [synth_output(scenario, tmp_path / "o", capsys) for scenario in synth_cases(tmp_path)] == proved
-    assert len(calls) == len(proved)
-    # a verdict that fails too still refuses the weights
-    monkeypatch.setattr(limcon.cli, "is_well_configured", lambda *a, **k: False)
+    monkeypatch.setattr(limcon.cli, "_proves_by_ears", lambda *a: False)
     assert main(["synth", "--scenario", synth_cases(tmp_path)[0], "--out", str(tmp_path / "refused")]) == 1
     assert capsys.readouterr().err == "error: refusing to emit weights that fail verification\n"
     assert not (tmp_path / "refused").exists()
+
+
+def test_synth_refuses_a_decomposition_file_that_misses_a_vertex(tmp_path, capsys):
+    # the triangle ear alone leaves vertex 4 and the pair 3 <-> 4 uncovered;
+    # the ear rule trusts its decomposition, so the file is checked first
+    arcs = [[1, 2], [2, 3], [3, 1], [3, 4], [4, 3]]
+    (tmp_path / "dec.json").write_text(json.dumps([{"kind": "cycle", "arcs": arcs[:3]}]))
+    data = {
+        "schema_version": 1,
+        "n": 2,
+        "graph": {"m": 4, "arcs": arcs},
+        "weights": {"synthesize": {"decomposition": {"path": "dec.json"}}},
+    }
+    scenario = write_scenario(tmp_path, "s.json", data)
+    assert main(["synth", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: ears do not partition the arc set\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_synth_tol_sets_the_ear_rule_cutoff(tmp_path, capsys, monkeypatch):

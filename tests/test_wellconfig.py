@@ -27,7 +27,6 @@ from limcon import (
     is_well_configured,
     is_well_configured_via_overlap,
     local_agreement_residual,
-    proves_by_ears,
     symmetric_closure,
     symmetric_cycle,
     symmetric_ear_decomposition,
@@ -37,7 +36,7 @@ from limcon import (
     weights_to_json,
 )
 from limcon.linalg import kernel_basis
-from limcon.wellconfig import SYNTHESIS_MODES
+from limcon.wellconfig import SYNTHESIS_MODES, _proves_by_ears
 
 from conftest import (
     random_strongly_connected,
@@ -897,7 +896,7 @@ def ear_rule_draw(seed, symmetric):
 @given(seed=st.integers(0, 2**32 - 1), symmetric=st.booleans())
 def test_ear_rule_is_sound_at_unit_scale(seed, symmetric):
     w, dec = ear_rule_draw(seed, symmetric)
-    if proves_by_ears(w, dec):
+    if _proves_by_ears(w, dec):
         assert agreement_nullity_dense(w) == w.n
 
 
@@ -906,7 +905,7 @@ def test_ear_rule_proves_a_share_of_random_draws():
     # never where the verdict says no, and not never
     for symmetric in (False, True):
         draws = [ear_rule_draw(seed, symmetric) for seed in range(200)]
-        rule = [proves_by_ears(w, dec) for w, dec in draws]
+        rule = [_proves_by_ears(w, dec) for w, dec in draws]
         verdict = [is_well_configured(w).well_configured for w, _ in draws]
         assert all(v for r, v in zip(rule, verdict) if r)
         assert 30 <= sum(rule) < sum(verdict), symmetric
@@ -922,7 +921,7 @@ def test_ear_rule_agrees_with_the_verdict_under_rescaling(seed, symmetric, expon
     w, dec = ear_rule_draw(seed, symmetric)
     scaled = {arc: c * 10.0 ** exponents[k % len(exponents)] for k, (arc, c) in enumerate(w.weights.items())}
     w = WeightedNeighborGraph(w.graph, w.n, scaled)
-    if proves_by_ears(w, dec):
+    if _proves_by_ears(w, dec):
         report = is_well_configured(w)
         assert report.well_configured or report.rank_gap.narrow()
 
@@ -941,7 +940,7 @@ def test_ear_rule_proves_every_synthesized_weight_set(sc_corpus, sym_corpus, n, 
             slots = dec.max_length // (2 if dec.symmetric else 1)
             longer += slots > n
             for mode in SYNTHESIS_MODES if slots <= n else ["free"]:
-                assert proves_by_ears(synthesize(g, n, dec, mode), dec, rtol), (name, dec.symmetric, mode)
+                assert _proves_by_ears(synthesize(g, n, dec, mode), dec, rtol), (name, dec.symmetric, mode)
     assert longer
 
 
@@ -951,15 +950,28 @@ def test_ear_rule_takes_a_symmetric_ears_pair_kernels():
     # although the forward arcs' kernels alone are dependent
     g = symmetric_cycle(3)
     w = WeightedNeighborGraph(g, 2, {(a, b): np.eye(2)[[1 if a < b else 0]] for a, b in g.arcs})
-    assert proves_by_ears(w, symmetric_ear_decomposition(g))
+    assert _proves_by_ears(w, symmetric_ear_decomposition(g))
 
 
 def test_ear_rule_fails_an_ear_with_too_many_or_dependent_kernels():
     # the triangle 1 -> 2 -> 3 -> 1 is one ear; its kernels decide
     e1, e2, trivial = np.eye(2)[:, :1], np.eye(2)[:, 1:], np.zeros((2, 0))
     w = cycle_wng([e1, e2, trivial])
-    assert proves_by_ears(w, ear_decomposition(w.graph))
+    assert _proves_by_ears(w, ear_decomposition(w.graph))
     for kernels in ([e1, e1, trivial], [e1, e2, (e1 + e2) / np.sqrt(2)]):  # dependent; more vectors than n
         w = cycle_wng(kernels)
-        assert not proves_by_ears(w, ear_decomposition(w.graph))
+        assert not _proves_by_ears(w, ear_decomposition(w.graph))
         assert not is_well_configured(w)
+
+
+def test_synthesizers_check_a_decomposition_they_are_given():
+    # the triangle ear alone misses vertex 4 and the pair 3 <-> 4
+    g = DirectedGraph(4, ((1, 2), (2, 3), (3, 1), (3, 4), (4, 3)))
+    partial = EarDecomposition.from_json([{"kind": "cycle", "arcs": [[1, 2], [2, 3], [3, 1]]}])
+    with pytest.raises(ValueError, match="ears do not partition the arc set"):
+        synthesize_weights(g, 2, partial)
+    with pytest.raises(ValueError, match="needs a symmetric decomposition"):
+        synthesize_symmetric_weights(g, 2, partial)
+    sym = symmetric_cycle(3)
+    with pytest.raises(ValueError, match="use synthesize_symmetric_weights"):
+        synthesize_weights(sym, 2, symmetric_ear_decomposition(sym))
