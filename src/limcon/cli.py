@@ -38,19 +38,11 @@ from .wellconfig import (
 SCHEMA_VERSION = 1
 
 
-class ScenarioError(ValueError):
-    pass
-
-
-class UsageError(ValueError):
-    """A command line argparse rejects."""
-
-
 class _Parser(argparse.ArgumentParser):
     # Usage errors exit 1 like any other error; argparse's own status 2 would
     # read as "not well-configured".
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 _JSON_KINDS = {
@@ -68,7 +60,7 @@ def _expect(value, where: str, *kinds: type):
     """value itself if its JSON kind is one of kinds (a boolean is no number)."""
     if type(value) not in kinds:
         wanted = " or ".join(_JSON_KINDS[k] for k in kinds)
-        raise ScenarioError(f"{where} must be {wanted}, got {_JSON_KINDS.get(type(value), type(value).__name__)}")
+        raise ValueError(f"{where} must be {wanted}, got {_JSON_KINDS.get(type(value), type(value).__name__)}")
     return value
 
 
@@ -79,7 +71,7 @@ def _number(value, where: str) -> float:
 def _arcs(value, where: str) -> tuple[tuple[int, int], ...]:
     pairs = _expect(value, where, list)
     if not all(type(pair) is list and len(pair) == 2 for pair in pairs):
-        raise ScenarioError(f"{where} must be an array of [j, i] pairs")
+        raise ValueError(f"{where} must be an array of [j, i] pairs")
     return tuple((_expect(j, where, int), _expect(i, where, int)) for j, i in pairs)
 
 
@@ -87,23 +79,23 @@ def _array(value, where: str) -> np.ndarray:
     try:
         return np.asarray(_expect(value, where, list), dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where} must be a numeric array") from exc
+        raise ValueError(f"{where} must be a numeric array") from exc
 
 
 def _read_json(path: Path, what: str):
     try:
         text = path.read_text()
     except OSError as exc:
-        raise ScenarioError(f"cannot read {what} {path}: {exc}") from exc
+        raise ValueError(f"cannot read {what} {path}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
 def _finite(values: np.ndarray, where: str) -> np.ndarray:
     if not np.isfinite(values).all():
-        raise ScenarioError(f"{where} must be finite")
+        raise ValueError(f"{where} must be finite")
     return values
 
 
@@ -116,7 +108,7 @@ def load_scenario(path: Path) -> dict:
         optional=("algorithm", "initial_state", "output"),
     )
     if _expect(data["schema_version"], "schema_version", int) != SCHEMA_VERSION:
-        raise ScenarioError(f"unsupported schema_version {data['schema_version']!r}; expected {SCHEMA_VERSION}")
+        raise ValueError(f"unsupported schema_version {data['schema_version']!r}; expected {SCHEMA_VERSION}")
     if "output" in data:
         # checked here, not where it is read: --out would skip that
         _check_keys(data["output"], "output", required=("dir",))
@@ -131,7 +123,7 @@ def _build_graph(section: dict, base_dir: Path) -> DirectedGraph:
         try:
             return DirectedGraph.from_text(path.read_text())
         except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from None
+            raise ValueError(f"{path}: {exc}") from None
     _check_keys(section, "graph", required=("m", "arcs"))
     return DirectedGraph(_expect(section["m"], "graph.m", int), _arcs(section["arcs"], "graph.arcs"))
 
@@ -141,14 +133,14 @@ def _build_weights(
 ) -> tuple[WeightedNeighborGraph, EarDecomposition | None]:
     _check_keys(section, "weights", required=(), optional=("explicit", "synthesize"))
     if ("explicit" in section) == ("synthesize" in section):
-        raise ScenarioError("weights: exactly one of 'explicit' or 'synthesize' is required")
+        raise ValueError("weights: exactly one of 'explicit' or 'synthesize' is required")
     if "explicit" in section:
         table = {}
         for entry in _expect(section["explicit"], "weights.explicit", list):
             _check_keys(entry, "weights.explicit[]", required=("j", "i", "C"))
             arc = (_expect(entry["j"], "weights.explicit[].j", int), _expect(entry["i"], "weights.explicit[].i", int))
             if arc in table:
-                raise ScenarioError(f"weights.explicit: arc {arc} is listed twice")
+                raise ValueError(f"weights.explicit: arc {arc} is listed twice")
             table[arc] = _array(entry["C"], "weights.explicit[].C")
         return WeightedNeighborGraph(g, n, table), None
     cfg = section["synthesize"]
@@ -160,11 +152,11 @@ def _build_weights(
     if dec_cfg != "auto":
         _check_keys(dec_cfg, "weights.synthesize.decomposition", required=("path",))
         dec_path = base_dir / _expect(dec_cfg["path"], "weights.synthesize.decomposition.path", str)
-        raw = _expect(_read_json(dec_path, "decomposition"), f"{dec_path}", list)
-        for ear in raw:
-            _check_keys(ear, f"{dec_path}: ear", required=("kind", "arcs"))
-            _arcs(ear["arcs"], f"{dec_path}: ear arcs")
-        decomposition = EarDecomposition.from_json(raw)
+        raw = _read_json(dec_path, "decomposition")
+        try:
+            decomposition = EarDecomposition.from_json(raw)
+        except ValueError as exc:
+            raise ValueError(f"{dec_path}: {exc}") from None
     decomposition = _checked_decomposition(g, decomposition, symmetric)
     return _synthesize(g, n, decomposition, mode), decomposition
 
@@ -175,23 +167,23 @@ def _build_initial_state(section: dict, m: int, n: int, seed_override: int | Non
     _check_keys(section, "initial_state", required=(), optional=("explicit", "random", "consensus"))
     sources = [k for k in ("explicit", "random", "consensus") if k in section]
     if len(sources) != 1:
-        raise ScenarioError("initial_state: exactly one of 'explicit', 'random', 'consensus' is required")
+        raise ValueError("initial_state: exactly one of 'explicit', 'random', 'consensus' is required")
     kind = sources[0]
     if kind == "explicit":
         if seed_override is not None:
-            raise ScenarioError("--seed given but the initial state is explicit")
+            raise ValueError("--seed given but the initial state is explicit")
         state = _array(section["explicit"], "initial_state.explicit")
         if state.shape != (m, n):
-            raise ScenarioError(f"initial_state.explicit must be {m} rows of {n} values")
+            raise ValueError(f"initial_state.explicit must be {m} rows of {n} values")
         return _finite(state, "initial_state.explicit")
     if kind == "consensus":
         if seed_override is not None:
-            raise ScenarioError("--seed given but the initial state is a consensus state")
+            raise ValueError("--seed given but the initial state is a consensus state")
         cfg = section["consensus"]
         _check_keys(cfg, "initial_state.consensus", required=(), optional=("value",))
         value = _array(cfg["value"], "initial_state.consensus.value") if "value" in cfg else np.zeros(n)
         if value.shape != (n,):
-            raise ScenarioError(f"initial_state.consensus.value must have {n} entries")
+            raise ValueError(f"initial_state.consensus.value must have {n} entries")
         return np.tile(_finite(value, "initial_state.consensus.value"), (m, 1))
     cfg = section["random"]
     _check_keys(cfg, "initial_state.random", required=(), optional=("seed",))
@@ -199,7 +191,7 @@ def _build_initial_state(section: dict, m: int, n: int, seed_override: int | Non
     for where, value in (("initial_state.random.seed", cfg.get("seed")), ("--seed", seed_override)):
         if value is not None:  # both are checked; --seed, the later, wins
             if _expect(value, where, int) < 0:
-                raise ScenarioError(f"{where} must be a non-negative integer, got {value}")
+                raise ValueError(f"{where} must be a non-negative integer, got {value}")
             seed = value
     return None if seed is None else np.random.default_rng(seed).standard_normal((m, n))
 
@@ -210,7 +202,7 @@ def _stepsize(make, *args, **kwargs) -> StepsizeSchedule:
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
-        raise ScenarioError(f"algorithm.stepsize.{exc}") from None
+        raise ValueError(f"algorithm.stepsize.{exc}") from None
 
 
 def _build_stepsize(section: dict) -> StepsizeSchedule:
@@ -228,14 +220,14 @@ def _build_stepsize(section: dict) -> StepsizeSchedule:
         _check_keys(section, where, required=("kind", "values"))
         values = _expect(section["values"], "algorithm.stepsize.values", list)
         return _stepsize(StepsizeSchedule.scripted, [_number(v, f"algorithm.stepsize.values[{k}]") for k, v in enumerate(values)])
-    raise ScenarioError(f"algorithm.stepsize.kind must be harmonic|constant|scripted, got {kind!r}")
+    raise ValueError(f"algorithm.stepsize.kind must be harmonic|constant|scripted, got {kind!r}")
 
 
 def _build_schedule(section: dict, m: int) -> Schedule:
     _check_keys(section, "algorithm.schedule", required=("mode", "subgraphs"), optional=("script",))
     mode = section["mode"]
     if mode not in ("fixed", "periodic", "scripted"):
-        raise ScenarioError(f"algorithm.schedule.mode must be fixed|periodic|scripted, got {mode!r}")
+        raise ValueError(f"algorithm.schedule.mode must be fixed|periodic|scripted, got {mode!r}")
     # only a scripted schedule reads a script
     script_key = ("script",) if mode == "scripted" else ()
     _check_keys(section, f"algorithm.schedule ({mode})", required=("mode", "subgraphs", *script_key))
@@ -245,7 +237,7 @@ def _build_schedule(section: dict, m: int) -> Schedule:
     )
     if mode == "fixed":
         if len(subgraphs) != 1:
-            raise ScenarioError("fixed schedule needs exactly one subgraph")
+            raise ValueError("fixed schedule needs exactly one subgraph")
         return Schedule.fixed(subgraphs[0])
     if mode == "periodic":
         return Schedule.periodic(subgraphs)
@@ -267,12 +259,12 @@ def _build_algorithm(section: dict, g: DirectedGraph) -> tuple[str, int, dict]:
     are the keyword arguments of its engine simulate.run_<name>."""
     name = _expect(section, "algorithm", dict).get("name")
     if name not in ALGORITHMS:
-        raise ScenarioError(f"algorithm.name must be one of {ALGORITHMS}, got {name!r}")
+        raise ValueError(f"algorithm.name must be one of {ALGORITHMS}, got {name!r}")
     required, optional = _SETTINGS.get(name, ((), ()))
     _check_keys(section, f"algorithm ({name})", required=("name", "steps", *required), optional=optional)
     steps = _expect(section["steps"], "algorithm.steps", int)
     if steps < 0:
-        raise ScenarioError(f"algorithm.steps must be >= 0, got {steps}")
+        raise ValueError(f"algorithm.steps must be >= 0, got {steps}")
     settings = {}
     if "stepsize" in section:
         settings["stepsize"] = _build_stepsize(section["stepsize"])
@@ -301,7 +293,7 @@ def _resolve(
 def _require(data: dict, *sections: str) -> None:
     for key in sections:
         if key not in data:
-            raise ScenarioError(f"scenario has no '{key}' section")
+            raise ValueError(f"scenario has no '{key}' section")
 
 
 def _out_dir(args, data: dict) -> Path:
@@ -365,9 +357,9 @@ def cmd_synth(args) -> int:
     data = load_scenario(Path(args.scenario))
     w, decomposition, _, _ = _resolve(data, Path(args.scenario).parent)
     if decomposition is None:
-        raise ScenarioError("synth needs a weights.synthesize section")
-    if not _proves_by_ears(w, decomposition, args.tol):
-        raise ScenarioError("refusing to emit weights that fail verification")
+        raise ValueError("synth needs a weights.synthesize section")
+    if not _proves_by_ears(w, decomposition):
+        raise ValueError("refusing to emit weights that fail verification")
     out = _out_dir(args, data)
     out.mkdir(parents=True, exist_ok=True)
     target = out / "weights.json"
@@ -376,15 +368,16 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _run_scenario(data: dict, base_dir: Path, args) -> tuple[dict, object]:
-    w, _, algorithm, x0 = _resolve(data, base_dir, args.seed)
+def cmd_run(args) -> int:
+    data = load_scenario(Path(args.scenario))
+    w, _, algorithm, x0 = _resolve(data, Path(args.scenario).parent, args.seed)
     _require(data, "algorithm", "initial_state")
     if x0 is None:
-        raise ScenarioError("random initial state needs a seed (scenario key or --seed)")
+        raise ValueError("random initial state needs a seed (scenario key or --seed)")
     name, steps, settings = algorithm
     if args.steps is not None:
         if args.steps < 0:
-            raise ScenarioError(f"--steps must be >= 0, got {args.steps}")
+            raise ValueError(f"--steps must be >= 0, got {args.steps}")
         steps = args.steps
     # looked up at call time, so a replaced engine is the one called
     traj = getattr(simulate, f"run_{name}")(w, x0, steps=steps, **settings)
@@ -397,12 +390,6 @@ def _run_scenario(data: dict, base_dir: Path, args) -> tuple[dict, object]:
         "converged": traj.converged,
         "spectral": spectral.summary_dict(),
     }
-    return summary, traj
-
-
-def cmd_run(args) -> int:
-    data = load_scenario(Path(args.scenario))
-    summary, traj = _run_scenario(data, Path(args.scenario).parent, args)
     out = _out_dir(args, data)
     out.mkdir(parents=True, exist_ok=True)
     _write_trajectory_csv(out / "trajectory.csv", traj)
@@ -458,17 +445,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="limcon", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True, tol=False):
-        if scenario:
-            p.add_argument("--scenario", required=True, help="scenario JSON file")
-        if tol:
-            p.add_argument("--tol", type=_tolerance, default=RANK_RTOL, help="relative rank tolerance, 0 < tol < 1")
+    def common(p):
+        p.add_argument("--scenario", required=True, help="scenario JSON file")
 
     p_verify = sub.add_parser("verify", help="check well-configuration; exit 0/2/1")
-    common(p_verify, tol=True)
+    common(p_verify)
+    p_verify.add_argument("--tol", type=_tolerance, default=RANK_RTOL, help="relative rank tolerance, 0 < tol < 1")
 
     p_synth = sub.add_parser("synth", help="synthesize weights from an ear decomposition")
-    common(p_synth, tol=True)
+    common(p_synth)
     p_synth.add_argument("--out", help="output directory")
 
     p_run = sub.add_parser("run", help="simulate and write trajectory.csv + summary.json")
@@ -482,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--out", help="optional output directory")
 
     p_ce = sub.add_parser("counterexample", help="run the bundled stalling projection scenario")
-    common(p_ce, scenario=False)
     p_ce.add_argument("--out", help="output directory")
     p_ce.add_argument("--seed", type=int, help="override the random-init seed")
     p_ce.add_argument("--steps", type=int, help="override the round count")
@@ -500,7 +484,7 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         # looked up at call time, so a replaced cmd_* function is the one called
         return globals()[f"cmd_{args.command}"](args)
-    except (ScenarioError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

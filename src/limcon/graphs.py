@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import heapq
 import operator
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -112,17 +112,11 @@ class DirectedGraph:
 
     @cached_property
     def _in_neighbors(self) -> dict[int, tuple[int, ...]]:
-        nbrs: dict[int, list[int]] = {v: [] for v in range(1, self.m + 1)}
-        for j, i in self.arcs:
-            nbrs[i].append(j)
-        return {v: tuple(sorted(js)) for v, js in nbrs.items()}
+        return _neighbor_table((i, j) for j, i in self.arcs)
 
     @cached_property
     def _out_neighbors(self) -> dict[int, tuple[int, ...]]:
-        nbrs: dict[int, list[int]] = {v: [] for v in range(1, self.m + 1)}
-        for j, i in self.arcs:
-            nbrs[j].append(i)
-        return {v: tuple(sorted(heads)) for v, heads in nbrs.items()}
+        return _neighbor_table(self.arcs)
 
     def in_neighbors(self, i: int) -> tuple[int, ...]:
         """Agents i receives from (the neighbor set of i)."""
@@ -162,6 +156,20 @@ class DirectedGraph:
         if len(arcs) != d:
             raise ValueError(f"header promises {d} arcs, found {len(arcs)}")
         return cls(m, tuple(arcs))
+
+
+class _Neighbors(dict):
+    # per vertex its neighbours, ascending; a vertex without arcs has none
+    def __missing__(self, v):
+        return ()
+
+
+def _neighbor_table(pairs) -> _Neighbors:
+    # from the arcs only; their canonical order leaves each tuple ascending
+    nbrs: defaultdict[int, list[int]] = defaultdict(list)
+    for v, w in pairs:
+        nbrs[v].append(w)
+    return _Neighbors((v, tuple(ws)) for v, ws in nbrs.items())
 
 
 def _reachable(adj: dict[int, tuple[int, ...]], start: int) -> set[int]:
@@ -431,18 +439,16 @@ def _shortest_cycle_through(g: DirectedGraph, root: int) -> list[Arc]:
                 dist[w] = dist[v] + 1
                 parent[w] = v
                 queue.append(w)
-    candidates = [(dist[j], k) for k, (j, i) in enumerate(g.arcs) if i == root and j in dist]
+    # the first best in-arc in canonical order, where arcs into root go by tail
+    candidates = [(dist[j], j) for j in g.in_neighbors(root) if j in dist]
     if not candidates:
         raise ValueError(f"no directed cycle through vertex {root}")
-    _, k = min(candidates)
-    tail = g.arcs[k][0]
-    path = []
-    v = tail
+    _, tail = min(candidates)
+    path, v = [(tail, root)], tail
     while v != root:
         path.append((parent[v], v))
         v = parent[v]
-    path.reverse()
-    return path + [(tail, root)]
+    return path[::-1]
 
 
 def _extend_to_visited(adj: dict[int, tuple[int, ...]], start: int, visited: set[int], back: int) -> list[Arc]:
@@ -648,20 +654,6 @@ def _candidate_ears(g: DirectedGraph, used: frozenset[Arc], visited: frozenset[i
                     stack.append((w, trail + [arc], interior | {w}))
 
 
-def _simple_cycles(g: DirectedGraph):
-    # Every simple directed cycle, once, anchored at its minimum vertex.
-    for s in range(1, g.m + 1):
-        stack = [(s, [], set())]
-        while stack:
-            v, trail, interior = stack.pop()
-            for w in g.out_neighbors(v):
-                if w == s and trail:
-                    yield tuple(trail + [(v, w)])
-                elif w > s and w not in interior:
-                    stack.append((w, trail + [(v, w)], interior | {w}))
-        # single-vertex anchors cannot close in one arc (no self-arcs)
-
-
 def chi(g: DirectedGraph, *, max_vertices: int = CHI_MAX_VERTICES, max_arcs: int = CHI_MAX_ARCS) -> int:
     """Exact min over all ear decompositions of the max ear length.
 
@@ -693,8 +685,11 @@ def chi(g: DirectedGraph, *, max_vertices: int = CHI_MAX_VERTICES, max_arcs: int
         memo[used] = best
         return best
 
-    result = float("inf")
-    for cycle in _simple_cycles(g):
-        result = min(result, max(len(cycle), best_completion(frozenset(cycle))))
+    # the first ear is a cycle: an ear anchored at v while only v is covered
+    result = min(
+        max(len(cycle), best_completion(frozenset(cycle)))
+        for v in range(1, g.m + 1)
+        for cycle in _candidate_ears(g, frozenset(), frozenset({v}))
+    )
     assert result != float("inf"), "strongly connected graphs always decompose"
     return int(result)

@@ -398,7 +398,7 @@ def is_well_configured_via_overlap(w: WeightedNeighborGraph, rtol: float = RANK_
     return disagreement_overlap_dim(w, rtol) == 0
 
 
-def _proves_by_ears(w: WeightedNeighborGraph, decomposition: EarDecomposition, rtol: float = RANK_RTOL) -> bool:
+def _proves_by_ears(w: WeightedNeighborGraph, decomposition: EarDecomposition) -> bool:
     """True when the paper's cycle criterion proves w well-configured ear by
     ear, for decomposition a valid one of w's graph: by induction the agents
     covered by earlier ears are forced equal and act as one node, and an
@@ -411,7 +411,7 @@ def _proves_by_ears(w: WeightedNeighborGraph, decomposition: EarDecomposition, r
     index = w.graph.arc_index
     # each ear's slots in order; a pair's forward arc stands for it
     slots = slot[np.fromiter((index[arc] for ear in ears for arc in ear.arcs[:: 1 + symmetric]), dtype=np.intp)]
-    vh, in_kernel = _kernels(stacks, rtol)
+    vh, in_kernel = _kernels(stacks, RANK_RTOL)
     picked = in_kernel[slots]
     sizes = [len(ear.arcs) >> symmetric for ear in ears]
     owner = np.repeat(np.repeat(np.arange(len(ears)), sizes), picked.sum(axis=1))  # the ear of each kernel vector
@@ -421,7 +421,7 @@ def _proves_by_ears(w: WeightedNeighborGraph, decomposition: EarDecomposition, r
     families = np.zeros((len(ears), n, n))  # columns: the ear's kernel vectors
     families[owner, :, np.arange(len(owner)) - (np.cumsum(count) - count)[owner]] = vh[slots][picked]
     s = np.linalg.svd(families[count > 1], compute_uv=False)  # one or none is independent
-    return bool((np.sum(s > rtol * s[:, :1], axis=1) == count[count > 1]).all())
+    return bool((np.sum(s > RANK_RTOL * s[:, :1], axis=1) == count[count > 1]).all())
 
 
 def cycle_criterion(kernels, rtol: float = RANK_RTOL) -> bool:

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -419,7 +420,7 @@ def test_tol_flag_accepted(capsys):
     assert main(["verify", "--scenario", scenario, "--tol", "1e-8"]) == 0
 
 
-@pytest.mark.parametrize("command", ["run", "analyze", "counterexample"])
+@pytest.mark.parametrize("command", ["synth", "run", "analyze", "counterexample"])
 def test_tol_flag_rejected_where_unused(command, tmp_path, capsys):
     argv = [command, "--tol", "1e-8", "--out", str(tmp_path / "o")]
     if command != "counterexample":
@@ -652,11 +653,13 @@ def test_random_state_without_seed_is_legal_until_run(tmp_path, capsys):
 
 
 def test_wrong_typed_decomposition_file_exits_one(tmp_path, capsys):
-    for bad in ({"ears": []}, [5], [{"kind": "cycle", "arcs": 3}], [{"kind": "cycle"}]):
+    arcs = [list(arc) for arc in SQUARE_ARCS]
+    for bad in ({"ears": []}, [5], [{"kind": "cycle", "arcs": 3}], [{"kind": "cycle"}], [{"kind": "loop", "arcs": arcs}]):
         (tmp_path / "dec.json").write_text(json.dumps(bad))
         data = symmetric_square_scenario(weights={"synthesize": {"decomposition": {"path": "dec.json"}}})
         assert main(["synth", "--scenario", write_scenario(tmp_path, "s.json", data), "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / 'dec.json'}: "), bad
 
 
 @pytest.mark.parametrize("command", ["verify", "run"])
@@ -974,11 +977,11 @@ def test_synth_refuses_a_decomposition_file_that_misses_a_vertex(tmp_path, capsy
     assert not (tmp_path / "o").exists()
 
 
-def test_synth_tol_sets_the_ear_rule_cutoff(tmp_path, capsys, monkeypatch):
+def test_verify_tol_can_refuse_weights_synth_proves(tmp_path, capsys, monkeypatch):
     # With directed synthesis on the benchmark's digraph at seed 201 the
     # quotient map's smallest kept singular value is 0.125; verify --tol 0.1
     # cuts at 0.2 and says no with a narrow gap.  The weights are exactly
-    # well-configured, as the ear rule proves at the same tolerance.
+    # well-configured, as synth's ear rule proves.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import families
 
@@ -988,7 +991,29 @@ def test_synth_tol_sets_the_ear_rule_cutoff(tmp_path, capsys, monkeypatch):
     assert gap["cutoff"] == pytest.approx(0.2) and gap["first_dropped"] == pytest.approx(0.1823, abs=1e-4)
     assert main(["verify", "--scenario", scenario]) == 0
     assert json.loads(capsys.readouterr().out)["rank_gap"]["last_kept"] == pytest.approx(0.1254, abs=1e-4)
-    stdout, weights = synth_output(scenario, tmp_path / "tol", capsys)
-    assert main(["synth", "--scenario", scenario, "--tol", "0.1", "--out", str(tmp_path / "tol")]) == 0
-    assert (capsys.readouterr().out, (tmp_path / "tol" / "weights.json").read_text()) == (stdout, weights)
+    stdout, _ = synth_output(scenario, tmp_path / "o", capsys)
     assert json.loads(stdout)["kernel_dim"] == 4
+
+
+@pytest.mark.parametrize(
+    "symmetric, message",
+    [
+        (False, "ear decomposition exists iff the graph is strongly connected"),
+        (True, "symmetric ear decomposition exists iff the graph is 2-connected"),
+    ],
+    ids=["directed", "symmetric"],
+)
+def test_verify_refuses_a_huge_vertex_count_without_paying_for_it(symmetric, message, tmp_path, capsys):
+    # the square's arcs among a million agents: the graph is refused before
+    # anything costs memory per agent
+    graph = {"m": 1_000_000, "arcs": [list(arc) for arc in SQUARE_ARCS]}
+    data = symmetric_square_scenario(graph=graph, weights={"synthesize": {"symmetric": symmetric}})
+    scenario = write_scenario(tmp_path, "s.json", data)
+    tracemalloc.start()
+    try:
+        assert main(["verify", "--scenario", scenario]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert peak < 16 * 2**20

@@ -141,6 +141,17 @@ def test_degree_sum_equals_arc_count(sc_corpus):
         assert sum(g.degree(v) for v in range(1, g.m + 1)) == g.d
 
 
+def test_neighbors_are_sorted_and_a_vertex_without_arcs_has_none(sc_corpus):
+    rng = np.random.default_rng(3)
+    for g in sc_corpus.values():
+        arcs = [g.arcs[k] for k in rng.permutation(g.d)]
+        h = DirectedGraph(g.m + 1, tuple(arcs))  # vertex m + 1 has no arcs
+        for v in range(1, h.m + 1):
+            assert h.in_neighbors(v) == tuple(sorted(j for j, i in arcs if i == v))
+            assert h.out_neighbors(v) == tuple(sorted(i for j, i in arcs if j == v))
+        assert h.degree(h.m) == 0 and h.out_neighbors(h.m) == ()
+
+
 def test_weak_connectivity():
     assert is_weakly_connected(directed_path(3))
     assert not is_weakly_connected(DirectedGraph(2, ()))

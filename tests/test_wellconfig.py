@@ -926,9 +926,8 @@ def test_ear_rule_agrees_with_the_verdict_under_rescaling(seed, symmetric, expon
         assert report.well_configured or report.rank_gap.narrow()
 
 
-@pytest.mark.parametrize("rtol", [1e-10, 0.1, 0.9])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_ear_rule_proves_every_synthesized_weight_set(sc_corpus, sym_corpus, n, rtol):
+def test_ear_rule_proves_every_synthesized_weight_set(sc_corpus, sym_corpus, n):
     # both modes, directed synthesis on every strongly connected graph and
     # symmetric synthesis on every 2-connected one; "free" pads the ears
     # longer than n with identities, which the rule must see through
@@ -940,7 +939,7 @@ def test_ear_rule_proves_every_synthesized_weight_set(sc_corpus, sym_corpus, n, 
             slots = dec.max_length // (2 if dec.symmetric else 1)
             longer += slots > n
             for mode in SYNTHESIS_MODES if slots <= n else ["free"]:
-                assert _proves_by_ears(synthesize(g, n, dec, mode), dec, rtol), (name, dec.symmetric, mode)
+                assert _proves_by_ears(synthesize(g, n, dec, mode), dec), (name, dec.symmetric, mode)
     assert longer
 
 
