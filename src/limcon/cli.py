@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import simulate
-from .graphs import DirectedGraph, EarDecomposition, _check_keys
+from .graphs import DirectedGraph, EarDecomposition, _check_keys, _expect
 from .linalg import RANK_RTOL
 from .simulate import (
     ALGORITHMS,
@@ -43,25 +43,6 @@ class _Parser(argparse.ArgumentParser):
     # read as "not well-configured".
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
-
-
-_JSON_KINDS = {
-    bool: "a boolean",
-    int: "an integer",
-    float: "a number",
-    str: "a string",
-    list: "an array",
-    dict: "an object",
-    type(None): "null",
-}
-
-
-def _expect(value, where: str, *kinds: type):
-    """value itself if its JSON kind is one of kinds (a boolean is no number)."""
-    if type(value) not in kinds:
-        wanted = " or ".join(_JSON_KINDS[k] for k in kinds)
-        raise ValueError(f"{where} must be {wanted}, got {_JSON_KINDS.get(type(value), type(value).__name__)}")
-    return value
 
 
 def _number(value, where: str) -> float:

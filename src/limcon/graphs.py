@@ -205,7 +205,8 @@ def _component_labels(m: int, edges: np.ndarray) -> np.ndarray:
 
 def is_weakly_connected(g: DirectedGraph) -> bool:
     """True iff the underlying undirected graph is connected."""
-    return not _component_labels(g.m, g.arc_ends).any()
+    # fewer than m - 1 arcs cannot connect m vertices; refuse before paying O(m)
+    return g.d >= g.m - 1 and not _component_labels(g.m, g.arc_ends).any()
 
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
@@ -315,11 +316,11 @@ class EarDecomposition:
     @classmethod
     def from_json(cls, data: list[dict]) -> "EarDecomposition":
         ears = []
-        for entry in _list(data, "ear decomposition"):
+        for entry in _expect(data, "ear decomposition", list):
             _check_keys(entry, "ear", required=("kind", "arcs"))
-            pairs = _list(entry["arcs"], "ear arcs")
+            pairs = _expect(entry["arcs"], "ear arcs", list)
             if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
-                raise ValueError("ear arcs must be a list of [j, i] pairs")
+                raise ValueError("ear arcs must be an array of [j, i] pairs")
             arcs = tuple((_integer(j, "ear arc"), _integer(i, "ear arc")) for j, i in pairs)
             ears.append(Ear(entry["kind"], arcs))
         # Symmetric ears pair each arc with its reverse along the traversal;
@@ -329,21 +330,32 @@ class EarDecomposition:
         return cls(tuple(ears), symmetric=symmetric)
 
 
+_JSON_KINDS = {
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "an array",
+    dict: "an object",
+    type(None): "null",
+}
+
+
+def _expect(value, where: str, *kinds: type):
+    """value itself if its JSON kind is one of kinds (a boolean is no number)."""
+    if type(value) not in kinds:
+        wanted = " or ".join(_JSON_KINDS[k] for k in kinds)
+        raise ValueError(f"{where} must be {wanted}, got {_JSON_KINDS.get(type(value), 'a non-JSON value')}")
+    return value
+
+
 def _check_keys(obj: dict, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
     """Raise ValueError unless obj is an object with every required key and no key beyond optional."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be an object, got {type(obj).__name__}")
+    _expect(obj, where, dict)
     keys = set(required)
     for problem, found in (("unknown", set(obj) - keys - set(optional)), ("missing", keys - set(obj))):
         if found:
             raise ValueError(f"{where}: {problem} keys {sorted(found)}")
-
-
-def _list(value, where: str) -> list:
-    """value if it is a list, as a JSON array reads."""
-    if not isinstance(value, list):
-        raise ValueError(f"{where} must be a list, got {type(value).__name__}")
-    return value
 
 
 def _integer(value, where: str) -> int:
@@ -427,34 +439,11 @@ def validate_ear_decomposition(g: DirectedGraph, dec: EarDecomposition) -> None:
         raise ValueError(f"expected {expected} {label}ears, found {len(dec.ears)}")
 
 
-def _shortest_cycle_through(g: DirectedGraph, root: int) -> list[Arc]:
-    # BFS tree from root in canonical arc order, closed by the best in-arc.
-    parent: dict[int, int] = {root: 0}
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in g.out_neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                parent[w] = v
-                queue.append(w)
-    # the first best in-arc in canonical order, where arcs into root go by tail
-    candidates = [(dist[j], j) for j in g.in_neighbors(root) if j in dist]
-    if not candidates:
-        raise ValueError(f"no directed cycle through vertex {root}")
-    _, tail = min(candidates)
-    path, v = [(tail, root)], tail
-    while v != root:
-        path.append((parent[v], v))
-        v = parent[v]
-    return path[::-1]
-
-
 def _extend_to_visited(adj: dict[int, tuple[int, ...]], start: int, visited: set[int], back: int) -> list[Arc]:
     # Shortest continuation from an unvisited vertex into the visited set
     # through unvisited vertices, in sorted neighbor order, never stepping
-    # from start straight to back (0 forbids nothing).
+    # from start straight to back (0 forbids nothing).  It grows every later
+    # ear, and closes the first ear from vertex 1 into a single vertex.
     parent: dict[int, int] = {start: 0}
     queue = deque([start])
     while queue:
@@ -524,53 +513,9 @@ def ear_decomposition(g: DirectedGraph) -> EarDecomposition:
         raise ValueError("ear decomposition needs at least two vertices")
     if not is_strongly_connected(g):
         raise ValueError("ear decomposition exists iff the graph is strongly connected")
-    return _grow_ears(g, _shortest_cycle_through(g, 1), symmetric=False)
-
-
-def _shortest_undirected_cycle_through(adj: dict[int, tuple[int, ...]], root: int) -> list[tuple[int, int]]:
-    # The first shortest cycle root -> ... -> root (>= 3 edges) in
-    # lexicographic vertex order, from one BFS in sorted neighbor order.  A
-    # shortest cycle of length L is two shortest paths from the root with
-    # different first hops, joined at its turn: a vertex at level L // 2
-    # followed by a neighbor at level L - L // 2 - 1.  BFS reaches every
-    # vertex first along its lexicographically first shortest path, and
-    # visits each level in that order, so the cycle leaves along the tree
-    # path to the first turn vertex in BFS order, then takes its smallest
-    # fitting neighbor and the smallest neighbor one level down from there.
-    dist = {root: 0}
-    parent: dict[int, int] = {}
-    hop: dict[int, int] = {}  # first vertex after the root on the tree path
-    order = [root]
-    for v in order:
-        for w in adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                parent[w] = v
-                hop[w] = hop.get(v, w)
-                order.append(w)
-    length = min(
-        (dist[u] + dist[w] + 1 for u in order[1:] for w in adj[u] if w != root and hop[w] != hop[u]),
-        default=0,
-    )
-    if not length:
-        raise ValueError(f"no undirected cycle through vertex {root}")
-    far, near = length // 2, length - length // 2 - 1
-    turn, v = next(
-        (u, w)
-        for u in order
-        if dist[u] == far
-        for w in adj[u]
-        if dist[w] == near and w != root and hop[w] != hop[u]
-    )
-    walk = [turn]
-    while walk[-1] != root:
-        walk.append(parent[walk[-1]])
-    walk.reverse()
-    while v != root:
-        walk.append(v)
-        v = next(w for w in adj[v] if dist[w] == dist[v] - 1)
-    walk.append(root)
-    return list(zip(walk, walk[1:]))
+    # the shortest route from 1 into an in-neighbour, closed by its arc
+    first = min((_extend_to_visited(g._out_neighbors, 1, {j}, 0) + [(j, 1)] for j in g.in_neighbors(1)), key=len)
+    return _grow_ears(g, first, symmetric=False)
 
 
 def symmetric_ear_decomposition(g: DirectedGraph) -> EarDecomposition:
@@ -586,7 +531,10 @@ def symmetric_ear_decomposition(g: DirectedGraph) -> EarDecomposition:
         raise ValueError("symmetric ear decomposition needs a symmetric graph")
     if g.m < 2 or not is_2_connected(g):
         raise ValueError("symmetric ear decomposition exists iff the graph is 2-connected")
-    return _grow_ears(g, _shortest_undirected_cycle_through(g._out_neighbors, 1), symmetric=True)
+    # an edge out of 1, then the shortest route back that does not retrace it
+    adj = g._out_neighbors
+    first = min(([(1, v)] + _extend_to_visited(adj, v, {1}, 1) for v in adj[1]), key=len)
+    return _grow_ears(g, first, symmetric=True)
 
 
 def directed_cycle(m: int) -> DirectedGraph:

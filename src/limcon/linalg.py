@@ -3,10 +3,13 @@ numerical rank, subspace intersection and independence, and the (2, inf)
 mixed matrix norm.
 
 Subspaces are plain ndarrays whose columns form an orthonormal basis; the
-trivial subspace of R^n is an (n, 0) array.  All rank decisions flow through
-one tolerance (RANK_RTOL), overridable per call: relative to the largest
-singular value for general matrices, and absolute for the principal-angle
-sines of subspace_intersection, whose orthonormal inputs fix the scale.
+trivial subspace of R^n is an (n, 0) array.  All rank decisions here flow
+through one tolerance (RANK_RTOL): relative to the largest singular value for
+general matrices, and absolute for the principal-angle sines of
+subspace_intersection, whose orthonormal inputs fix the scale.  Besides the
+rank counters numerical_rank and matrix_rank, only two entry points take
+another: is_well_configured(rtol=), which `verify --tol` sets, and
+WeightedNeighborGraph.normalized(rtol).
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ def _as_matrix(a) -> np.ndarray:
     return out
 
 
-def kernel_basis(a, rtol: float = RANK_RTOL) -> np.ndarray:
+def kernel_basis(a) -> np.ndarray:
     """Orthonormal basis of the kernel of a, as columns.  An (n, 0) result
     means the kernel is trivial.
 
-    Right singular vectors whose singular value falls below rtol * sigma_max
+    Right singular vectors whose singular value falls below RANK_RTOL * sigma_max
     span the numerical nullspace.  A tall or square a takes the thin SVD,
     whose Vh is already cols x cols, so no rows x rows U is ever formed; a
     wide a needs the full Vh, and its U is small.  An a without rows, or
@@ -38,15 +41,14 @@ def kernel_basis(a, rtol: float = RANK_RTOL) -> np.ndarray:
     a = _as_matrix(a)
     rows, cols = a.shape
     _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)
-    return vh[numerical_rank(s, rtol) :].T.copy()
+    return vh[numerical_rank(s) :].T.copy()
 
 
-def column_space_basis(a, rtol: float = RANK_RTOL) -> np.ndarray:
+def column_space_basis(a) -> np.ndarray:
     """Orthonormal columns spanning the column space of a."""
     a = _as_matrix(a)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = numerical_rank(s, rtol)
-    return u[:, :rank].copy()
+    return u[:, : numerical_rank(s)].copy()
 
 
 def singular_values(a) -> np.ndarray:
@@ -65,14 +67,14 @@ def matrix_rank(a, rtol: float = RANK_RTOL, floor: float = 0.0) -> int:
     return numerical_rank(singular_values(a), rtol, floor)
 
 
-def subspace_intersection(a, b, rtol: float = RANK_RTOL) -> np.ndarray:
+def subspace_intersection(a, b) -> np.ndarray:
     """Orthonormal basis of the intersection of two subspaces.
 
     The singular values of (I - bb')a are the sines of the principal angles
     between the spans, and its right singular vectors pick the matching
     principal vectors of a.  The intersection is spanned by the principal
     vectors at angle zero.  Orthonormal inputs fix the scale of the sines at
-    one, so rtol bounds them absolutely: a relative cut-off would count
+    one, so RANK_RTOL bounds them absolutely: a relative cut-off would count
     roundoff as rank when the spans coincide and every sine is noise.
     """
     a = np.asarray(a, dtype=float)
@@ -80,10 +82,10 @@ def subspace_intersection(a, b, rtol: float = RANK_RTOL) -> np.ndarray:
     if a.shape[0] != b.shape[0]:
         raise ValueError("subspaces must share the ambient dimension")
     _, sines, vh = np.linalg.svd(a - b @ (b.T @ a), full_matrices=False)
-    return a @ vh[sines <= rtol].T
+    return a @ vh[sines <= RANK_RTOL].T
 
 
-def subspace_family_independent(bases, rtol: float = RANK_RTOL) -> bool:
+def subspace_family_independent(bases) -> bool:
     """True iff dim of the sum equals the sum of dims.
 
     Equivalent to each subspace meeting the sum of the others only at zero;
@@ -99,7 +101,7 @@ def subspace_family_independent(bases, rtol: float = RANK_RTOL) -> bool:
     if total > n:
         return False
     stacked = np.hstack(bases)
-    return matrix_rank(stacked, rtol) == total
+    return matrix_rank(stacked) == total
 
 
 def mixed_norm_2_inf(q, block: int) -> float:

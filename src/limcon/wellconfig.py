@@ -24,8 +24,8 @@ from .graphs import (
     EarDecomposition,
     _check_keys,
     _component_labels,
+    _expect,
     _integer,
-    _list,
     ear_decomposition,
     incidence_matrix,
     is_weakly_connected,
@@ -351,15 +351,15 @@ def is_well_configured(w: WeightedNeighborGraph, rtol: float = RANK_RTOL, arc_or
     return WellConfigReport(dim == n, dim, witness, gap)
 
 
-def _kernels(stacks: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+def _kernels(stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each slot's kernel from one batched SVD of the (slots, r, n) stacks,
-    cut at rtol times the largest singular value over all slots: vh, and the
+    cut at RANK_RTOL times the largest singular value over all slots: vh, and the
     (slots, n) mask of the rows of vh[k] past slot k's rank, which span it."""
     _, s, vh = np.linalg.svd(stacks)
-    return vh, np.arange(stacks.shape[2]) >= np.sum(s > rtol * s.max(initial=0.0), axis=1)[:, None]
+    return vh, np.arange(stacks.shape[2]) >= np.sum(s > RANK_RTOL * s.max(initial=0.0), axis=1)[:, None]
 
 
-def disagreement_overlap_dim(w: WeightedNeighborGraph, rtol: float = RANK_RTOL) -> int:
+def disagreement_overlap_dim(w: WeightedNeighborGraph) -> int:
     """Dimension of (image of the lifted incidence transpose) meet (kernel of
     the stacked weights), in per-arc signal space.
 
@@ -369,16 +369,16 @@ def disagreement_overlap_dim(w: WeightedNeighborGraph, rtol: float = RANK_RTOL) 
     block diagonal, one orthonormal block K_k per arc.  The overlap is the
     count of principal angles at zero between them: the singular values of
     (I - bb')a, for a the narrower basis and b the other, are the sines, and
-    those at most rtol count, as in subspace_intersection.  That matrix is
+    those at most RANK_RTOL count, as in subspace_intersection.  That matrix is
     assembled from Q and the K_k, never from the dn-row bases.  The stacked
     singular values are the union of the per-arc ones, so each arc is cut at
-    rtol times the largest singular value over all arcs: the same rank
+    RANK_RTOL times the largest singular value over all arcs: the same rank
     decision as one SVD of the whole stacked matrix.  _proves_by_ears shares
     these kernels; the dense oracles stay the independent check of both.
     """
-    q = column_space_basis(incidence_matrix(w.graph).T, rtol)
+    q = column_space_basis(incidence_matrix(w.graph).T)
     (d, r), n = q.shape, w.n
-    vh, in_kernel = _kernels(w.padded_weights(), rtol)
+    vh, in_kernel = _kernels(w.padded_weights())
     owner = np.nonzero(in_kernel)[0]  # the arc of each kernel column
     if len(owner) < r * n:
         # column (k, t) is (I - QQ')[:, k] (x) v_kt
@@ -390,12 +390,12 @@ def disagreement_overlap_dim(w: WeightedNeighborGraph, rtol: float = RANK_RTOL) 
         kernel = vh * in_kernel[:, :, None]
         residual = np.einsum("kj,kab->kajb", q, np.eye(n) - kernel.transpose(0, 2, 1) @ kernel)
         residual = residual.reshape(d * n, r * n)
-    return int(np.sum(np.linalg.svd(residual, compute_uv=False) <= rtol))
+    return int(np.sum(np.linalg.svd(residual, compute_uv=False) <= RANK_RTOL))
 
 
-def is_well_configured_via_overlap(w: WeightedNeighborGraph, rtol: float = RANK_RTOL) -> bool:
+def is_well_configured_via_overlap(w: WeightedNeighborGraph) -> bool:
     _require_weakly_connected(w.graph)
-    return disagreement_overlap_dim(w, rtol) == 0
+    return disagreement_overlap_dim(w) == 0
 
 
 def _proves_by_ears(w: WeightedNeighborGraph, decomposition: EarDecomposition) -> bool:
@@ -411,7 +411,7 @@ def _proves_by_ears(w: WeightedNeighborGraph, decomposition: EarDecomposition) -
     index = w.graph.arc_index
     # each ear's slots in order; a pair's forward arc stands for it
     slots = slot[np.fromiter((index[arc] for ear in ears for arc in ear.arcs[:: 1 + symmetric]), dtype=np.intp)]
-    vh, in_kernel = _kernels(stacks, RANK_RTOL)
+    vh, in_kernel = _kernels(stacks)
     picked = in_kernel[slots]
     sizes = [len(ear.arcs) >> symmetric for ear in ears]
     owner = np.repeat(np.repeat(np.arange(len(ears)), sizes), picked.sum(axis=1))  # the ear of each kernel vector
@@ -424,23 +424,23 @@ def _proves_by_ears(w: WeightedNeighborGraph, decomposition: EarDecomposition) -
     return bool((np.sum(s > RANK_RTOL * s[:, :1], axis=1) == count[count > 1]).all())
 
 
-def cycle_criterion(kernels, rtol: float = RANK_RTOL) -> bool:
+def cycle_criterion(kernels) -> bool:
     """Directed cycle verdict: well-configured iff the arc kernels form an
     independent family."""
-    return subspace_family_independent(kernels, rtol)
+    return subspace_family_independent(kernels)
 
 
-def broadcast_pair_criterion(k12, k21, k31, k32, rtol: float = RANK_RTOL) -> bool:
+def broadcast_pair_criterion(k12, k21, k31, k32) -> bool:
     """Verdict for the two-agents-plus-broadcaster graph with arcs
     (1,2), (2,1), (3,1), (3,2): independence of the intersection of the pair
     kernels together with the two broadcast kernels."""
-    return subspace_family_independent([subspace_intersection(k12, k21, rtol), k31, k32], rtol)
+    return subspace_family_independent([subspace_intersection(k12, k21), k31, k32])
 
 
-def backlinked_cycle_criterion(k1, k2, k3, k4, rtol: float = RANK_RTOL) -> bool:
+def backlinked_cycle_criterion(k1, k2, k3, k4) -> bool:
     """Verdict for the triangle-with-back-arc graph, arcs
     (1,2), (2,3), (3,1), (2,1) carrying kernels k1..k4 in that order."""
-    return subspace_family_independent([subspace_intersection(k1, k4, rtol), k2, k3], rtol)
+    return subspace_family_independent([subspace_intersection(k1, k4), k2, k3])
 
 
 def synthesize_weights(
@@ -529,11 +529,11 @@ def weights_from_json(data: dict) -> WeightedNeighborGraph:
     _check_keys(data, "weight-file", required=("m", "n", "arcs"))
     arcs = []
     weights = {}
-    for entry in _list(data["arcs"], "weight-file arcs"):
+    for entry in _expect(data["arcs"], "weight-file arcs", list):
         _check_keys(entry, "arc", required=("j", "i", "C"))
         arc = (_integer(entry["j"], "arc j"), _integer(entry["i"], "arc i"))
         arcs.append(arc)
-        c = _list(entry["C"], f"C of arc {arc}")
+        c = _expect(entry["C"], f"C of arc {arc}", list)
         try:
             weights[arc] = np.asarray(c, dtype=float)
         except (TypeError, ValueError):

@@ -900,10 +900,10 @@ CLI_ERRORS = [
     ("run", {"initial_state": _DROP}, [], "scenario has no 'initial_state' section"),
     ("analyze", {"algorithm": _DROP}, [], "scenario has no 'algorithm' section"),
     ("synth", {"weights": _explicit(None, None)}, [], "synth needs a weights.synthesize section"),
-    ("synth", {"weights": 5}, [], "weights must be an object, got int"),
-    ("synth", {"weights": 1.5}, [], "weights must be an object, got float"),
-    ("synth", {"weights": None}, [], "weights must be an object, got NoneType"),
-    ("synth", {"weights": True}, [], "weights must be an object, got bool"),
+    ("synth", {"weights": 5}, [], "weights must be an object, got an integer"),
+    ("synth", {"weights": 1.5}, [], "weights must be an object, got a number"),
+    ("synth", {"weights": None}, [], "weights must be an object, got null"),
+    ("synth", {"weights": True}, [], "weights must be an object, got a boolean"),
     *(
         (command, {"graph": {"m": 10**30, "arcs": SQUARE_ARCS}}, [], f"vertex count must be in 1..3037000499, got {10**30}")
         for command in ("verify", "synth", "run", "analyze")
@@ -996,18 +996,22 @@ def test_verify_tol_can_refuse_weights_synth_proves(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.parametrize(
-    "symmetric, message",
+    "weights, message",
     [
-        (False, "ear decomposition exists iff the graph is strongly connected"),
-        (True, "symmetric ear decomposition exists iff the graph is 2-connected"),
+        ({"synthesize": {"symmetric": False}}, "ear decomposition exists iff the graph is strongly connected"),
+        ({"synthesize": {"symmetric": True}}, "symmetric ear decomposition exists iff the graph is 2-connected"),
+        (
+            _explicit(None, None),
+            "well-configuration requires a weakly connected graph; disconnected agents can never be forced to agree",
+        ),
     ],
-    ids=["directed", "symmetric"],
+    ids=["directed", "symmetric", "explicit"],
 )
-def test_verify_refuses_a_huge_vertex_count_without_paying_for_it(symmetric, message, tmp_path, capsys):
+def test_verify_refuses_a_huge_vertex_count_without_paying_for_it(weights, message, tmp_path, capsys):
     # the square's arcs among a million agents: the graph is refused before
     # anything costs memory per agent
     graph = {"m": 1_000_000, "arcs": [list(arc) for arc in SQUARE_ARCS]}
-    data = symmetric_square_scenario(graph=graph, weights={"synthesize": {"symmetric": symmetric}})
+    data = symmetric_square_scenario(graph=graph, weights=weights)
     scenario = write_scenario(tmp_path, "s.json", data)
     tracemalloc.start()
     try:

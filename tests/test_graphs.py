@@ -434,6 +434,10 @@ def test_shortest_first_ear_follows_lexicographic_order():
     # even length: square 1-2-4-3-1 with the apex 4 reached from both sides
     square = symmetric_closure(DirectedGraph(4, ((1, 2), (1, 3), (2, 4), (3, 4))))
     assert symmetric_ear_decomposition(square).ears[0].arcs[::2] == ((1, 2), (2, 4), (4, 3), (3, 1))
+    # directed: two triangles back into 1, through 5 and through 4; BFS from 1
+    # reaches 5 first, but the ear closes through the smaller in-neighbour 4
+    g = DirectedGraph(5, ((1, 2), (1, 3), (2, 5), (3, 4), (5, 1), (4, 1)))
+    assert ear_decomposition(g).ears[0].arcs == ((1, 3), (3, 4), (4, 1))
 
 
 def test_validator_rejects_bad_symmetric_decompositions():

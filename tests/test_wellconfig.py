@@ -437,9 +437,9 @@ def test_weights_json_refuses_non_integers(field, value):
 @pytest.mark.parametrize(
     "change, message",
     [
-        (lambda d: d.update(arcs=5), "weight-file arcs must be a list, got int"),
-        (lambda d: d["arcs"][0].update(C={}), r"C of arc \(\d, \d\) must be a list, got dict"),
-        (lambda d: d["arcs"][0].update(C=5), r"C of arc \(\d, \d\) must be a list, got int"),
+        (lambda d: d.update(arcs=5), "weight-file arcs must be an array, got an integer"),
+        (lambda d: d["arcs"][0].update(C={}), r"C of arc \(\d, \d\) must be an array, got an object"),
+        (lambda d: d["arcs"][0].update(C=5), r"C of arc \(\d, \d\) must be an array, got an integer"),
         (lambda d: d["arcs"][0].update(C=[[1, {}]]), r"C of arc \(\d, \d\) must be a numeric matrix"),
         (lambda d: d["arcs"][0].update(C=[[1, "x"]]), r"C of arc \(\d, \d\) must be a numeric matrix"),
     ],
@@ -456,10 +456,10 @@ def test_weights_json_refuses_wrong_types(change, message):
     "data, message",
     [
         ([{"kind": "cycle", "arcs": [[True, 2], [2, 3], [3, 1]]}], "ear arc must be an integer, got True"),
-        ([{"kind": "cycle", "arcs": 3}], "ear arcs must be a list, got int"),
-        ([{"kind": "cycle", "arcs": [[1, 2, 3]]}], r"ear arcs must be a list of \[j, i\] pairs"),
-        ([{"kind": "cycle", "arcs": [5]}], r"ear arcs must be a list of \[j, i\] pairs"),
-        ({"kind": "cycle"}, "ear decomposition must be a list, got dict"),
+        ([{"kind": "cycle", "arcs": 3}], "ear arcs must be an array, got an integer"),
+        ([{"kind": "cycle", "arcs": [[1, 2, 3]]}], r"ear arcs must be an array of \[j, i\] pairs"),
+        ([{"kind": "cycle", "arcs": [5]}], r"ear arcs must be an array of \[j, i\] pairs"),
+        ({"kind": "cycle"}, "ear decomposition must be an array, got an object"),
     ],
     ids=["bool-end", "arcs-number", "triple", "arc-number", "object"],
 )
