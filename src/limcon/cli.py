@@ -283,14 +283,95 @@ def _out_dir(args, data: dict) -> Path:
     return Path(data["output"]["dir"] if "output" in data else "out")
 
 
+# '%.17g' prints 1e-4 <= |x| < 1e17 in fixed notation: the digits of S =
+# x * 10^(16 - E) rounded half to even, E = floor(log10 |x|), less trailing zeros,
+# with the point after digit E.  Dekker's product with the exact double
+# 10^(16 - E) is p + lo exactly; p >= 1e16 > 2^53 is an even integer, so S =
+# p + rint(lo).  No double in range is within 5e-18 below a power of ten, so S < 10^17.
+_POW10 = np.array([float(10**k) for k in range(21)])
+_GROUP = np.arange(10000, dtype=np.int16)
+_DIGITS4 = (_GROUP[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10 + 48).astype(np.uint8).view(np.uint32).ravel()
+_TRAILING_ZEROS = np.array([_GROUP % 10**k == 0 for k in range(1, 5)]).sum(0, dtype=np.int8)
+# A value's 26-byte slot: its head (comma, sign, and "0." and zeros for E < 0) right-
+# aligned in bytes 0-7, then its digits with the point after digit E.  _VALUE_MASKS
+# keeps the printed bytes per (sign, E, digit count).
+_SLOT = 26
+_HEADS = np.array([(b"," + b"-" * s + b"0.000"[: 1 - e] * (e < 0)).rjust(8, b"\0") for s in (0, 1) for e in range(-4, 1)])
+_E, _COUNT, _COLUMN = np.arange(-4, 17)[:, None], np.arange(1, 18), np.arange(_SLOT)[:, None, None, None]
+_BEFORE_POINT = ((_COUNT <= _E + 1) | (_E < 0)).view("V17").ravel()
+_HEAD = np.where(_E < 0, 1 - _E, 0) + [[[1]], [[2]]]
+_BODY = np.where(_E < 0, _COUNT, np.where(_COUNT > _E + 1, _COUNT + 1, _E + 1))
+_VALUE_MASKS = ((_COLUMN >= 8 - _HEAD) & (_COLUMN < 8 + _BODY)).transpose(1, 2, 3, 0).copy().view(f"V{_SLOT}").ravel()
+
+
+def _split(a):
+    """Veltkamp's split of doubles into two halves of at most 26 bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _fixed_digits(x: np.ndarray):
+    """Per value: whether the writer prints it (else '%.17g' does), E, S's 17 ASCII digits, how many print."""
+    mag = np.abs(x)
+    fixed = (mag >= 1e-4) & (mag < 1e17)
+    mag[~fixed] = 1.0
+    k = 16 - np.clip(np.floor(np.log10(mag)).astype(np.intp), -4, 16)
+    p = mag * _POW10.take(k)
+    (mh, ml), ph, pl = _split(mag), _POW10_HI.take(k), _POW10_LO.take(k)
+    lo = ((mh * ph - p) + mh * pl + ml * ph) + ml * pl
+    # p + lo in [1e16, 1e17), tested exactly: a value whose log10 rounds across a power of ten goes to '%.17g'
+    fixed &= ((p > 1e16) | (p == 1e16) & (lo >= 0)) & ((p < 1e17) | (p == 1e17) & (lo < 0))
+    sig = p.astype(np.int64) + np.rint(lo).astype(np.int64)
+    top = sig // 10**8
+    bottom = sig - top * 10**8
+    groups = np.stack([top // 10**8, top // 10**4 % 10**4, top % 10**4, bottom // 10**4, bottom % 10**4], -1)
+    zeros = _TRAILING_ZEROS.take(groups[..., 4])
+    for g in (3, 2, 1):
+        zeros += (zeros == 16 - 4 * g) * _TRAILING_ZEROS.take(groups[..., g])
+    return fixed, 16 - k, _DIGITS4.take(groups).view(np.uint8)[..., 3:], 17 - zeros
+
+
 def _write_trajectory_csv(path: Path, traj) -> None:
+    """The header, then a row per round and agent.  Blocks of whole rounds,
+    at most 4096 values or else one round, are laid out in fixed slots, and one
+    boolean compress per block keeps the bytes of the rows."""
     rounds, m, n = traj.states.shape
-    # one round's rows with the agent indices in place; t replaces the "T"s
-    rows = "".join(f"T,{a}," + ",".join(["%.17g"] * n) + "\n" for a in range(1, m + 1))
-    with path.open("w") as out:
-        out.write("t,agent," + ",".join(f"comp_{c + 1}" for c in range(n)) + "\n")
-        for t in range(rounds):
-            out.write(rows.replace("T", str(t)) % tuple(traj.states[t].ravel().tolist()))
+    # a row's first slot: the previous row's newline, t and ",agent", each
+    # left-aligned in its own zero-padded field
+    wt, wa = len(str(rounds - 1)), len(str(m))
+    width, row = wt + wa + 2, wt + wa + 2 + n * _SLOT
+    prefix = np.full((m, width), ord(","), np.uint8)
+    prefix[:, 0] = ord("\n")
+    prefix[:, wt + 2 :] = np.arange(1, m + 1).astype(f"S{wa}")[:, None].view(np.uint8)
+    per_block = max(1, 4096 // (m * n))
+    with path.open("wb") as out:
+        out.write(("t,agent," + ",".join(f"comp_{c + 1}" for c in range(n))).encode())
+        for start in range(0, rounds, per_block):
+            x = traj.states[start : start + per_block]
+            fixed, e, digits, count = _fixed_digits(x)
+            wide = np.empty((len(x), m, row), np.uint8)
+            keep = np.empty(wide.shape, bool)
+            wide[..., :width] = prefix
+            wide[..., 1 : wt + 1] = np.arange(start, start + len(x)).astype(f"S{wt}")[:, None, None].view(np.uint8)
+            keep[..., :width] = wide[..., :width] != 0
+            slots = wide[..., width:].reshape(x.shape + (_SLOT,))
+            # digit j after the point at byte 9 + j, the point at 9 + E, digits up to E at 8 + j
+            slots[..., 9:] = digits
+            np.put_along_axis(slots, 9 + e[..., None], ord("."), -1)
+            np.copyto(slots[..., 8:25], digits, where=_BEFORE_POINT.take(e + 4).view(bool).reshape(digits.shape))
+            negative = x < 0
+            slots[..., :8] = _HEADS.take(negative * 5 + np.minimum(e, 0) + 4)[..., None].view(np.uint8)
+            keep[..., width:] = _VALUE_MASKS.take((negative * 21 + e + 4) * 17 + count - 1).view(bool)
+            for r, a, j in zip(*np.nonzero(~fixed)):
+                text = b",%.17g" % x[r, a, j]
+                slots[r, a, j, : len(text)] = np.frombuffer(text, np.uint8)
+                keep[r, a, width + j * _SLOT : width + (j + 1) * _SLOT] = np.arange(_SLOT) < len(text)
+            out.write(wide[keep])
+        out.write(b"\n")
 
 
 def _write_weights_json(path: Path, w: WeightedNeighborGraph) -> None:
@@ -310,6 +391,11 @@ def _write_weights_json(path: Path, w: WeightedNeighborGraph) -> None:
         start = stop
     body = "[\n" + ",\n".join(arcs) + "\n  ]" if arcs else "[]"
     path.write_text(f'{{\n  "m": {w.m},\n  "n": {w.n},\n  "arcs": {body}\n}}\n')
+
+
+def _json_number(value: float) -> float | None:
+    """value, or None (null) for the inf and nan JSON has no number for."""
+    return value if np.isfinite(value) else None
 
 
 def _round_matrix_for_summary(name: str, w: WeightedNeighborGraph) -> np.ndarray:
@@ -366,16 +452,17 @@ def cmd_run(args) -> int:
     summary = {
         "algorithm": name,
         "steps_run": traj.steps_run,
-        "final_consensus_error": traj.final_consensus_error,
-        "final_residual": traj.final_residual,
+        "final_consensus_error": _json_number(traj.final_consensus_error),
+        "final_residual": _json_number(traj.final_residual),
         "converged": traj.converged,
         "spectral": spectral.summary_dict(),
     }
+    text = json.dumps(summary, indent=2)
     out = _out_dir(args, data)
     out.mkdir(parents=True, exist_ok=True)
     _write_trajectory_csv(out / "trajectory.csv", traj)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    print(json.dumps(summary, indent=2))
+    (out / "summary.json").write_text(text + "\n")
+    print(text)
     return 0
 
 

@@ -155,7 +155,8 @@ class Trajectory:
 
     @property
     def final_residual(self) -> float:
-        return local_agreement_residual(self.weights, self.states[-1])
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan after a diverging run
+            return local_agreement_residual(self.weights, self.states[-1])
 
 
 def consensus_error(x) -> float:
@@ -289,15 +290,17 @@ def _run(w: WeightedNeighborGraph, x0, steps: int, step) -> Trajectory:
     errors = [consensus_error(x)]
     streak = 1 if errors[0] < CONSENSUS_TOL else 0
     converged = streak >= CONSENSUS_STREAK
-    for t in range(steps):
-        if converged:
-            break
-        x = step(t, x)
-        states.append(x)
-        err = consensus_error(x)
-        errors.append(err)
-        streak = streak + 1 if err < CONSENSUS_TOL else 0
-        converged = streak >= CONSENSUS_STREAK
+    # a diverging run overflows to inf and nan, which its trajectory records
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            if converged:
+                break
+            x = step(t, x)
+            states.append(x)
+            err = consensus_error(x)
+            errors.append(err)
+            streak = streak + 1 if err < CONSENSUS_TOL else 0
+            converged = streak >= CONSENSUS_STREAK
     return Trajectory(
         states=np.stack(states),
         consensus_errors=np.array(errors),

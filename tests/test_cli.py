@@ -5,6 +5,7 @@ import json
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from limcon import (
     weights_from_json,
     weights_to_json,
 )
-from limcon.cli import _resolve, _write_weights_json, bundled_scenario_path, main
+from limcon.cli import _resolve, _write_trajectory_csv, _write_weights_json, bundled_scenario_path, main
 from limcon.wellconfig import _proves_by_ears
 
 from oracles import trajectory_csv_per_row
@@ -747,6 +748,122 @@ def test_trajectory_csv_matches_repr_formatting(rounds, m, n, tmp_path):
     lines += [f"{t},{a + 1}," + ",".join(f"{v:.17g}" for v in states[t, a]) for t in range(rounds) for a in range(m)]
     text = (tmp_path / "t.csv").read_text()
     assert text == "\n".join(lines) + "\n" == trajectory_csv_per_row(states)
+
+
+def write_trajectory(path, states) -> str:
+    _write_trajectory_csv(path, SimpleNamespace(states=states))
+    return path.read_text()
+
+
+# the writer's fixed-notation range and its edges, and every other float
+TRAJECTORY_FLOATS = st.one_of(st.floats(), st.floats(-1e18, 1e18), st.floats(1e-5, 1e-3), st.floats(1e16, 1e18))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), rounds=st.integers(1, 12), m=st.integers(1, 5), n=st.integers(1, 4))
+def test_trajectory_csv_matches_the_per_row_oracle(data, rounds, m, n, tmp_path):
+    values = data.draw(st.lists(TRAJECTORY_FLOATS, min_size=rounds * m * n, max_size=rounds * m * n))
+    states = np.array(values).reshape(rounds, m, n)
+    assert write_trajectory(tmp_path / "t.csv", states) == trajectory_csv_per_row(states)
+
+
+def ulps_around(x: float, count: int) -> list[float]:
+    """x and the `count` doubles on either side of it."""
+    below, above = [np.float64(x)], [np.float64(x)]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return [float(v) for v in below[::-1] + above[1:]]
+
+
+def exact_ties() -> list[float]:
+    """Doubles N * 2^-j whose exact decimal expansion has 18 significant
+    digits, the last a 5: '%.17g' rounds each from exactly halfway."""
+    from decimal import Decimal
+
+    rng = np.random.default_rng(18)
+    ties = []
+    for j in range(1, 25):  # N * 5^j, the digits of N * 2^-j, has 18 digits
+        low, high = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+        for N in rng.integers(low, high, 40) | 1 if low < high else []:
+            x = int(N) * 2.0**-j
+            digits = Decimal(x).as_tuple().digits
+            if len(digits) == 18 and 1e-4 <= x < 1e17:
+                assert digits[-1] == 5
+                ties.append(x)
+    return ties
+
+
+def carrying_value() -> float:
+    """The double nearest 1e-14, which lies below it and whose 17-digit
+    rounding carries to 1e-14."""
+    from decimal import Decimal
+
+    assert Decimal(1e-14) < Decimal("1e-14") and "%.17g" % 1e-14 == "1e-14"
+    return 1e-14
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    [
+        pytest.param(exact_ties, id="exact ties"),
+        pytest.param(lambda: [v for k in range(-30, 31) for v in ulps_around(10.0**k, 50)], id="powers of ten"),
+        pytest.param(lambda: ulps_around(1e-4, 200) + ulps_around(1e17, 200), id="fixed-notation edges"),
+        pytest.param(lambda: [carrying_value()], id="carry"),
+    ],
+)
+def test_trajectory_csv_matches_the_per_row_oracle_on_corpora(corpus, tmp_path):
+    values = np.array(corpus())
+    states = np.concatenate([values, -values]).reshape(-1, 2, 1)
+    assert write_trajectory(tmp_path / "t.csv", states) == trajectory_csv_per_row(states)
+
+
+# rounds past 9, 99 and 10^4; blocks of many rounds, of one round, and rounds
+# of more values than a block holds
+@pytest.mark.parametrize("shape", [(10001, 1, 1), (101, 7, 3), (1200, 4, 2), (3, 2049, 2), (2, 1, 4097)])
+def test_trajectory_csv_matches_the_per_row_oracle_across_blocks(shape, tmp_path):
+    rng = np.random.default_rng(sum(shape))
+    states = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 19, shape)
+    assert write_trajectory(tmp_path / "t.csv", states) == trajectory_csv_per_row(states)
+
+
+def test_trajectory_csv_scratch_memory_is_bounded(tmp_path):
+    traj = SimpleNamespace(states=np.random.default_rng(0).standard_normal((2000, 100, 3)))
+    tracemalloc.start()
+    try:
+        _write_trajectory_csv(tmp_path / "t.csv", traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the writer works in blocks: formatting all 600,000 values at once
+    # would take tens of MB
+    assert peak < 4 * 2**20
+
+
+# the last state holds inf after 125 rounds and only nan after 126
+@pytest.mark.parametrize("steps", [125, 400])
+def test_diverging_run_reports_null_for_non_finite_numbers(steps, tmp_path, capsys):
+    triangle = [[j, i] for j in (1, 2, 3) for i in (1, 2, 3) if j != i]
+    data = {
+        "schema_version": 1,
+        "graph": {"m": 3, "arcs": triangle},
+        "n": 2,
+        "weights": {"synthesize": {"symmetric": True}},
+        "algorithm": {"name": "gradient", "steps": steps, "stepsize": {"kind": "constant", "value": 50}},
+        "initial_state": {"random": {"seed": 1}},
+    }
+    scenario = write_scenario(tmp_path, "s.json", data)
+    assert main(["run", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    assert out == (tmp_path / "o" / "summary.json").read_text()
+    summary = json.loads(out, parse_constant=refuse)
+    assert summary["final_consensus_error"] is None
+    assert summary["final_residual"] is None
 
 
 def indent_encoder_weights_json(w) -> str:
