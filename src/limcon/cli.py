@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import simulate
-from .graphs import DirectedGraph, EarDecomposition, _check_keys, _expect
+from .graphs import DirectedGraph, EarDecomposition, _arcs, _array, _check_keys, _expect, _number
 from .linalg import RANK_RTOL
 from .simulate import (
     ALGORITHMS,
@@ -32,6 +32,7 @@ from .wellconfig import (
     _checked_decomposition,
     _proves_by_ears,
     _synthesize,
+    _weight_table,
     is_well_configured,
 )
 
@@ -45,22 +46,12 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _number(value, where: str) -> float:
-    return float(_expect(value, where, int, float))
-
-
-def _arcs(value, where: str) -> tuple[tuple[int, int], ...]:
-    pairs = _expect(value, where, list)
-    if not all(type(pair) is list and len(pair) == 2 for pair in pairs):
-        raise ValueError(f"{where} must be an array of [j, i] pairs")
-    return tuple((_expect(j, where, int), _expect(i, where, int)) for j, i in pairs)
-
-
-def _array(value, where: str) -> np.ndarray:
+def _under(prefix: str, make, *args):
+    """make(*args), with its error, which names the offending value, put under prefix."""
     try:
-        return np.asarray(_expect(value, where, list), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where} must be a numeric array") from exc
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{prefix}{exc}") from None
 
 
 def _read_json(path: Path, what: str):
@@ -101,10 +92,7 @@ def _build_graph(section: dict, base_dir: Path) -> DirectedGraph:
     if isinstance(section, dict) and "path" in section:
         _check_keys(section, "graph", required=("path",))
         path = base_dir / _expect(section["path"], "graph.path", str)
-        try:
-            return DirectedGraph.from_text(path.read_text())
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        return _under(f"{path}: ", lambda: DirectedGraph.from_text(path.read_text()))
     _check_keys(section, "graph", required=("m", "arcs"))
     return DirectedGraph(_expect(section["m"], "graph.m", int), _arcs(section["arcs"], "graph.arcs"))
 
@@ -116,14 +104,7 @@ def _build_weights(
     if ("explicit" in section) == ("synthesize" in section):
         raise ValueError("weights: exactly one of 'explicit' or 'synthesize' is required")
     if "explicit" in section:
-        table = {}
-        for entry in _expect(section["explicit"], "weights.explicit", list):
-            _check_keys(entry, "weights.explicit[]", required=("j", "i", "C"))
-            arc = (_expect(entry["j"], "weights.explicit[].j", int), _expect(entry["i"], "weights.explicit[].i", int))
-            if arc in table:
-                raise ValueError(f"weights.explicit: arc {arc} is listed twice")
-            table[arc] = _array(entry["C"], "weights.explicit[].C")
-        return WeightedNeighborGraph(g, n, table), None
+        return WeightedNeighborGraph(g, n, _weight_table(section["explicit"], "weights.explicit")), None
     cfg = section["synthesize"]
     _check_keys(cfg, "weights.synthesize", required=(), optional=("mode", "symmetric", "decomposition"))
     mode = cfg.get("mode", "free")
@@ -133,11 +114,7 @@ def _build_weights(
     if dec_cfg != "auto":
         _check_keys(dec_cfg, "weights.synthesize.decomposition", required=("path",))
         dec_path = base_dir / _expect(dec_cfg["path"], "weights.synthesize.decomposition.path", str)
-        raw = _read_json(dec_path, "decomposition")
-        try:
-            decomposition = EarDecomposition.from_json(raw)
-        except ValueError as exc:
-            raise ValueError(f"{dec_path}: {exc}") from None
+        decomposition = _under(f"{dec_path}: ", EarDecomposition.from_json, _read_json(dec_path, "decomposition"))
     decomposition = _checked_decomposition(g, decomposition, symmetric)
     return _synthesize(g, n, decomposition, mode), decomposition
 
@@ -177,15 +154,6 @@ def _build_initial_state(section: dict, m: int, n: int, seed_override: int | Non
     return None if seed is None else np.random.default_rng(seed).standard_normal((m, n))
 
 
-def _stepsize(make, *args, **kwargs) -> StepsizeSchedule:
-    """make(*args, **kwargs), with the constructor's error, which names the
-    parameter and the value, put under algorithm.stepsize."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise ValueError(f"algorithm.stepsize.{exc}") from None
-
-
 def _build_stepsize(section: dict) -> StepsizeSchedule:
     _check_keys(section, "algorithm.stepsize", required=("kind",), optional=("a", "b", "value", "values"))
     kind = section["kind"]
@@ -193,14 +161,15 @@ def _build_stepsize(section: dict) -> StepsizeSchedule:
     if kind == "harmonic":
         _check_keys(section, where, required=("kind",), optional=("a", "b"))
         given = {k: _number(section[k], f"algorithm.stepsize.{k}") for k in ("a", "b") if k in section}
-        return _stepsize(StepsizeSchedule.harmonic, **given)
+        return _under("algorithm.stepsize.", functools.partial(StepsizeSchedule.harmonic, **given))
     if kind == "constant":
         _check_keys(section, where, required=("kind", "value"))
-        return _stepsize(StepsizeSchedule.constant, _number(section["value"], "algorithm.stepsize.value"))
+        return _under("algorithm.stepsize.", StepsizeSchedule.constant, _number(section["value"], "algorithm.stepsize.value"))
     if kind == "scripted":
         _check_keys(section, where, required=("kind", "values"))
         values = _expect(section["values"], "algorithm.stepsize.values", list)
-        return _stepsize(StepsizeSchedule.scripted, [_number(v, f"algorithm.stepsize.values[{k}]") for k, v in enumerate(values)])
+        values = [_number(v, f"algorithm.stepsize.values[{k}]") for k, v in enumerate(values)]
+        return _under("algorithm.stepsize.", StepsizeSchedule.scripted, values)
     raise ValueError(f"algorithm.stepsize.kind must be harmonic|constant|scripted, got {kind!r}")
 
 

@@ -4,6 +4,7 @@ incidence matrices, and (symmetric) ear decompositions."""
 from __future__ import annotations
 
 import heapq
+import itertools
 import operator
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
@@ -318,11 +319,7 @@ class EarDecomposition:
         ears = []
         for entry in _expect(data, "ear decomposition", list):
             _check_keys(entry, "ear", required=("kind", "arcs"))
-            pairs = _expect(entry["arcs"], "ear arcs", list)
-            if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
-                raise ValueError("ear arcs must be an array of [j, i] pairs")
-            arcs = tuple((_integer(j, "ear arc"), _integer(i, "ear arc")) for j, i in pairs)
-            ears.append(Ear(entry["kind"], arcs))
+            ears.append(Ear(entry["kind"], _arcs(entry["arcs"], "ear arcs")))
         # Symmetric ears pair each arc with its reverse along the traversal;
         # ordinary two-length cycle ears look the same, so additionally demand
         # a first cycle of >= 3 pairs, which only symmetric decompositions have.
@@ -351,11 +348,53 @@ def _expect(value, where: str, *kinds: type):
 
 def _check_keys(obj: dict, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
     """Raise ValueError unless obj is an object with every required key and no key beyond optional."""
-    _expect(obj, where, dict)
     keys = set(required)
+    if _expect(obj, where, dict).keys() == keys:
+        return
     for problem, found in (("unknown", set(obj) - keys - set(optional)), ("missing", keys - set(obj))):
         if found:
             raise ValueError(f"{where}: {problem} keys {sorted(found)}")
+
+
+def _number(value, where: str) -> float:
+    """value, a JSON number (a boolean is none), as a float."""
+    try:
+        return float(_expect(value, where, int, float))
+    except OverflowError:
+        raise ValueError(f"{where} must be a number within the double range, got {value}") from None
+
+
+def _array(value, where: str) -> np.ndarray:
+    """value, a JSON array of numbers or of equally long arrays of them, as
+    floats.  numpy alone would also read numeric strings and booleans."""
+    leaves = _expect(value, where, list)
+    try:
+        out = np.array(leaves, dtype=float)
+        for _ in range(out.ndim - 1):
+            leaves = itertools.chain.from_iterable(leaves)
+        if set(map(type, leaves)) <= {int, float}:
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{where} must be a rectangular array of numbers within the double range")
+
+
+def _vertex(value, where: str) -> int:
+    """value, a JSON integer that can number a vertex."""
+    if type(value) is int and 0 < value <= MAX_VERTICES:
+        return value
+    _expect(value, where, int)
+    raise ValueError(f"{where} must be a vertex number in 1..{MAX_VERTICES}, got {value}")
+
+
+def _arcs(value, where: str) -> tuple[Arc, ...]:
+    """value, a JSON array of [j, i] pairs of vertex numbers, as arcs."""
+    pairs = _expect(value, where, list)
+    ends = [v for pair in pairs if type(pair) is list and len(pair) == 2 for v in pair]
+    integers = len(ends) == 2 * len(pairs) and set(map(type, ends)) <= {int}
+    if not (integers and 0 < min(ends, default=1) and max(ends, default=1) <= MAX_VERTICES):
+        raise ValueError(f"{where} must be an array of [j, i] pairs of vertex numbers in 1..{MAX_VERTICES}")
+    return tuple(map(tuple, pairs))
 
 
 def _integer(value, where: str) -> int:

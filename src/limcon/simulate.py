@@ -167,9 +167,18 @@ def consensus_error(x) -> float:
     return math.sqrt(np.add.reduce(d * d, axis=1).max())
 
 
+def _unsquared(norm, x: np.ndarray) -> float:
+    """norm(x), a norm that squares the differences of x.  A finite x whose
+    squares overflow, past about 1e154, is measured at scale 2^-600."""
+    value = norm(x)
+    if not math.isfinite(value) and np.isfinite(x).all():
+        return norm(x * 2.0**-600) * 2.0**600
+    return value
+
+
 def _agreement_residual(c: np.ndarray, heads: np.ndarray, tails: np.ndarray, x: np.ndarray) -> float:
     # norm of the stacked C_k (x_i - x_j); the Gram form sqrt(diff' P_k diff) loses half the digits near zero
-    return float(np.linalg.norm(np.matmul(c, (x[heads] - x[tails])[:, :, None])))
+    return _unsquared(lambda y: float(np.linalg.norm(np.matmul(c, (y[heads] - y[tails])[:, :, None]))), x)
 
 
 def local_agreement_residual(w: WeightedNeighborGraph, x) -> float:
@@ -287,7 +296,7 @@ def _run(w: WeightedNeighborGraph, x0, steps: int, step) -> Trajectory:
         raise ValueError("steps must be >= 0")
     x = _coerce_state(x0, w.m, w.n)
     states = [x]
-    errors = [consensus_error(x)]
+    errors = [_unsquared(consensus_error, x)]
     streak = 1 if errors[0] < CONSENSUS_TOL else 0
     converged = streak >= CONSENSUS_STREAK
     # a diverging run overflows to inf and nan, which its trajectory records
@@ -297,7 +306,7 @@ def _run(w: WeightedNeighborGraph, x0, steps: int, step) -> Trajectory:
                 break
             x = step(t, x)
             states.append(x)
-            err = consensus_error(x)
+            err = _unsquared(consensus_error, x)
             errors.append(err)
             streak = streak + 1 if err < CONSENSUS_TOL else 0
             converged = streak >= CONSENSUS_STREAK

@@ -22,10 +22,11 @@ from .graphs import (
     Arc,
     DirectedGraph,
     EarDecomposition,
+    _array,
     _check_keys,
     _component_labels,
     _expect,
-    _integer,
+    _vertex,
     ear_decomposition,
     incidence_matrix,
     is_weakly_connected,
@@ -518,25 +519,26 @@ def weights_to_json(w: WeightedNeighborGraph) -> dict:
     return {
         "m": w.m,
         "n": w.n,
-        "arcs": [
-            {"j": j, "i": i, "C": [list(row) for row in w.weights[(j, i)]]}
-            for j, i in w.graph.arcs
-        ],
+        "arcs": [{"j": j, "i": i, "C": w.weights[(j, i)].tolist()} for j, i in w.graph.arcs],
     }
 
 
+def _weight_table(entries, where: str) -> dict[Arc, np.ndarray]:
+    """The JSON array of {j, i, C} entries as {(j, i): C}, each arc listed once."""
+    table = {}
+    entry_at, j_at, i_at, c_at = (f"{where}[]{key}" for key in ("", ".j", ".i", ".C"))
+    for entry in _expect(entries, where, list):
+        _check_keys(entry, entry_at, required=("j", "i", "C"))
+        arc = (_vertex(entry["j"], j_at), _vertex(entry["i"], i_at))
+        if arc in table:
+            raise ValueError(f"{where}: arc {arc} is listed twice")
+        table[arc] = _array(entry["C"], c_at)
+    return table
+
+
 def weights_from_json(data: dict) -> WeightedNeighborGraph:
+    """The weights of a weight file, as json.loads reads it."""
     _check_keys(data, "weight-file", required=("m", "n", "arcs"))
-    arcs = []
-    weights = {}
-    for entry in _expect(data["arcs"], "weight-file arcs", list):
-        _check_keys(entry, "arc", required=("j", "i", "C"))
-        arc = (_integer(entry["j"], "arc j"), _integer(entry["i"], "arc i"))
-        arcs.append(arc)
-        c = _expect(entry["C"], f"C of arc {arc}", list)
-        try:
-            weights[arc] = np.asarray(c, dtype=float)
-        except (TypeError, ValueError):
-            raise ValueError(f"C of arc {arc} must be a numeric matrix") from None
-    graph = DirectedGraph(_integer(data["m"], "weight-file m"), tuple(arcs))
-    return WeightedNeighborGraph(graph, _integer(data["n"], "weight-file n"), weights)
+    table = _weight_table(data["arcs"], "weight-file arcs")
+    graph = DirectedGraph(_expect(data["m"], "weight-file m", int), tuple(table))
+    return WeightedNeighborGraph(graph, _expect(data["n"], "weight-file n", int), table)

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 from limcon import (
     DirectedGraph,
     WeightedNeighborGraph,
+    consensus_error,
     directed_cycle,
     ear_decomposition,
     is_well_configured,
+    local_agreement_residual,
     symmetric_cycle,
     synthesize_symmetric_weights,
     synthesize_weights,
@@ -559,6 +561,74 @@ def test_wrong_typed_fields_exit_one(path, value, field, tmp_path, capsys, monke
     assert not (tmp_path / "out").exists()
 
 
+BIG = 10**400  # json.loads reads it as an int, which no double holds
+
+
+def _one_error(tmp_path, capsys, data, command="run"):
+    """The one error line, less 'error: ', of command on the scenario data."""
+    out = [] if command == "verify" else ["--out", str(tmp_path / "o")]
+    assert main([command, "--scenario", write_scenario(tmp_path, "s.json", data), *out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "o").exists()
+    return err[0].removeprefix("error: ")
+
+
+@pytest.mark.parametrize("bad", ["1", True, BIG], ids=["string", "boolean", "400-digit"])
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        (lambda x: {"algorithm": _gradient(kind="constant", value=x)}, "algorithm.stepsize.value"),
+        (lambda x: {"algorithm": _gradient(kind="harmonic", a=x)}, "algorithm.stepsize.a"),
+        (lambda x: {"algorithm": _gradient(kind="harmonic", b=x)}, "algorithm.stepsize.b"),
+        (lambda x: {"algorithm": _gradient(kind="scripted", values=[0.1, x])}, "algorithm.stepsize.values[1]"),
+        (lambda x: {"initial_state": {"consensus": {"value": [x, 0]}}}, "initial_state.consensus.value"),
+        (lambda x: {"initial_state": {"explicit": [[0, 0], [0, x], [0, 0], [0, 0]]}}, "initial_state.explicit"),
+        (lambda x: {"weights": _explicit((2, 3), [[x, 0]])}, "weights.explicit[].C"),
+    ],
+    ids=["value", "a", "b", "values", "consensus", "explicit-state", "C"],
+)
+def test_numeric_fields_take_json_numbers_only(overrides, field, bad, tmp_path, capsys):
+    # numpy would read "1" and true as numbers, and float(10**400) overflows
+    assert _one_error(tmp_path, capsys, symmetric_square_scenario(**overrides(bad))).startswith(f"{field} must be ")
+
+
+def _weight_entries(bad_entry):
+    return [{"j": j, "i": i, "C": [[1, 0]]} for j, i in SQUARE_ARCS[1:]] + [bad_entry]
+
+
+WRONG = {"string": "2", "boolean": True, "null": None, "object": {"v": 2}, "1.5": 1.5, "400-digit": BIG}
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [(key, bad) for key in ("C", "j", "i") for name, bad in WRONG.items() if (key, name) != ("C", "1.5")],
+    ids=[f"{key}-{name}" for key in ("C", "j", "i") for name in WRONG if (key, name) != ("C", "1.5")],
+)
+def test_explicit_weights_and_weight_files_share_one_reader(key, bad, tmp_path, capsys):
+    # 1.5 is a valid entry of C
+    entry = {"j": 1, "i": 2, "C": [[1, 0]], key: [[1, bad]] if key == "C" else bad}
+    cli = _one_error(tmp_path, capsys, symmetric_square_scenario(weights={"explicit": _weight_entries(entry)}))
+    with pytest.raises(ValueError) as lib:
+        weights_from_json({"m": 4, "n": 2, "arcs": _weight_entries(entry)})
+    assert cli.startswith("weights.explicit[]") and str(lib.value).startswith("weight-file arcs[]")
+    assert cli.removeprefix("weights.explicit") == str(lib.value).removeprefix("weight-file arcs")
+
+
+@pytest.mark.parametrize("bad", WRONG.values(), ids=WRONG.keys())
+def test_arc_lists_share_one_reader(bad, tmp_path, capsys):
+    arcs = [[bad, 2], [2, 1], [3, 4], [4, 3]]
+    messages = [_one_error(tmp_path, capsys, symmetric_square_scenario(graph={"m": 4, "arcs": arcs}), "verify")]
+    metropolis = {**METROPOLIS, "schedule": {**METROPOLIS["schedule"], "subgraphs": [arcs]}}
+    messages.append(_one_error(tmp_path, capsys, symmetric_square_scenario(algorithm=metropolis), "verify"))
+    (tmp_path / "dec.json").write_text(json.dumps([{"kind": "cycle", "arcs": arcs}]))
+    ear_file = symmetric_square_scenario(weights={"synthesize": {"decomposition": {"path": "dec.json"}}})
+    messages.append(_one_error(tmp_path, capsys, ear_file, "synth"))
+    prefixes = ["graph.arcs", "algorithm.schedule.subgraphs[]", f"{tmp_path / 'dec.json'}: ear arcs"]
+    assert all(message.startswith(prefix) for message, prefix in zip(messages, prefixes))
+    assert len({message.removeprefix(prefix) for message, prefix in zip(messages, prefixes)}) == 1
+
+
 # every algorithm section with its own settings, and a valid value of each setting
 SECTIONS = [{"name": "fixed_step", "steps": 3}, {"name": "general_projection", "steps": 3}, METROPOLIS, GRADIENT, CYCLE]
 SETTINGS = {"stepsize": GRADIENT["stepsize"], "schedule": METROPOLIS["schedule"], "project_init": True}
@@ -840,8 +910,9 @@ def test_trajectory_csv_scratch_memory_is_bounded(tmp_path):
     assert peak < 4 * 2**20
 
 
-# the last state holds inf after 125 rounds and only nan after 126
-@pytest.mark.parametrize("steps", [125, 400])
+# the last state is finite but past 1e154, whose square overflows, after 64
+# rounds, holds inf after 125 rounds and only nan after 126
+@pytest.mark.parametrize("steps", [64, 125, 400])
 def test_diverging_run_reports_null_for_non_finite_numbers(steps, tmp_path, capsys):
     triangle = [[j, i] for j in (1, 2, 3) for i in (1, 2, 3) if j != i]
     data = {
@@ -862,8 +933,17 @@ def test_diverging_run_reports_null_for_non_finite_numbers(steps, tmp_path, caps
 
     assert out == (tmp_path / "o" / "summary.json").read_text()
     summary = json.loads(out, parse_constant=refuse)
-    assert summary["final_consensus_error"] is None
-    assert summary["final_residual"] is None
+    if steps > 64:
+        assert summary["final_consensus_error"] is None
+        assert summary["final_residual"] is None
+        return
+    # finite states are measured at scale 2^-600, below the squares' overflow
+    lines = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()
+    x = np.array([[float(v) for v in line.split(",")[2:]] for line in lines[-3:]])
+    assert lines[-1].startswith(f"{steps},") and np.abs(x).max() > 1e154
+    w = _resolve(data, tmp_path)[0]
+    assert summary["final_consensus_error"] == pytest.approx(consensus_error(x * 2.0**-600) * 2.0**600, rel=1e-12)
+    assert summary["final_residual"] == pytest.approx(local_agreement_residual(w, x * 2.0**-600) * 2.0**600, rel=1e-12)
 
 
 def indent_encoder_weights_json(w) -> str:

@@ -397,6 +397,7 @@ def test_empty_and_zero_weights_take_the_general_path(w):
 def test_weights_json_roundtrip():
     w = synthesize_weights(backlinked_cycle_graph(), 2)
     data = weights_to_json(w)
+    assert {type(v) for entry in data["arcs"] for row in entry["C"] for v in row} == {float}
     again = weights_from_json(data)
     assert again.graph == w.graph and again.n == w.n
     for arc in w.graph.arcs:
@@ -412,7 +413,7 @@ def test_weights_json_missing_keys_raise_value_error():
             weights_from_json({k: v for k, v in data.items() if k != key})
     for key in ("j", "i", "C"):
         arcs = [{k: v for k, v in entry.items() if k != key} for entry in data["arcs"]]
-        with pytest.raises(ValueError, match=f"arc: missing keys \\['{key}'\\]"):
+        with pytest.raises(ValueError, match=f"weight-file arcs\\[\\]: missing keys \\['{key}'\\]"):
             weights_from_json({**data, "arcs": arcs})
 
 
@@ -425,23 +426,28 @@ def test_weights_json_refuses_non_integers(field, value):
     data = weights_to_json(synthesize_weights(backlinked_cycle_graph(), 2))
     if field in ("j", "i"):
         data["arcs"][0][field] = value
+        where = f"weight-file arcs\\[\\].{field}"
     else:
         data[field] = value
-    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
+        where = f"weight-file {field}"
+    kind = "a boolean" if value is True else "a number"
+    with pytest.raises(ValueError, match=f"^{where} must be an integer, got {kind}$"):
         weights_from_json(data)
+    # json.loads gives no numpy integers, and the reader takes JSON values only
     data = weights_to_json(synthesize_weights(backlinked_cycle_graph(), 2))
-    data["m"], data["arcs"][0]["j"] = np.int64(3), np.int32(data["arcs"][0]["j"])  # numpy integers are integers
-    assert weights_from_json(data).m == 3
+    data["m"], data["arcs"][0]["j"] = np.int64(3), np.int32(data["arcs"][0]["j"])
+    with pytest.raises(ValueError, match="must be an integer, got a non-JSON value"):
+        weights_from_json(data)
 
 
 @pytest.mark.parametrize(
     "change, message",
     [
         (lambda d: d.update(arcs=5), "weight-file arcs must be an array, got an integer"),
-        (lambda d: d["arcs"][0].update(C={}), r"C of arc \(\d, \d\) must be an array, got an object"),
-        (lambda d: d["arcs"][0].update(C=5), r"C of arc \(\d, \d\) must be an array, got an integer"),
-        (lambda d: d["arcs"][0].update(C=[[1, {}]]), r"C of arc \(\d, \d\) must be a numeric matrix"),
-        (lambda d: d["arcs"][0].update(C=[[1, "x"]]), r"C of arc \(\d, \d\) must be a numeric matrix"),
+        (lambda d: d["arcs"][0].update(C={}), r"weight-file arcs\[\]\.C must be an array, got an object"),
+        (lambda d: d["arcs"][0].update(C=5), r"weight-file arcs\[\]\.C must be an array, got an integer"),
+        (lambda d: d["arcs"][0].update(C=[[1, {}]]), r"weight-file arcs\[\]\.C must be a rectangular array of numbers"),
+        (lambda d: d["arcs"][0].update(C=[[1, "x"]]), r"weight-file arcs\[\]\.C must be a rectangular array of numbers"),
     ],
     ids=["arcs", "C-object", "C-number", "C-nested-object", "C-string"],
 )
@@ -455,7 +461,7 @@ def test_weights_json_refuses_wrong_types(change, message):
 @pytest.mark.parametrize(
     "data, message",
     [
-        ([{"kind": "cycle", "arcs": [[True, 2], [2, 3], [3, 1]]}], "ear arc must be an integer, got True"),
+        ([{"kind": "cycle", "arcs": [[True, 2], [2, 3], [3, 1]]}], r"ear arcs must be an array of \[j, i\] pairs of vertex numbers"),
         ([{"kind": "cycle", "arcs": 3}], "ear arcs must be an array, got an integer"),
         ([{"kind": "cycle", "arcs": [[1, 2, 3]]}], r"ear arcs must be an array of \[j, i\] pairs"),
         ([{"kind": "cycle", "arcs": [5]}], r"ear arcs must be an array of \[j, i\] pairs"),
@@ -471,7 +477,7 @@ def test_ear_json_refuses_wrong_types(data, message):
 def test_ear_json_refuses_non_integer_arc_ends():
     ear = ear_decomposition(directed_cycle(3)).to_json()[0]
     ear["arcs"][0] = [1.9, ear["arcs"][0][1]]
-    with pytest.raises(ValueError, match="ear arc must be an integer, got 1.9"):
+    with pytest.raises(ValueError, match=r"ear arcs must be an array of \[j, i\] pairs of vertex numbers"):
         EarDecomposition.from_json([ear])
 
 
