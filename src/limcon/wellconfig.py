@@ -319,10 +319,11 @@ def is_well_configured(w: WeightedNeighborGraph, rtol: float = RANK_RTOL, arc_or
     tau = rtol * sigma*, for sigma* the largest singular value any pair
     contributes to the agreement map.  The verdict then reads the singular
     values of the quotient agreement map, over one state per component,
-    cut at the same tau.  On failure one more SVD of the quotient map, with
-    vectors, gives its kernel, and from the same decomposition the kernel
-    dimension and a witness: a unit-norm local-agreement state orthogonal to
-    consensus.  arc_order orders the quotient map's rows.
+    cut at the same tau.  On failure one more SVD with vectors, of the
+    quotient map or of its square R factor when the map is tall, gives its
+    kernel, and from the same decomposition the kernel dimension and a
+    witness: a unit-norm local-agreement state orthogonal to consensus.
+    arc_order orders the quotient map's rows.
 
     Refuses graphs that are not weakly connected: consensus is impossible
     across components and the overlap formulation would not be equivalent.
@@ -337,7 +338,9 @@ def is_well_configured(w: WeightedNeighborGraph, rtol: float = RANK_RTOL, arc_or
     dim = amap.shape[1] - int(np.sum(s > tau))
     witness = None
     if dim != n:
-        _, s, vh = np.linalg.svd(amap, full_matrices=len(amap) < amap.shape[1])
+        # a tall map has the singular values and vectors of its square R factor
+        r = np.linalg.qr(amap, mode="r") if len(amap) > amap.shape[1] else amap
+        _, s, vh = np.linalg.svd(r, full_matrices=len(r) < r.shape[1])
         kernel = vh[int(np.sum(s > tau)) :].T
         dim = kernel.shape[1]
         if dim != n:

@@ -388,3 +388,34 @@ def trajectory_csv_per_row(states):
     for t in range(rounds):
         text += "".join(row % (t, a, *x) for a, x in enumerate(states[t].tolist(), 1))
     return text
+
+
+def consensus_error_at_scale(x):
+    """consensus_error_norm(x), taken at scale 2^-600 when a finite x's
+    squares overflow."""
+    value = consensus_error_norm(x)
+    if not np.isfinite(value) and np.isfinite(x).all():
+        return consensus_error_norm(x * 2.0**-600) * 2.0**600
+    return value
+
+
+def run_per_round(x0, steps, step, tol, streak_needed):
+    """Rounds x <- step(t, x) from x0, testing for consensus after every
+    round: stop after streak_needed consecutive errors below tol or after
+    `steps` rounds.  Returns (states, errors, steps_run, converged)."""
+    x = np.array(x0, dtype=float)
+    states = [x]
+    errors = [consensus_error_at_scale(x)]
+    streak = 1 if errors[0] < tol else 0
+    converged = streak >= streak_needed
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            if converged:
+                break
+            x = step(t, x)
+            states.append(x)
+            err = consensus_error_at_scale(x)
+            errors.append(err)
+            streak = streak + 1 if err < tol else 0
+            converged = streak >= streak_needed
+    return np.stack(states), np.array(errors), len(states) - 1, converged

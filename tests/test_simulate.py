@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from limcon import (
     synthesize_weights,
     synthesize_symmetric_weights,
 )
+from limcon.simulate import CONSENSUS_STREAK, CONSENSUS_TOL, RoundOperator, _consensus_errors, _run
 from limcon.wellconfig import agreement_map
 
 from conftest import weight_with_kernel
@@ -51,6 +53,7 @@ from oracles import (
     metropolis_arc_weights,
     metropolis_step_agents,
     one_eigenspace_dim_dense,
+    run_per_round,
     spanning_incidence_matrix,
     spanning_weight_matrix,
     stacked_laplacian_kron,
@@ -213,23 +216,31 @@ def test_periodic_schedule_cycles():
 # ------------------------------------------------- stacked vs per-agent
 
 
+def rotated(w, rng):
+    """w with every weight turned by one random orthogonal matrix: the same
+    kernel dimensions, on rows that are not coordinate axes."""
+    q = np.linalg.qr(rng.standard_normal((w.n, w.n)))[0]
+    return WeightedNeighborGraph(w.graph, w.n, {arc: c @ q for arc, c in w.weights.items()})
+
+
 def test_gradient_matches_per_agent_updates():
     rng = np.random.default_rng(0)
-    w = synthesize_weights(symmetric_cycle(3), 2, mode="nonzero-kernels")
-    x = rng.standard_normal((3, 2))
-    traj = run_gradient(w, x, 5)
-    expect = x.copy()
-    ss = StepsizeSchedule.harmonic()
-    for t in range(5):
-        expect = gradient_step_agents(w, expect, ss.alpha(t))
-    assert np.abs(traj.states[-1] - expect).max() < 1e-12
+    g = symmetric_cycle(3)
+    for w in (synthesize_weights(g, 2, mode="nonzero-kernels"), rotated(synthesize_weights(g, 3), rng)):
+        x = rng.standard_normal((3, w.n))
+        traj = run_gradient(w, x, 5)
+        expect = x.copy()
+        ss = StepsizeSchedule.harmonic()
+        for t in range(5):
+            expect = gradient_step_agents(w, expect, ss.alpha(t))
+        assert np.abs(traj.states[-1] - expect).max() < 1e-12
 
 
 def test_fixed_step_matches_per_agent_updates():
     rng = np.random.default_rng(1)
-    for g in (symmetric_cycle(3), symmetric_star(4), symmetric_cycle(4)):
-        w = synthesize_weights(g, 3, mode="nonzero-kernels")
-        x = rng.standard_normal((g.m, 3))
+    cases = [synthesize_weights(g, 3, mode="nonzero-kernels") for g in (symmetric_cycle(3), symmetric_star(4), symmetric_cycle(4))]
+    for w in cases + [rotated(synthesize_weights(complete_symmetric(5), 3), rng)]:
+        x = rng.standard_normal((w.m, 3))
         traj = run_fixed_step(w, x, 4)
         expect = x.copy()
         wn = w.normalized()
@@ -240,39 +251,41 @@ def test_fixed_step_matches_per_agent_updates():
 
 def test_metropolis_matches_per_agent_updates():
     rng = np.random.default_rng(2)
-    w = synthesize_weights(symmetric_cycle(4), 2, mode="nonzero-kernels")
     sched = two_subgraph_schedule()
-    x = rng.standard_normal((4, 2))
-    traj = run_metropolis_tv(w, x, sched, 4)
-    expect = x.copy()
-    wn = w.normalized()
-    for t in range(4):
-        expect = metropolis_step_agents(wn, expect, sched.subgraphs[sched.index_at(t)])
-    assert np.abs(traj.states[-1] - expect).max() < 1e-12
+    g = symmetric_cycle(4)
+    for w in (synthesize_weights(g, 2, mode="nonzero-kernels"), rotated(synthesize_weights(g, 3), rng)):
+        x = rng.standard_normal((4, w.n))
+        traj = run_metropolis_tv(w, x, sched, 4)
+        expect = x.copy()
+        wn = w.normalized()
+        for t in range(4):
+            expect = metropolis_step_agents(wn, expect, sched.subgraphs[sched.index_at(t)])
+        assert np.abs(traj.states[-1] - expect).max() < 1e-12
 
 
 def test_cycle_projection_matches_per_agent_updates():
     rng = np.random.default_rng(3)
-    w = synthesize_weights(directed_cycle(4), 4, mode="nonzero-kernels")
-    x = rng.standard_normal((4, 4))
-    traj = run_cycle_projection(w, x, 6)
-    expect = x.copy()
-    wn = w.normalized()
-    for _ in range(6):
-        expect = cycle_step_agents(wn, expect)
-    assert np.abs(traj.states[-1] - expect).max() < 1e-12
+    g = directed_cycle(4)
+    for w in (synthesize_weights(g, 4, mode="nonzero-kernels"), rotated(synthesize_weights(g, 3), rng)):
+        x = rng.standard_normal((4, w.n))
+        traj = run_cycle_projection(w, x, 6)
+        expect = x.copy()
+        wn = w.normalized()
+        for _ in range(6):
+            expect = cycle_step_agents(wn, expect)
+        assert np.abs(traj.states[-1] - expect).max() < 1e-12
 
 
 def test_general_projection_matches_per_agent_updates():
     rng = np.random.default_rng(4)
-    w = counterexample_wng()
-    x = rng.standard_normal((3, 2))
-    traj = run_general_projection(w, x, 6)
-    expect = x.copy()
-    wn = w.normalized()
-    for _ in range(6):
-        expect = general_step_agents(wn, expect)
-    assert np.abs(traj.states[-1] - expect).max() < 1e-12
+    for w in (counterexample_wng(), rotated(synthesize_weights(backlinked_cycle_graph(), 3), rng)):
+        x = rng.standard_normal((3, w.n))
+        traj = run_general_projection(w, x, 6)
+        expect = x.copy()
+        wn = w.normalized()
+        for _ in range(6):
+            expect = general_step_agents(wn, expect)
+        assert np.abs(traj.states[-1] - expect).max() < 1e-12
 
 
 # --------------------------------------------------- update matrices
@@ -674,6 +687,125 @@ def test_residual_zero_implies_consensus_on_well_configured():
     traj = run_fixed_step(w, rng.standard_normal((4, 3)), 4000)
     assert traj.final_residual < 1e-9
     assert traj.final_consensus_error < 1e-8
+
+
+# ------------------------------------------- block loop vs a test every round
+
+STATE_KINDS = ("far", "near", "consensus", "huge", "inf", "nan")
+
+
+def scripted_state(kind, rng, m, n):
+    """An (m, n) state whose consensus error is above the tolerance, below
+    it, zero, finite past the squares' overflow, or not finite."""
+    x = np.tile(rng.standard_normal(n), (m, 1))
+    if kind == "far":
+        x += rng.standard_normal((m, n))
+    elif kind == "near":
+        x += 1e-12 * rng.standard_normal((m, n))
+    elif kind == "huge":
+        x = 1e200 * rng.standard_normal((m, n))
+    elif kind in ("inf", "nan"):
+        x[rng.integers(m), rng.integers(n)] = np.inf if kind == "inf" else np.nan
+    return x
+
+
+def replayed(loop, script):
+    """(the step calls, the result or ValueError message of loop(step)) for
+    a step that replays script and raises a round past it."""
+    calls = []
+
+    def step(t, x):
+        calls.append((t, x.tobytes()))
+        if t >= len(script):
+            raise ValueError(f"script of length {len(script)} exhausted at round {t}")
+        return script[t].copy()
+
+    try:
+        return calls, loop(step)
+    except ValueError as err:
+        return calls, str(err)
+
+
+def assert_block_loop_is_per_round(x0, script, steps):
+    """_run and the per-round reference take the same rounds from the same
+    states, then return the same trajectory bit for bit or raise the same
+    message."""
+    m, n = x0.shape
+
+    def block_loop(step):
+        traj = _run(SimpleNamespace(m=m, n=n), x0, steps, step)
+        return traj.states, traj.consensus_errors, traj.steps_run, traj.converged
+
+    calls, got = replayed(block_loop, script)
+    ref_calls, expected = replayed(lambda step: run_per_round(x0, steps, step, CONSENSUS_TOL, CONSENSUS_STREAK), script)
+    assert calls == ref_calls
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    states, errors, steps_run, converged = got
+    assert states.shape == expected[0].shape and states.tobytes() == expected[0].tobytes()
+    assert errors.shape == expected[1].shape and errors.tobytes() == expected[1].tobytes()
+    assert (steps_run, converged) == expected[2:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 5),
+    n=st.integers(1, 4),
+    first=st.sampled_from(("far", "near", "consensus")),
+    runs=st.lists(st.tuples(st.sampled_from(STATE_KINDS), st.integers(1, 2 * CONSENSUS_STREAK)), max_size=6),
+    steps=st.integers(0, 60),
+)
+def test_block_loop_equals_the_per_round_loop(seed, m, n, first, runs, steps):
+    rng = np.random.default_rng(seed)
+    x0 = scripted_state(first, rng, m, n)
+    script = [scripted_state(kind, rng, m, n) for kind, length in runs for _ in range(length)]
+    assert_block_loop_is_per_round(x0, script, steps)
+
+
+def test_block_loop_stops_at_every_offset_within_a_block():
+    rng = np.random.default_rng(31)
+    for first in ("far", "consensus"):
+        x0 = scripted_state(first, rng, 3, 2)
+        for far in range(2 * CONSENSUS_STREAK + 1):
+            near = [scripted_state("near", rng, 3, 2) for _ in range(CONSENSUS_STREAK)]
+            script = [scripted_state("far", rng, 3, 2) for _ in range(far)] + near
+            # the last round the streak needs, one short of it, and a budget past it
+            for steps in (len(script), len(script) - 1, 0, 3 * CONSENSUS_STREAK + 7):
+                assert_block_loop_is_per_round(x0, script, steps)
+            # a streak that breaks one round short, then completes
+            broken = script[:-1] + [scripted_state("far", rng, 3, 2)] + near
+            assert_block_loop_is_per_round(x0, broken, len(broken) + 5)
+
+
+def test_scripted_stepsize_may_run_out_right_after_convergence():
+    rng = np.random.default_rng(32)
+    w = identity_weights(complete_symmetric(3), 2)
+    x0 = rng.standard_normal((3, 2))
+    long_run = run_gradient(w, x0, 200, StepsizeSchedule.scripted([0.1] * 200))
+    rounds = long_run.steps_run
+    assert long_run.converged and CONSENSUS_STREAK < rounds < 200
+    exact = run_gradient(w, x0, 200, StepsizeSchedule.scripted([0.1] * rounds))
+    assert exact.states.tobytes() == long_run.states.tobytes() and exact.converged
+    short = StepsizeSchedule.scripted([0.1] * (rounds - 1))
+    op = RoundOperator.from_weights(w, 1.0)
+    with pytest.raises(ValueError) as per_round:
+        run_per_round(x0, 200, lambda t, x: x - short.alpha(t) * op.delta(x), CONSENSUS_TOL, CONSENSUS_STREAK)
+    assert str(per_round.value) == f"stepsize script of length {rounds - 1} exhausted at round {rounds - 1}"
+    with pytest.raises(ValueError) as blocks:
+        run_gradient(w, x0, 200, short)
+    assert str(blocks.value) == str(per_round.value)
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 9, 100, 2000])
+@pytest.mark.parametrize("n", [1, 3, 9, 20])
+def test_stacked_consensus_errors_equal_per_state_bit_for_bit(m, n):
+    rng = np.random.default_rng([m, n])
+    for scale in (1e-5, 1.0, 1e5):
+        states = scale * (rng.standard_normal((4, m, n)) + 10.0 * rng.standard_normal((4, 1, n)))
+        per_state = np.array([consensus_error(x) for x in states])
+        assert np.array(_consensus_errors(states)).tobytes() == per_state.tobytes()
 
 
 # --------------------------------------------------- round operator vs kron formulas
