@@ -81,18 +81,16 @@ class DirectedGraph:
     def d(self) -> int:
         return len(self.arcs)
 
-    @cached_property
-    def arc_index(self) -> dict[Arc, int]:
-        return {arc: k for k, arc in enumerate(self.arcs)}
-
     def arc_indices(self, ends) -> np.ndarray:
         """Canonical index of the arc of each zero-based (tail, head) row of
-        ends, or -1 where the graph has no such arc; ends lie in 0..m-1."""
+        ends, or -1 where the graph has no such arc.  An end outside 0..m-1
+        has none: its key would alias another arc's."""
         ends = np.asarray(ends)
         keys = ends[:, 1] * self.m + ends[:, 0]
         at = np.searchsorted(self.arc_keys, keys)
         # a key past the last arc's finds the appended -1, which is no key
-        return np.where(np.append(self.arc_keys, -1)[at] == keys, at, -1)
+        found = (np.append(self.arc_keys, -1)[at] == keys) & ((0 <= ends) & (ends < self.m)).all(axis=1)
+        return np.where(found, at, -1)
 
     @cached_property
     def reverse(self) -> np.ndarray:
@@ -131,7 +129,7 @@ class DirectedGraph:
         return len(self._in_neighbors[i])
 
     def has_arc(self, arc: Arc) -> bool:
-        return arc in self.arc_index
+        return bool(self.arc_indices(np.subtract([arc], 1))[0] >= 0)
 
     @cached_property
     def undirected_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -443,7 +441,7 @@ def validate_ear_decomposition(g: DirectedGraph, dec: EarDecomposition) -> None:
     covered: set[int] = set()
     for idx, ear in enumerate(dec.ears):
         walk = _edge_walk(ear) if dec.symmetric else ear.arcs
-        if any(arc not in g.arc_index for arc in ear.arcs):
+        if (g.arc_indices(np.subtract(ear.arcs, 1)) < 0).any():
             raise ValueError(f"ear {idx} uses arcs not in the graph")
         if seen_arcs & set(ear.arcs):
             raise ValueError(f"ear {idx} reuses arcs of earlier ears")
@@ -506,13 +504,12 @@ def _extend_to_visited(adj: dict[int, tuple[int, ...]], start: int, visited: set
 
 def _grow_ears(g: DirectedGraph, first: list[Arc], symmetric: bool) -> EarDecomposition:
     # Attach ears to the first cycle until every arc is used.  Each later ear
-    # starts at the smallest unused edge leaving the covered vertices: by
-    # canonical arc index, or for a symmetric ear by unordered pair and then
-    # the covered end (the smaller if both are).  A symmetric ear walks
-    # undirected edges, each lifted to its arc and the reverse, and may not
-    # turn straight back along its first edge.
+    # starts at the smallest unused edge leaving the covered vertices: by arc
+    # key head * m + tail, the canonical order, or for a symmetric ear by
+    # unordered pair and then the covered end (the smaller if both are).  A
+    # symmetric ear walks undirected edges, each lifted to its arc and the
+    # reverse, and may not turn straight back along its first edge.
     adj = g._out_neighbors
-    index = g.arc_index
     ears: list[Ear] = []
     used: set[Arc] = set()
     visited: set[int] = set()
@@ -525,7 +522,7 @@ def _grow_ears(g: DirectedGraph, first: list[Arc], symmetric: bool) -> EarDecomp
         for v in {v for arc in arcs for v in arc} - visited:
             visited.add(v)
             for w in adj[v]:
-                key = ((v, w) if v < w else (w, v)) if symmetric else index[(v, w)]
+                key = ((v, w) if v < w else (w, v)) if symmetric else (w - 1) * g.m + v - 1
                 heapq.heappush(ready, (key, v, w))
 
     attach("cycle", first)

@@ -1,15 +1,13 @@
-"""Dense linear-algebra kernel: kernels and images, singular values and
-numerical rank, subspace intersection and independence, and the (2, inf)
-mixed matrix norm.
+"""Dense linear-algebra kernel: kernels, singular values and numerical rank,
+subspace intersection and independence, and the (2, inf) mixed matrix norm.
 
 Subspaces are plain ndarrays whose columns form an orthonormal basis; the
 trivial subspace of R^n is an (n, 0) array.  All rank decisions here flow
 through one tolerance (RANK_RTOL): relative to the largest singular value for
 general matrices, and absolute for the principal-angle sines of
-subspace_intersection, whose orthonormal inputs fix the scale.  Besides the
-rank counters numerical_rank and matrix_rank, only two entry points take
-another: is_well_configured(rtol=), which `verify --tol` sets, and
-WeightedNeighborGraph.normalized(rtol).
+subspace_intersection, whose orthonormal inputs fix the scale.  Only two
+entry points take another: is_well_configured(rtol=), which `verify --tol`
+sets, and WeightedNeighborGraph.normalized(rtol).
 """
 
 from __future__ import annotations
@@ -44,13 +42,6 @@ def kernel_basis(a) -> np.ndarray:
     return vh[numerical_rank(s) :].T.copy()
 
 
-def column_space_basis(a) -> np.ndarray:
-    """Orthonormal columns spanning the column space of a."""
-    a = _as_matrix(a)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, : numerical_rank(s)].copy()
-
-
 def singular_values(a) -> np.ndarray:
     """The min(a.shape) singular values of a, largest first, from an SVD
     without vectors: all zero for an all-zero a, none for an empty one."""
@@ -58,13 +49,13 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def numerical_rank(s, rtol: float = RANK_RTOL, floor: float = 0.0) -> int:
-    """Count of the singular values s (largest first) above rtol * s[0] and floor."""
-    return int(np.sum(s > max(rtol * s[0], floor))) if len(s) else 0
+def numerical_rank(s, floor: float = 0.0) -> int:
+    """Count of the singular values s (largest first) above RANK_RTOL * s[0] and floor."""
+    return int(np.sum(s > max(RANK_RTOL * s[0], floor))) if len(s) else 0
 
 
-def matrix_rank(a, rtol: float = RANK_RTOL, floor: float = 0.0) -> int:
-    return numerical_rank(singular_values(a), rtol, floor)
+def matrix_rank(a, floor: float = 0.0) -> int:
+    return numerical_rank(singular_values(a), floor)
 
 
 def subspace_intersection(a, b) -> np.ndarray:

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import DirectedGraph, _integer, is_directed_cycle, is_symmetric
-from .linalg import RANK_RTOL, matrix_rank, mixed_norm_2_inf, numerical_rank
+from .linalg import matrix_rank, mixed_norm_2_inf, numerical_rank
 from .wellconfig import WeightedNeighborGraph
 
 # A run counts as converged after this many consecutive rounds below tolerance.
@@ -160,8 +160,12 @@ class Trajectory:
 
 
 def consensus_error(x) -> float:
-    """max_i ||x_i - mean||_2 over the agents, for x the (m, n) state."""
-    x = np.asarray(x, dtype=float)
+    """max_i ||x_i - mean||_2 over the agents, for x the (m, n) state; a
+    finite x whose squares overflow is measured at scale 2^-600."""
+    return _unsquared(_spread, np.asarray(x, dtype=float))
+
+
+def _spread(x: np.ndarray) -> float:
     # the reductions of x.mean and np.linalg.norm, without their call overhead
     d = x - np.add.reduce(x, axis=0) / x.shape[0]
     return math.sqrt(np.add.reduce(d * d, axis=1).max())
@@ -295,13 +299,13 @@ def _round_operator(algorithm: str, wn: WeightedNeighborGraph, subgraph: Directe
 
 
 def _consensus_errors(states: np.ndarray) -> list[float]:
-    """_unsquared(consensus_error, x) of each state x in the (k, m, n) stack,
-    bit for bit, from one stacked reduction."""
+    """consensus_error(x) of each state x in the (k, m, n) stack, bit for
+    bit, from one stacked reduction."""
     d = states - (np.add.reduce(states, axis=1) / states.shape[1])[:, None]
     errors = np.sqrt(np.add.reduce(d * d, axis=2).max(axis=1))
     out = errors.tolist()
     for k in np.flatnonzero(~np.isfinite(errors)):
-        out[k] = _unsquared(consensus_error, states[k])
+        out[k] = consensus_error(states[k])
     return out
 
 
@@ -317,7 +321,7 @@ def _run(w: WeightedNeighborGraph, x0, steps: int, step) -> Trajectory:
         raise ValueError("steps must be >= 0")
     x = _coerce_state(x0, w.m, w.n)
     states = [x]
-    errors = [_unsquared(consensus_error, x)]
+    errors = [consensus_error(x)]
     streak = 1 if errors[0] < CONSENSUS_TOL else 0
     # a diverging run overflows to inf and nan, which its trajectory records
     with np.errstate(over="ignore", invalid="ignore"):
@@ -459,8 +463,8 @@ class SpectralReport:
         unit = size * np.finfo(float).eps
         if self.symmetric:
             floor = unit * np.abs(self.eigenvalues).max(initial=0.0)
-            return size - numerical_rank(np.sort(np.abs(self.eigenvalues - 1.0))[::-1], RANK_RTOL, floor)
-        return size - matrix_rank(self.matrix - np.eye(size), RANK_RTOL, unit * np.linalg.norm(self.matrix))
+            return size - numerical_rank(np.sort(np.abs(self.eigenvalues - 1.0))[::-1], floor)
+        return size - matrix_rank(self.matrix - np.eye(size), unit * np.linalg.norm(self.matrix))
 
     def summary_dict(self) -> dict:
         return {

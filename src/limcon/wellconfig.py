@@ -35,7 +35,6 @@ from .graphs import (
 )
 from .linalg import (
     RANK_RTOL,
-    column_space_basis,
     kernel_basis,
     singular_values,
     subspace_family_independent,
@@ -171,7 +170,7 @@ def _resolve_order(w: WeightedNeighborGraph, arc_order) -> np.ndarray:
     order = tuple((int(j), int(i)) for j, i in arc_order)
     if sorted(order) != sorted(w.graph.arcs):
         raise ValueError("arc_order must be a permutation of the graph's arcs")
-    return np.array([w.graph.arc_index[arc] for arc in order], dtype=np.intp)
+    return w.graph.arc_indices(np.subtract(order, 1).reshape(-1, 2))
 
 
 def agreement_map(w: WeightedNeighborGraph, arc_order=None, labels=None) -> np.ndarray:
@@ -369,18 +368,23 @@ def disagreement_overlap_dim(w: WeightedNeighborGraph) -> int:
 
     Zero overlap is the second, equivalent formulation of well-configuration
     for weakly connected graphs.  The image has the orthonormal basis
-    Q (x) I_n, for Q an orthonormal basis of image(incidence'); the kernel is
-    block diagonal, one orthonormal block K_k per arc.  The overlap is the
-    count of principal angles at zero between them: the singular values of
-    (I - bb')a, for a the narrower basis and b the other, are the sines, and
-    those at most RANK_RTOL count, as in subspace_intersection.  That matrix is
-    assembled from Q and the K_k, never from the dn-row bases.  The stacked
-    singular values are the union of the per-arc ones, so each arc is cut at
-    RANK_RTOL times the largest singular value over all arcs: the same rank
-    decision as one SVD of the whole stacked matrix.  _proves_by_ears shares
-    these kernels; the dense oracles stay the independent check of both.
+    Q (x) I_n, for Q the QR basis of incidence' less the first agent of each
+    weak component: one component's columns sum to zero, so the rest span
+    the image independently, and Q is exactly m - c wide for c components,
+    without a rank decision.  The kernel is block diagonal, one orthonormal
+    block K_k per arc.  The overlap is the count of principal angles at zero
+    between them: the singular values of (I - bb')a, for a the narrower basis
+    and b the other, are the sines, and those at most RANK_RTOL count, as in
+    subspace_intersection.  That matrix is assembled from Q and the K_k,
+    never from the dn-row bases.  The stacked singular values are the union
+    of the per-arc ones, so each arc is cut at RANK_RTOL times the largest
+    singular value over all arcs: the same rank decision as one SVD of the
+    whole stacked matrix.  _proves_by_ears shares these kernels; the dense
+    oracles stay the independent check of both.
     """
-    q = column_space_basis(incidence_matrix(w.graph).T)
+    g = w.graph
+    first = np.unique(_component_labels(g.m, g.arc_ends), return_index=True)[1]
+    q = np.linalg.qr(np.delete(incidence_matrix(g).T, first, axis=1))[0]
     (d, r), n = q.shape, w.n
     vh, in_kernel = _kernels(w.padded_weights())
     owner = np.nonzero(in_kernel)[0]  # the arc of each kernel column
@@ -412,9 +416,8 @@ def _proves_by_ears(w: WeightedNeighborGraph, decomposition: EarDecomposition) -
     misses a vertex or an arc it can say yes wrongly."""
     symmetric, ears, n = decomposition.symmetric, decomposition.ears, w.n
     _, slot, stacks = _pair_stacks(w) if symmetric else (None, np.arange(w.graph.d), w.padded_weights())
-    index = w.graph.arc_index
     # each ear's slots in order; a pair's forward arc stands for it
-    slots = slot[np.fromiter((index[arc] for ear in ears for arc in ear.arcs[:: 1 + symmetric]), dtype=np.intp)]
+    slots = slot[w.graph.arc_indices(np.subtract([arc for ear in ears for arc in ear.arcs[:: 1 + symmetric]], 1))]
     vh, in_kernel = _kernels(stacks)
     picked = in_kernel[slots]
     sizes = [len(ear.arcs) >> symmetric for ear in ears]

@@ -13,14 +13,14 @@ from limcon import (
     symmetric_path,
     symmetric_star,
 )
-from limcon.linalg import column_space_basis
 
 
 def random_subspace(rng, n, dim):
     """Orthonormal basis of a random dim-dimensional subspace of R^n."""
     if dim == 0:
         return np.zeros((n, 0))
-    return column_space_basis(rng.standard_normal((n, dim)))
+    # a Gaussian draw has full rank: the left singular vectors span it
+    return np.linalg.svd(rng.standard_normal((n, dim)), full_matrices=False)[0]
 
 
 def weight_with_kernel(kernel):

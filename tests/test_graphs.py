@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from limcon import (
     DirectedGraph,
+    Ear,
     EarDecomposition,
     backlinked_cycle_graph,
     broadcast_pair_graph,
@@ -34,7 +35,18 @@ from oracles import canonical_arcs, is_symmetric_set, is_weakly_connected_bfs, p
 def test_canonical_ordering_is_agent_major():
     g = DirectedGraph(3, ((3, 2), (2, 1), (1, 2), (3, 1)))
     assert g.arcs == ((2, 1), (3, 1), (1, 2), (3, 2))
-    assert g.arc_index[(2, 1)] == 0
+    assert g.arc_indices(np.array([[1, 0]])).tolist() == [0]
+
+
+def test_arcs_with_an_end_outside_the_vertices_are_not_in_the_graph():
+    # (5, 1) and (0, 2) would alias the keys of (1, 2) and (4, 1), which exist
+    g = complete_symmetric(4)
+    for arc in ((5, 1), (0, 1), (1, 5), (0, 2), (1, 0)):
+        assert not g.has_arc(arc)
+        with pytest.raises(ValueError, match="ear 0 uses arcs not in the graph"):
+            validate_ear_decomposition(g, EarDecomposition((Ear("cycle", (arc,)),)))
+    assert all(g.has_arc(arc) for arc in g.arcs)
+    assert not DirectedGraph(2, ()).has_arc((0, 1))
 
 
 def test_constructor_rejections():
@@ -407,14 +419,34 @@ def test_symmetric_ear_decomposition_properties(g):
     assert first.pair_count == _shortest_cycle_length_through(_undirected(g), 1)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(2, 8).flatmap(lambda m: st.tuples(st.permutations(range(1, m + 1)), st.lists(st.tuples(st.integers(1, m), st.integers(1, m)), max_size=12))))
-def test_ear_decomposition_validates_on_random_strongly_connected(case):
-    perm, extra = case
-    m = len(perm)
+@st.composite
+def strongly_connected_graphs(draw):
+    """A Hamiltonian cycle in random vertex order plus up to 12 random arcs."""
+    m = draw(st.integers(2, 8))
+    perm = draw(st.permutations(range(1, m + 1)))
+    extra = draw(st.lists(st.tuples(st.integers(1, m), st.integers(1, m)), max_size=12))
     arcs = {(perm[k], perm[(k + 1) % m]) for k in range(m)} | {(j, i) for j, i in extra if j != i}
-    g = DirectedGraph(m, tuple(arcs))
+    return DirectedGraph(m, tuple(arcs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(strongly_connected_graphs())
+def test_ear_decomposition_validates_on_random_strongly_connected(g):
     validate_ear_decomposition(g, ear_decomposition(g))
+
+
+@settings(max_examples=300, deadline=None)
+@given(strongly_connected_graphs())
+def test_later_ears_start_at_the_smallest_unused_arc_with_a_covered_tail(g):
+    # pins the order of the ear heap: its keys must sort as the canonical index does
+    used: set = set()
+    covered: set = set()
+    for idx, ear in enumerate(ear_decomposition(g).ears):
+        if idx:
+            first = min(k for k, (j, i) in enumerate(g.arcs) if (j, i) not in used and j in covered)
+            assert ear.arcs[0] == g.arcs[first]
+        used |= set(ear.arcs)
+        covered |= {v for arc in ear.arcs for v in arc}
 
 
 def test_long_cycle_decomposes_without_recursion():

@@ -45,7 +45,7 @@ from conftest import weight_with_kernel
 from oracles import (
     block_diag,
     central_difference_gradient,
-    consensus_error_norm,
+    consensus_error_at_scale,
     cycle_step_agents,
     fixed_step_agents,
     general_step_agents,
@@ -659,8 +659,8 @@ def test_residuals_are_computed_on_first_read_per_state():
         (np.random.default_rng(7).standard_normal(12), 1),  # n = 1
         (np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]]), None),
         (np.array([[5e-324, -5e-324], [2.2250738585072014e-308, 0.0], [-1e-310, 3e-320]]), None),
-        (np.array([[1e300, 0.0], [-1e300, 1.0], [1e300, 2.0]]), None),  # d*d overflows to inf
-        (np.array([[1e308, 1e308], [1e308, -1e308]]), None),  # the sum overflows
+        (np.array([[1e300, 0.0], [-1e300, 1.0], [1e300, 2.0]]), None),  # d*d overflows: taken at scale
+        (np.array([[1e308, 1e308], [1e308, -1e308]]), None),  # the sum overflows: taken at scale
         (np.array([[np.nan, 0.0], [1.0, 2.0]]), None),
         (np.array([[1.0, 2.0], [np.inf, 2.0]]), None),
     ],
@@ -669,7 +669,7 @@ def test_consensus_error_equals_the_norm_formula_bit_for_bit(x, n):
     if n is not None:
         x = x.reshape(-1, n)
     with np.errstate(all="ignore"):
-        mine, reference = consensus_error(x), consensus_error_norm(x)
+        mine, reference = consensus_error(x), consensus_error_at_scale(x)
     assert isinstance(mine, float)
     assert np.array([mine]).tobytes() == np.array([reference]).tobytes()
 

@@ -533,6 +533,29 @@ def test_overlap_of_all_zero_weights_is_the_whole_image():
         assert disagreement_overlap_dim(identity_weights(g, n)) == 0
 
 
+@pytest.mark.parametrize(
+    "m, arcs, components",
+    [
+        (6, ((1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)), 2),  # two directed triangles
+        (7, ((1, 2), (3, 4), (4, 5), (5, 3), (6, 7), (7, 6)), 3),  # a path, a triangle and a pair
+        (6, ((2, 3), (3, 4), (4, 2), (3, 2)), 4),  # isolated agents 1, 5 and 6
+        (3, (), 3),  # no arcs
+        (1, (), 1),
+    ],
+    ids=["two-components", "three-components", "isolated-agents", "no-arcs", "m=1"],
+)
+def test_overlap_matches_dense_oracle_on_graphs_that_are_not_connected(m, arcs, components):
+    # the cut space is m - c wide: all-zero weights meet all of it
+    g, n = DirectedGraph(m, arcs), 2
+    zero = WeightedNeighborGraph(g, n, {arc: np.zeros((1, n)) for arc in g.arcs})
+    assert disagreement_overlap_dim(zero) == n * (m - components) == disagreement_overlap_dim_dense(zero)
+    assert disagreement_overlap_dim(identity_weights(g, n)) == 0
+    rng = np.random.default_rng(m)
+    for _ in range(20):
+        w = WeightedNeighborGraph(g, n, {arc: rng.standard_normal((int(rng.integers(0, 3)), n)) for arc in g.arcs})
+        assert disagreement_overlap_dim(w) == disagreement_overlap_dim_dense(w)
+
+
 def _overlap_widths(w):
     """(dim image, dim ker C) for weights whose per-arc ranks are exact."""
     image = w.n * np.linalg.matrix_rank(incidence_matrix(w.graph))
