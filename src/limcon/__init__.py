@@ -31,8 +31,6 @@ from .linalg import (
     RANK_RTOL,
     kernel_basis,
     mixed_norm_2_inf,
-    subspace_family_independent,
-    subspace_intersection,
 )
 from .simulate import (
     ALGORITHMS,

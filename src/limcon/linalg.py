@@ -1,13 +1,13 @@
 """Dense linear-algebra kernel: kernels, singular values and numerical rank,
-subspace intersection and independence, and the (2, inf) mixed matrix norm.
+and the (2, inf) mixed matrix norm.
 
-Subspaces are plain ndarrays whose columns form an orthonormal basis; the
-trivial subspace of R^n is an (n, 0) array.  All rank decisions here flow
-through one tolerance (RANK_RTOL): relative to the largest singular value for
-general matrices, and absolute for the principal-angle sines of
-subspace_intersection, whose orthonormal inputs fix the scale.  Only two
-entry points take another: is_well_configured(rtol=), which `verify --tol`
-sets, and WeightedNeighborGraph.normalized(rtol).
+A kernel is a plain ndarray whose columns form an orthonormal basis; the
+trivial kernel in R^n is an (n, 0) array.  Rank decisions flow through one
+tolerance (RANK_RTOL), relative to the largest singular value.  Only the
+overlap verifier (wellconfig.disagreement_overlap_dim) applies it absolutely,
+to principal-angle sines whose orthonormal inputs fix the scale.  Two entry
+points take another tolerance: is_well_configured(rtol=), which
+`verify --tol` sets, and WeightedNeighborGraph.normalized(rtol).
 """
 
 from __future__ import annotations
@@ -56,43 +56,6 @@ def numerical_rank(s, floor: float = 0.0) -> int:
 
 def matrix_rank(a, floor: float = 0.0) -> int:
     return numerical_rank(singular_values(a), floor)
-
-
-def subspace_intersection(a, b) -> np.ndarray:
-    """Orthonormal basis of the intersection of two subspaces.
-
-    The singular values of (I - bb')a are the sines of the principal angles
-    between the spans, and its right singular vectors pick the matching
-    principal vectors of a.  The intersection is spanned by the principal
-    vectors at angle zero.  Orthonormal inputs fix the scale of the sines at
-    one, so RANK_RTOL bounds them absolutely: a relative cut-off would count
-    roundoff as rank when the spans coincide and every sine is noise.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("subspaces must share the ambient dimension")
-    _, sines, vh = np.linalg.svd(a - b @ (b.T @ a), full_matrices=False)
-    return a @ vh[sines <= RANK_RTOL].T
-
-
-def subspace_family_independent(bases) -> bool:
-    """True iff dim of the sum equals the sum of dims.
-
-    Equivalent to each subspace meeting the sum of the others only at zero;
-    trivial subspaces never break independence.
-    """
-    bases = [np.asarray(b, dtype=float) for b in bases]
-    if not bases:
-        return True
-    n = bases[0].shape[0]
-    if any(b.shape[0] != n for b in bases):
-        raise ValueError("subspaces must share the ambient dimension")
-    total = sum(b.shape[1] for b in bases)
-    if total > n:
-        return False
-    stacked = np.hstack(bases)
-    return matrix_rank(stacked) == total
 
 
 def mixed_norm_2_inf(q, block: int) -> float:

@@ -174,7 +174,8 @@ def _spread(x: np.ndarray) -> float:
 def _unsquared(norm, x: np.ndarray) -> float:
     """norm(x), a norm that squares the differences of x.  A finite x whose
     squares overflow, past about 1e154, is measured at scale 2^-600."""
-    value = norm(x)
+    with np.errstate(over="ignore"):
+        value = norm(x)
     if not math.isfinite(value) and np.isfinite(x).all():
         return norm(x * 2.0**-600) * 2.0**600
     return value

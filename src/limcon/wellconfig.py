@@ -6,8 +6,9 @@ C_ji x_i = C_ji x_j along every arc are full-consensus states, i.e. when the
 kernel of the stacked map C Jbar' is exactly the consensus span.  This module
 builds that agreement map, verifies the property two independent ways (its
 rank, and the overlap of the incidence image with the kernel of the stacked
-weights), checks the paper's cycle and three-agent criteria, synthesizes
-weight matrices from ear decompositions, and reads and writes weight files.
+weights), decides the paper's cycle and three-agent criteria by the ear
+rule, synthesizes weight matrices from ear decompositions, and reads and
+writes weight files.
 """
 
 from __future__ import annotations
@@ -27,9 +28,13 @@ from .graphs import (
     _component_labels,
     _expect,
     _vertex,
+    backlinked_cycle_graph,
+    broadcast_pair_graph,
+    directed_cycle,
     ear_decomposition,
     incidence_matrix,
     is_weakly_connected,
+    symmetric_closure,
     symmetric_ear_decomposition,
     validate_ear_decomposition,
 )
@@ -37,8 +42,6 @@ from .linalg import (
     RANK_RTOL,
     kernel_basis,
     singular_values,
-    subspace_family_independent,
-    subspace_intersection,
 )
 
 SYNTHESIS_MODES = ("free", "nonzero-kernels")
@@ -374,12 +377,12 @@ def disagreement_overlap_dim(w: WeightedNeighborGraph) -> int:
     without a rank decision.  The kernel is block diagonal, one orthonormal
     block K_k per arc.  The overlap is the count of principal angles at zero
     between them: the singular values of (I - bb')a, for a the narrower basis
-    and b the other, are the sines, and those at most RANK_RTOL count, as in
-    subspace_intersection.  That matrix is assembled from Q and the K_k,
-    never from the dn-row bases.  The stacked singular values are the union
-    of the per-arc ones, so each arc is cut at RANK_RTOL times the largest
-    singular value over all arcs: the same rank decision as one SVD of the
-    whole stacked matrix.  _proves_by_ears shares these kernels; the dense
+    and b the other, are the sines, and those at most RANK_RTOL count,
+    absolutely, since the orthonormal bases fix their scale.  That matrix is
+    assembled from Q and the K_k, never from the dn-row bases.  The stacked
+    singular values are the union of the per-arc ones, so each arc is cut at
+    RANK_RTOL times the largest singular value over all arcs: the same rank
+    decision as one SVD of the whole stacked matrix.  _proves_by_ears shares these kernels; the dense
     oracles stay the independent check of both.
     """
     g = w.graph
@@ -431,23 +434,44 @@ def _proves_by_ears(w: WeightedNeighborGraph, decomposition: EarDecomposition) -
     return bool((np.sum(s > RANK_RTOL * s[:, :1], axis=1) == count[count > 1]).all())
 
 
+def _ear_rule_with_kernels(g: DirectedGraph, kernels: Mapping[Arc, np.ndarray], symmetric: bool) -> bool:
+    """_proves_by_ears on g, each listed arc weighted by the orthonormal
+    complement of its kernel basis (full column rank), every other arc by
+    no rows."""
+    bases = [np.asarray(k, dtype=float) for k in kernels.values()]
+    n = bases[0].shape[0]
+    if any(b.shape[0] != n for b in bases):
+        raise ValueError("kernels must share the ambient dimension")
+    weights = {arc: np.zeros((0, n)) for arc in g.arcs}
+    weights.update((arc, kernel_basis(b.T).T) for arc, b in zip(kernels, bases))
+    decomposition = symmetric_ear_decomposition(g) if symmetric else ear_decomposition(g)
+    return _proves_by_ears(WeightedNeighborGraph(g, n, weights), decomposition)
+
+
 def cycle_criterion(kernels) -> bool:
-    """Directed cycle verdict: well-configured iff the arc kernels form an
-    independent family."""
-    return subspace_family_independent(kernels)
+    """Directed cycle verdict, that the arc kernels are an independent family:
+    the directed ear rule on directed_cycle(m), one ear."""
+    kernels = list(kernels)
+    if len(kernels) < 2:
+        raise ValueError(f"a cycle needs two agents, got {len(kernels)} kernels")
+    g = directed_cycle(len(kernels))
+    return _ear_rule_with_kernels(g, dict(zip(g.arcs, kernels)), symmetric=False)
 
 
 def broadcast_pair_criterion(k12, k21, k31, k32) -> bool:
-    """Verdict for the two-agents-plus-broadcaster graph with arcs
-    (1,2), (2,1), (3,1), (3,2): independence of the intersection of the pair
-    kernels together with the two broadcast kernels."""
-    return subspace_family_independent([subspace_intersection(k12, k21), k31, k32])
+    """Verdict for arcs (1,2), (2,1), (3,1), (3,2), that k12 meet k21, k31 and
+    k32 are independent: the symmetric ear rule on the triangle
+    symmetric_closure(broadcast_pair_graph()), one ear."""
+    kernels = {(1, 2): k12, (2, 1): k21, (3, 1): k31, (3, 2): k32}
+    return _ear_rule_with_kernels(symmetric_closure(broadcast_pair_graph()), kernels, symmetric=True)
 
 
 def backlinked_cycle_criterion(k1, k2, k3, k4) -> bool:
-    """Verdict for the triangle-with-back-arc graph, arcs
-    (1,2), (2,3), (3,1), (2,1) carrying kernels k1..k4 in that order."""
-    return subspace_family_independent([subspace_intersection(k1, k4), k2, k3])
+    """Verdict for arcs (1,2), (2,3), (3,1), (2,1) with kernels k1..k4, that
+    k1 meet k4, k2 and k3 are independent: the symmetric ear rule on the
+    triangle symmetric_closure(backlinked_cycle_graph()), one ear."""
+    kernels = {(1, 2): k1, (2, 3): k2, (3, 1): k3, (2, 1): k4}
+    return _ear_rule_with_kernels(symmetric_closure(backlinked_cycle_graph()), kernels, symmetric=True)
 
 
 def synthesize_weights(

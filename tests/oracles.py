@@ -176,6 +176,14 @@ def brute_force_independent(bases):
     return int(np.linalg.matrix_rank(stacked)) == dims
 
 
+def intersection_dense(a, b):
+    """Basis of span(a) meet span(b), for bases a and b of full column rank:
+    the null space of [a, -b] from numpy's SVD and rank, mapped back through a."""
+    stacked = np.hstack([a, -b])
+    null = np.linalg.svd(stacked)[2][np.linalg.matrix_rank(stacked) :].T
+    return a @ null[: a.shape[1]]
+
+
 def exact_nullity(rows):
     """Nullity of an integer matrix by fraction-exact Gaussian elimination."""
     from fractions import Fraction

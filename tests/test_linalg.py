@@ -7,15 +7,13 @@ from limcon import (
     kernel_basis,
     mixed_norm_2_inf,
     spectral_report,
-    subspace_family_independent,
-    subspace_intersection,
     symmetric_cycle,
     synthesize_symmetric_weights,
 )
 from limcon.linalg import matrix_rank, singular_values
 
 from conftest import random_subspace
-from oracles import brute_force_independent, mixed_norm_2_inf_loop, subspaces_equal, symmetric_3x3_eigenvalues
+from oracles import mixed_norm_2_inf_loop, subspaces_equal, symmetric_3x3_eigenvalues
 
 
 def test_kernel_of_identity_is_trivial():
@@ -56,11 +54,6 @@ def test_empty_and_zero_matrices_take_the_svd_path(shape):
 
 
 def test_empty_subspaces_take_the_svd_path():
-    empty, plane = np.zeros((4, 0)), np.eye(4)[:, :2]
-    assert subspace_intersection(empty, plane).shape == (4, 0)
-    assert subspace_intersection(empty, empty).shape == (4, 0)
-    assert subspace_family_independent([empty, empty])
-    assert subspace_family_independent([np.zeros((0, 0))])
     assert mixed_norm_2_inf(np.zeros((6, 6)), 2) == 0.0
 
 
@@ -82,90 +75,6 @@ def test_eigenvalues_of_symmetric_are_real():
     b = rng.standard_normal((5, 5))
     lam = spectral_report(b + b.T, 1).eigenvalues
     assert np.abs(np.imag(lam)).max() <= 1e-10
-
-
-def test_independent_coordinate_axes():
-    e = np.eye(3)
-    axes = [e[:, [0]], e[:, [1]], e[:, [2]]]
-    assert subspace_family_independent(axes)
-
-
-def test_repeated_subspace_not_independent():
-    e = np.eye(3)
-    assert not subspace_family_independent([e[:, [0]], e[:, [0]]])
-
-
-def test_more_than_n_nonzero_subspaces_never_independent():
-    rng = np.random.default_rng(8)
-    for n in (2, 3, 4):
-        fam = [random_subspace(rng, n, 1) for _ in range(n + 1)]
-        assert not subspace_family_independent(fam)
-
-
-def test_independence_matches_brute_force():
-    rng = np.random.default_rng(9)
-    for _ in range(60):
-        n = int(rng.integers(2, 7))
-        fam = [random_subspace(rng, n, int(rng.integers(0, n))) for _ in range(int(rng.integers(1, 5)))]
-        assert subspace_family_independent(fam) == brute_force_independent(fam)
-
-
-def test_trivial_subspaces_never_break_independence():
-    e = np.eye(3)
-    fam = [e[:, [0]], np.zeros((3, 0)), e[:, [1]]]
-    assert subspace_family_independent(fam)
-
-
-def test_subspace_intersection():
-    e = np.eye(3)
-    xy = e[:, [0, 1]]
-    yz = e[:, [1, 2]]
-    inter = subspace_intersection(xy, yz)
-    assert inter.shape == (3, 1)
-    assert subspaces_equal(inter, e[:, [1]])
-    assert subspace_intersection(e[:, [0]], e[:, [1]]).shape == (3, 0)
-
-
-def test_subspace_intersection_of_rotated_copies_is_whole_span():
-    # every residual I - QQ' is pure roundoff here; the intersection is all of Q
-    q = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))[0]
-    inter = subspace_intersection(q, q)
-    assert inter.shape == (3, 3)
-    assert subspaces_equal(inter, np.eye(3))
-    rng = np.random.default_rng(13)
-    for n, dim in ((3, 2), (5, 3), (6, 6)):
-        basis = random_subspace(rng, n, dim)
-        rotated = basis @ np.linalg.qr(rng.standard_normal((dim, dim)))[0]
-        inter = subspace_intersection(basis, rotated)
-        assert inter.shape == (n, dim)
-        assert np.allclose(inter.T @ inter, np.eye(dim), atol=1e-12)
-        assert subspaces_equal(inter, basis)
-
-
-def test_subspace_intersection_of_random_planes_in_space():
-    rng = np.random.default_rng(14)
-    for _ in range(20):
-        a, b = random_subspace(rng, 3, 2), random_subspace(rng, 3, 2)
-        line = subspace_intersection(a, b)
-        assert line.shape == (3, 1)
-        assert subspaces_equal(a @ (a.T @ line), line) and subspaces_equal(b @ (b.T @ line), line)
-        assert subspace_intersection(a, random_subspace(rng, 3, 1)).shape == (3, 0)
-
-
-def test_subspace_intersection_finds_planted_intersections():
-    rng = np.random.default_rng(16)
-    for n, common, extra_a, extra_b in ((3, 1, 1, 1), (6, 2, 0, 3), (8, 0, 3, 4), (5, 3, 0, 0), (7, 2, 4, 1)):
-        q = random_subspace(rng, n, common + extra_a + extra_b)
-        a = q[:, : common + extra_a] @ np.linalg.qr(rng.standard_normal((common + extra_a,) * 2))[0]
-        b = np.hstack([q[:, :common], q[:, common + extra_a :]])
-        b = b @ np.linalg.qr(rng.standard_normal((b.shape[1],) * 2))[0]
-        for x, y in ((a, b), (b, a)):
-            inter = subspace_intersection(x, y)
-            assert inter.shape == (n, common)
-            assert subspaces_equal(inter, q[:, :common])
-    assert subspace_intersection(np.eye(4)[:, :2], np.zeros((4, 0))).shape == (4, 0)
-    with pytest.raises(ValueError):
-        subspace_intersection(np.eye(3), np.eye(4))
 
 
 def test_subspaces_equal_is_basis_free():

@@ -674,6 +674,15 @@ def test_consensus_error_equals_the_norm_formula_bit_for_bit(x, n):
     assert np.array([mine]).tobytes() == np.array([reference]).tobytes()
 
 
+def test_consensus_error_and_residual_are_silent_past_the_squares_overflow():
+    # a finite state whose squared differences overflow is measured at scale,
+    # without a RuntimeWarning (which the suite's filterwarnings turns into an error)
+    x = np.array([[1e300, 0.0], [-1e300, 1.0]])
+    assert consensus_error(x) == pytest.approx(1e300, rel=1e-15)
+    w = identity_weights(directed_cycle(2), 2)
+    assert local_agreement_residual(w, x) == pytest.approx(2.0 * np.sqrt(2.0) * 1e300, rel=1e-15)
+
+
 def test_consensus_error_and_residual_on_consensus():
     w = identity_weights(symmetric_cycle(3), 2)
     x = np.tile([1.0, 2.0], (3, 1))

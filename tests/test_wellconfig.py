@@ -36,7 +36,7 @@ from limcon import (
     weights_to_json,
 )
 from limcon.linalg import kernel_basis
-from limcon.wellconfig import SYNTHESIS_MODES, _proves_by_ears
+from limcon.wellconfig import SYNTHESIS_MODES, _proves_by_ears, agreement_map
 
 from conftest import (
     random_strongly_connected,
@@ -47,7 +47,10 @@ from conftest import (
 from oracles import (
     agreement_map_kron,
     agreement_nullity_dense,
+    brute_force_independent,
     disagreement_overlap_dim_dense,
+    exact_nullity,
+    intersection_dense,
     row_space_basis,
     subspaces_equal,
 )
@@ -274,6 +277,87 @@ def test_backlinked_cycle_criterion_matches_verifier():
             },
         )
         assert bool(is_well_configured(w)) == backlinked_cycle_criterion(k1, k2, k3, k4)
+
+
+def test_cycle_criterion_matches_brute_force():
+    e = np.eye(3)
+    assert cycle_criterion([e[:, [0]], e[:, [1]], e[:, [2]]])
+    assert not cycle_criterion([e[:, [0]], e[:, [0]]])
+    rng = np.random.default_rng(9)
+    planted = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        kernels = [random_subspace(rng, n, int(rng.integers(0, n))) for _ in range(int(rng.integers(2, 6)))]
+        donors = [k for k in kernels[1:] if k.shape[1]]
+        if donors and rng.random() < 0.5:  # plant a direction of the others' sum in the first kernel
+            v = sum(k @ rng.standard_normal(k.shape[1]) for k in donors)
+            kernels[0] = np.linalg.qr(np.column_stack([v, rng.standard_normal((n, kernels[0].shape[1]))]))[0]
+            planted += 1
+        assert cycle_criterion(kernels) == brute_force_independent(kernels)
+    assert planted > 50
+    for n in (2, 3, 4):  # more than n nonzero kernels
+        assert not cycle_criterion([random_subspace(rng, n, 1) for _ in range(n + 1)])
+
+
+def test_trivial_kernels_never_break_independence():
+    e, empty = np.eye(3), np.zeros((3, 0))
+    assert cycle_criterion([e[:, [0]], empty, e[:, [1]]])
+    assert cycle_criterion([empty, empty])
+    assert broadcast_pair_criterion(empty, e[:, :2], e[:, [0]], e[:, [1, 2]])
+    assert backlinked_cycle_criterion(e[:, :2], e[:, [2]], empty, e[:, 1:])
+
+
+@pytest.mark.parametrize("criterion", [broadcast_pair_criterion, backlinked_cycle_criterion])
+def test_pair_criteria_pin_the_pair_intersection(criterion):
+    # k_a and k_b share `common` directions (plus one more when `meet` is 1),
+    # and the two other kernels split the complement of the first `common`
+    # exactly: independent iff the pair meets in those `common` alone
+    rng = np.random.default_rng(16)
+    for n, common, extra_a, extra_b in ((3, 1, 1, 1), (4, 0, 2, 2), (6, 2, 1, 3), (8, 0, 3, 4), (5, 3, 1, 0), (7, 2, 4, 1)):
+        q = random_subspace(rng, n, common + extra_a + extra_b)
+        rest = np.hstack([q[:, common:], kernel_basis(q.T)])  # the complement of the common span
+        split = int(rng.integers(0, n - common + 1))
+        others = rest[:, :split], rest[:, split:]
+        for meet in (0, 1):
+            a = q[:, : common + extra_a]
+            b = np.hstack([q[:, : common + meet], q[:, common + extra_a :]])
+            a, b = (x @ np.linalg.qr(rng.standard_normal((x.shape[1],) * 2))[0] for x in (a, b))
+            assert intersection_dense(a, b).shape == (n, common + meet)
+            for ka, kb in ((a, b), (b, a)):
+                want = brute_force_independent([intersection_dense(ka, kb), *others])
+                assert want == (meet == 0)
+                if criterion is broadcast_pair_criterion:
+                    assert criterion(ka, kb, *others) == want
+                else:
+                    assert criterion(ka, others[0], others[1], kb) == want
+
+
+def test_backlinked_criterion_takes_rotated_bases_of_one_plane():
+    # k1 and k4 span one plane: every sine between them is roundoff, and the
+    # pair {1, 2} has the whole plane as its kernel
+    rng = np.random.default_rng(13)
+    for n in (2, 3, 5, 6):
+        plane = random_subspace(rng, n, 2)
+        rotated = plane @ np.linalg.qr(rng.standard_normal((2, 2)))[0]
+        complement = kernel_basis(plane.T)
+        assert backlinked_cycle_criterion(plane, complement[:, :1], complement[:, 1:], rotated)
+        assert not backlinked_cycle_criterion(plane, complement, rotated[:, :1], rotated)
+    q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    empty = np.zeros((3, 0))
+    assert backlinked_cycle_criterion(q, empty, empty, q @ np.linalg.qr(rng.standard_normal((3, 3)))[0])
+
+
+def test_criteria_refuse_malformed_kernels():
+    e3, e4 = np.eye(3), np.eye(4)
+    with pytest.raises(ValueError, match="ambient"):
+        cycle_criterion([e3[:, [0]], e4[:, [0]]])
+    with pytest.raises(ValueError, match="ambient"):
+        broadcast_pair_criterion(e3, e4, e3[:, [0]], e3[:, [1]])
+    with pytest.raises(ValueError, match="ambient"):
+        backlinked_cycle_criterion(e3[:, [0]], e3[:, [1]], e3[:, [2]], e4)
+    for few in ([], [e3[:, [0]]]):
+        with pytest.raises(ValueError, match="a cycle needs two agents"):
+            cycle_criterion(few)
 
 
 def test_synthesize_cycle_with_nonzero_kernels():
@@ -516,6 +600,41 @@ def test_agreement_kernel_dim_matches_exact_arithmetic():
         report = is_well_configured(w)
         assert report.kernel_dim == exact
         assert report.well_configured == (exact == n)
+
+
+def unimodular(rng, r):
+    """A random r x r integer matrix of determinant +-1: unit lower
+    triangular with entries in -1..1, rows permuted and signs flipped."""
+    u = np.eye(r) + np.tril(rng.integers(-1, 2, size=(r, r)), -1)
+    return u[rng.permutation(r)] * rng.choice([-1.0, 1.0], size=(r, 1))
+
+
+@pytest.mark.parametrize("spread", [0, 10])
+def test_rank_decisions_match_exact_nullity_under_exact_rescaling(spread):
+    # integer weights on strongly connected graphs, so with cycles; each arc
+    # then scaled by 2^k, k in -spread..spread, and multiplied on the left by
+    # an integer unimodular matrix.  Both keep every kernel and stay exact in
+    # floating point, so the integer draw's fraction-exact nullity is the
+    # truth for the transformed one.
+    rng = np.random.default_rng(12 + spread)
+    proved = 0
+    for _ in range(150):
+        m, n = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        g = random_strongly_connected(rng, m, extra_arcs=int(rng.integers(0, 3)))
+        ints = {arc: rng.integers(-2, 3, size=(int(rng.integers(1, n + 2)), n)).astype(float) for arc in g.arcs}
+        exact = exact_nullity(np.rint(agreement_map(WeightedNeighborGraph(g, n, ints))).astype(int).tolist())
+        scaled = {
+            arc: np.ldexp(unimodular(rng, len(c)) @ c, int(rng.integers(-spread, spread + 1)))
+            for arc, c in ints.items()
+        }
+        w = WeightedNeighborGraph(g, n, scaled)
+        report = is_well_configured(w)
+        assert (report.well_configured, report.kernel_dim) == (exact == n, exact)
+        assert disagreement_overlap_dim(w) == exact - n
+        if _proves_by_ears(w, ear_decomposition(g)):
+            assert exact == n
+            proved += 1
+    assert proved > 30
 
 
 def test_overlap_dimension_counts_failures():
