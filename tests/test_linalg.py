@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from limcon import (
+    broadcast_pair_criterion,
     build_update_matrix,
     complete_symmetric,
+    cycle_criterion,
     kernel_basis,
     mixed_norm_2_inf,
     spectral_report,
@@ -13,7 +15,13 @@ from limcon import (
 from limcon.linalg import matrix_rank, singular_values
 
 from conftest import random_subspace
-from oracles import mixed_norm_2_inf_loop, subspaces_equal, symmetric_3x3_eigenvalues
+from oracles import (
+    brute_force_independent,
+    intersection_dense,
+    mixed_norm_2_inf_loop,
+    subspaces_equal,
+    symmetric_3x3_eigenvalues,
+)
 
 
 def test_kernel_of_identity_is_trivial():
@@ -75,6 +83,74 @@ def test_eigenvalues_of_symmetric_are_real():
     b = rng.standard_normal((5, 5))
     lam = spectral_report(b + b.T, 1).eigenvalues
     assert np.abs(np.imag(lam)).max() <= 1e-10
+
+
+# Independence of a kernel family and the intersection of a kernel pair are
+# decided by the ear rule: cycle_criterion asks the first question,
+# broadcast_pair_criterion the second (its pair {1, 2} has k12 meet k21 as
+# its kernel).  These tests check both against dense numpy oracles.
+
+
+def test_independent_coordinate_axes():
+    e = np.eye(3)
+    axes = [e[:, [0]], e[:, [1]], e[:, [2]]]
+    assert cycle_criterion(axes)
+    assert brute_force_independent(axes)
+
+
+def test_repeated_subspace_not_independent():
+    e = np.eye(3)
+    assert not cycle_criterion([e[:, [0]], e[:, [0]]])
+
+
+def test_more_than_n_nonzero_subspaces_never_independent():
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 4):
+        fam = [random_subspace(rng, n, 1) for _ in range(n + 1)]
+        assert not cycle_criterion(fam)
+
+
+def test_independence_matches_brute_force():
+    rng = np.random.default_rng(9)
+    planted = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        fam = [random_subspace(rng, n, int(rng.integers(0, n))) for _ in range(int(rng.integers(2, 6)))]
+        donors = [k for k in fam[1:] if k.shape[1]]
+        if donors and rng.random() < 0.5:  # plant a direction of the others' sum in the first kernel
+            v = sum(k @ rng.standard_normal(k.shape[1]) for k in donors)
+            fam[0] = np.linalg.qr(np.column_stack([v, rng.standard_normal((n, fam[0].shape[1]))]))[0]
+            planted += 1
+        assert cycle_criterion(fam) == brute_force_independent(fam)
+    assert planted > 50
+
+
+def test_subspace_intersection():
+    e = np.eye(3)
+    x, y, z = e[:, [0]], e[:, [1]], e[:, [2]]
+    xy, yz = e[:, [0, 1]], e[:, [1, 2]]
+    inter = np.linalg.qr(intersection_dense(xy, yz))[0]  # the oracle's basis is not orthonormal
+    assert inter.shape == (3, 1)
+    assert subspaces_equal(inter, y)
+    assert intersection_dense(x, y).shape == (3, 0)
+    # xy meet yz is y: x and z complete it to R^3, a second y does not
+    assert broadcast_pair_criterion(xy, yz, x, z)
+    assert not broadcast_pair_criterion(xy, yz, y, z)
+    # x meet y is nothing, so the other two kernels may fill R^3
+    assert broadcast_pair_criterion(x, y, e, np.zeros((3, 0)))
+
+
+def test_subspace_intersection_of_random_planes_in_space():
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        a, b = random_subspace(rng, 3, 2), random_subspace(rng, 3, 2)
+        line = np.linalg.qr(intersection_dense(a, b))[0]
+        assert line.shape == (3, 1)
+        assert subspaces_equal(a @ (a.T @ line), line) and subspaces_equal(b @ (b.T @ line), line)
+        complement = kernel_basis(line.T)
+        assert broadcast_pair_criterion(a, b, complement[:, :1], complement[:, 1:])
+        assert not broadcast_pair_criterion(a, b, line, complement[:, :1])
+        assert intersection_dense(a, random_subspace(rng, 3, 1)).shape == (3, 0)
 
 
 def test_subspaces_equal_is_basis_free():
