@@ -160,15 +160,10 @@ class Trajectory:
 
 
 def consensus_error(x) -> float:
-    """max_i ||x_i - mean||_2 over the agents, for x the (m, n) state; a
-    finite x whose squares overflow is measured at scale 2^-600."""
-    return _unsquared(_spread, np.asarray(x, dtype=float))
-
-
-def _spread(x: np.ndarray) -> float:
-    # the reductions of x.mean and np.linalg.norm, without their call overhead
-    d = x - np.add.reduce(x, axis=0) / x.shape[0]
-    return math.sqrt(np.add.reduce(d * d, axis=1).max())
+    """max_i ||x_i - mean||_2 over the agents, for x the (m, n) state, as
+    _consensus_errors measures the one-state stack: a finite x whose squares
+    overflow is measured at scale 2^-600."""
+    return _consensus_errors(np.asarray(x, dtype=float)[None])[0]
 
 
 def _unsquared(norm, x: np.ndarray) -> float:
@@ -300,13 +295,18 @@ def _round_operator(algorithm: str, wn: WeightedNeighborGraph, subgraph: Directe
 
 
 def _consensus_errors(states: np.ndarray) -> list[float]:
-    """consensus_error(x) of each state x in the (k, m, n) stack, bit for
-    bit, from one stacked reduction."""
-    d = states - (np.add.reduce(states, axis=1) / states.shape[1])[:, None]
-    errors = np.sqrt(np.add.reduce(d * d, axis=2).max(axis=1))
+    """consensus_error(x) of each state x in the (k, m, n) stack, from one
+    stacked reduction; a state whose error overflows goes through _unsquared."""
+
+    def spread(x):  # the reductions of mean and np.linalg.norm, without their call overhead
+        d = x - (np.add.reduce(x, axis=-2) / x.shape[-2])[..., None, :]
+        return np.sqrt(np.add.reduce(d * d, axis=-1).max(axis=-1))
+
+    with np.errstate(over="ignore"):
+        errors = spread(states)
     out = errors.tolist()
     for k in np.flatnonzero(~np.isfinite(errors)):
-        out[k] = consensus_error(states[k])
+        out[k] = float(_unsquared(spread, states[k]))
     return out
 
 
@@ -370,8 +370,6 @@ def run_metropolis_tv(w: WeightedNeighborGraph, x0, schedule: Schedule, steps: i
     subgraphs: x(t+1) = (I - 1/2 Jbar(t) C' Wbar(t) C Jbar'(t)) x(t)."""
     _require_symmetric(w.graph, "the Metropolis iteration")
     table = schedule.arc_weights(w.graph)
-    if schedule.script is not None and steps > len(schedule.script):
-        raise ValueError(f"schedule script covers {len(schedule.script)} rounds, requested {steps}")
     wn = w.normalized()
     ops = [RoundOperator.from_weights(wn, 0.5, arc_weights=weights) for weights in table]
     return _run(w, x0, steps, lambda t, x: ops[schedule.index_at(t)].apply(x))
@@ -381,16 +379,14 @@ def run_cycle_projection(w: WeightedNeighborGraph, x0, steps: int, project_init:
     """Directed-cycle iteration x_i(t+1) = x_i(t) - 1/2 P_i (x_i(t) - x_pred(t)),
     with P_i the projection for the arc into i.
 
-    With project_init, each x_i(0) is first replaced by P_i x_i(0); the run
+    With project_init, each x_i(0) is first replaced by P_i x_i(0), with
+    the round operator's own blocks (each agent heads one arc); the run
     then reaches consensus whether or not the cycle is well-configured.
     """
-    wn = w.normalized()
-    op = _round_operator("cycle_projection", wn)
+    op = _round_operator("cycle_projection", w.normalized())
     state = _coerce_state(x0, w.m, w.n)
     if project_init:
-        for j, i in w.graph.arcs:
-            c = wn.weight((j, i))
-            state[i - 1] = c.T @ (c @ state[i - 1])
+        state[op.heads] = np.einsum("kij,kj->ki", op.blocks, state[op.heads])
     return _run(w, state, steps, lambda t, x: op.apply(x))
 
 

@@ -57,6 +57,8 @@ class WeightedNeighborGraph:
 
     Matrices have n columns; row counts are unconstrained (fewer rows than
     columns means the neighbor's state is not recoverable from the signal).
+    An arc that transmits nothing takes a (0, n) array or the empty list
+    that weights_to_json writes for it; any other empty weight is refused.
     The weights are stored once: `rows` stacks every arc's rows in canonical
     arc order and `row_counts` holds each arc's row count, both read-only,
     and `weights` is a read-only mapping of per-arc views into `rows`.  The
@@ -80,11 +82,10 @@ class WeightedNeighborGraph:
             raise ValueError(f"weights must cover the arc set exactly (missing {missing}, extra {extra})")
         mats = []
         for arc in arcs:
-            mat = np.atleast_2d(np.asarray(given[arc], dtype=float))
+            mat = np.asarray(given[arc], dtype=float)
+            mat = np.zeros((0, self.n)) if mat.shape == (0,) else np.atleast_2d(mat)  # [] transmits nothing
             if mat.ndim != 2:
                 raise ValueError(f"weight for arc {arc} must be a matrix, has shape {mat.shape}")
-            if mat.size == 0:
-                mat = np.zeros((0, self.n))  # nothing transmitted on this arc
             if mat.shape[1] != self.n:
                 raise ValueError(f"weight for arc {arc} must have {self.n} columns, has {mat.shape[1]}")
             mats.append(mat)
@@ -183,21 +184,18 @@ def agreement_map(w: WeightedNeighborGraph, arc_order=None, labels=None) -> np.n
     +C_k in agent i's columns and -C_k in agent j's, scattered straight into
     place.  This is C Jbar' entry for entry, without forming either factor.
 
-    With labels, one component index per agent counted from 0, it is the
-    quotient map on states that are equal within each component: an agent's
-    columns are its component's, and an arc inside one component, whose
-    row block would be zero, is left out.
+    With labels, one component index per agent counted from 0 (by default
+    each agent its own), it is the quotient map on states that are equal
+    within each component: an agent's columns are its component's, and an
+    arc inside one component, whose row block would be zero, is left out.
     """
     arcs = _resolve_order(w, arc_order)
     n = w.n
-    ends = w.graph.arc_ends[arcs]  # (tail, head)
-    width = w.m
-    if labels is not None:
-        labels = np.asarray(labels)
-        ends = labels[ends]
-        cross = ends[:, 0] != ends[:, 1]
-        arcs, ends = arcs[cross], ends[cross]
-        width = int(labels.max()) + 1
+    labels = np.arange(w.m) if labels is None else np.asarray(labels)
+    ends = labels[w.graph.arc_ends[arcs]]  # (tail, head)
+    cross = ends[:, 0] != ends[:, 1]
+    arcs, ends = arcs[cross], ends[cross]
+    width = int(labels.max()) + 1
     counts = w.row_counts[arcs]
     # row t of the k-th arc in arcs is row t of its block in w.rows
     shift = (np.cumsum(w.row_counts) - w.row_counts)[arcs] - (np.cumsum(counts) - counts)
@@ -444,8 +442,7 @@ def _ear_rule_with_kernels(g: DirectedGraph, kernels: Mapping[Arc, np.ndarray], 
         raise ValueError("kernels must share the ambient dimension")
     weights = {arc: np.zeros((0, n)) for arc in g.arcs}
     weights.update((arc, kernel_basis(b.T).T) for arc, b in zip(kernels, bases))
-    decomposition = symmetric_ear_decomposition(g) if symmetric else ear_decomposition(g)
-    return _proves_by_ears(WeightedNeighborGraph(g, n, weights), decomposition)
+    return _proves_by_ears(WeightedNeighborGraph(g, n, weights), _checked_decomposition(g, None, symmetric))
 
 
 def cycle_criterion(kernels) -> bool:

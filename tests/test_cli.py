@@ -381,6 +381,40 @@ def test_scripted_schedule_via_cli(tmp_path, capsys):
     assert summary["steps_run"] == 4
 
 
+def test_scripted_schedule_shorter_than_steps_via_cli(tmp_path, capsys):
+    # a consensus state converges after CONSENSUS_STREAK - 1 rounds, inside a script of that length
+    converging = symmetric_square_scenario(
+        initial_state={"consensus": {"value": [1.0, 2.0]}}, algorithm={**_metropolis(script=[0] * 9), "steps": 100}
+    )
+    assert main(["run", "--scenario", write_scenario(tmp_path, "c.json", converging), "--out", str(tmp_path / "c")]) == 0
+    summary = json.loads((tmp_path / "c" / "summary.json").read_text())
+    assert (summary["converged"], summary["steps_run"]) == (True, 9)
+    # a random state does not, and the run fails where the script ends
+    stalling = symmetric_square_scenario(algorithm={**METROPOLIS, "steps": 100})
+    assert _one_error(tmp_path, capsys, stalling) == "schedule script of length 3 exhausted at round 3"
+
+
+def _triangle_with_weight(c):
+    """A directed 3-cycle, n = 3, with identity weights but c on arc (1, 2)."""
+    arcs = ((1, 2), (2, 3), (3, 1))
+    return symmetric_square_scenario(
+        graph={"m": 3, "arcs": [list(arc) for arc in arcs]},
+        n=3,
+        weights={"explicit": [{"j": j, "i": i, "C": c if (j, i) == (1, 2) else np.eye(3).tolist()} for j, i in arcs]},
+        algorithm={"name": "cycle_projection", "steps": 50},
+    )
+
+
+@pytest.mark.parametrize("c", [[[]], [[], []]], ids=["one-empty-row", "two-empty-rows"])
+def test_empty_rows_are_refused_but_no_rows_verify(c, tmp_path, capsys):
+    # [[], []] is two rows of 0 columns, not the weight file's [] for no rows
+    for command in ("verify", "run"):
+        message = _one_error(tmp_path, capsys, _triangle_with_weight(c), command)
+        assert message == "weight for arc (1, 2) must have 3 columns, has 0"
+    assert main(["verify", "--scenario", write_scenario(tmp_path, "s.json", _triangle_with_weight([]))]) == 0
+    assert json.loads(capsys.readouterr().out)["kernel_dim"] == 3
+
+
 def test_consensus_initial_state_via_cli(tmp_path, capsys):
     data = symmetric_square_scenario(
         initial_state={"consensus": {"value": [1.5, -2.0]}},

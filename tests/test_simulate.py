@@ -510,6 +510,23 @@ def test_scripted_schedule_runs_and_exhausts():
         run_metropolis_tv(w, np.ones((4, 2)), sched, 5)
 
 
+def test_scripted_schedule_shorter_than_steps_fails_only_at_its_end():
+    rng = np.random.default_rng(13)
+    w = synthesize_weights(symmetric_cycle(4), 2, mode="nonzero-kernels")
+    x0 = rng.standard_normal((4, 2))
+    subgraphs, script = two_subgraph_schedule().subgraphs, [0, 1] * 500
+    long_run = run_metropolis_tv(w, x0, Schedule.scripted(subgraphs, script), 1000)
+    rounds = long_run.steps_run
+    assert long_run.converged and CONSENSUS_STREAK < rounds < 1000
+    # a script that ends at the converging round is enough for any budget
+    exact = run_metropolis_tv(w, x0, Schedule.scripted(subgraphs, script[:rounds]), 1000)
+    assert exact.converged and exact.states.tobytes() == long_run.states.tobytes()
+    # one round shorter, the run reaches the script's end and fails there
+    with pytest.raises(ValueError) as short:
+        run_metropolis_tv(w, x0, Schedule.scripted(subgraphs, script[: rounds - 1]), 1000)
+    assert str(short.value) == f"schedule script of length {rounds - 1} exhausted at round {rounds - 1}"
+
+
 def test_projected_init_reaches_consensus_even_when_not_well_configured():
     rng = np.random.default_rng(12)
     # coordinate kernels repeat: 4 nonzero kernels in R^2 are never independent

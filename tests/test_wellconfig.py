@@ -84,6 +84,16 @@ def test_wng_validation():
         WeightedNeighborGraph(directed_cycle(4), 2, weights)
 
 
+@pytest.mark.parametrize(
+    "weight, columns",
+    [(np.zeros((0, 4)), 4), (np.zeros((2, 0)), 0), ([[]], 0), ([[], []], 0)],
+    ids=["zero-rows-of-4", "two-rows-of-0", "one-empty-row", "two-empty-rows"],
+)
+def test_empty_weights_with_the_wrong_column_count_are_refused(weight, columns):
+    with pytest.raises(ValueError, match=rf"^weight for arc \(1, 2\) must have 3 columns, has {columns}$"):
+        WeightedNeighborGraph(directed_cycle(2), 3, {(1, 2): weight, (2, 1): np.eye(3)})
+
+
 def test_weights_are_read_only_views_of_one_buffer():
     w = synthesize_symmetric_weights(symmetric_cycle(4), 2)
     with pytest.raises(TypeError):
@@ -425,6 +435,8 @@ def test_zero_row_weight_roundtrips():
     assert not is_well_configured(w)
     again = weights_from_json(weights_to_json(w))
     assert again.weight((1, 2)).shape == (0, 2)
+    # the empty list that the weight file holds for it
+    assert WeightedNeighborGraph(g, 2, {(1, 2): []}).weight((1, 2)).shape == (0, 2)
     # a zero matrix normalizes to the empty row basis
     wz = WeightedNeighborGraph(g, 2, {(1, 2): np.zeros((1, 2))})
     assert wz.normalized().weight((1, 2)).shape == (0, 2)
@@ -589,7 +601,16 @@ def unimodular(rng, r):
     return u[rng.permutation(r)] * rng.choice([-1.0, 1.0], size=(r, 1))
 
 
-@pytest.mark.parametrize("spread", [0, 10])
+# strict, so the fix of the defect has to remove the marks
+SCALE_DEFECT = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 9, the per-arc scale defect: every rank is cut at rtol times the "
+    "largest singular value over all arcs, so an arc much weaker than the strongest counts as absent",
+)
+
+
+@pytest.mark.parametrize("spread", [0, 10, pytest.param(20, marks=SCALE_DEFECT), pytest.param(30, marks=SCALE_DEFECT)])
 def test_rank_decisions_match_exact_nullity_under_exact_rescaling(spread):
     # integer weights on strongly connected graphs, so with cycles; each arc
     # then scaled by 2^k, k in -spread..spread, and multiplied on the left by
