@@ -41,11 +41,13 @@ from .simulate import (
     build_update_matrix,
     consensus_error,
     local_agreement_residual,
+    reported_matrix,
     run_cycle_projection,
     run_fixed_step,
     run_general_projection,
     run_gradient,
     run_metropolis_tv,
+    spectral_counts,
     spectral_report,
     stacked_laplacian,
 )

@@ -23,9 +23,9 @@ from .simulate import (
     ALGORITHMS,
     Schedule,
     StepsizeSchedule,
-    build_update_matrix,
+    reported_matrix,
+    spectral_counts,
     spectral_report,
-    stacked_laplacian,
 )
 from .wellconfig import (
     WeightedNeighborGraph,
@@ -367,13 +367,6 @@ def _json_number(value: float) -> float | None:
     return value if np.isfinite(value) else None
 
 
-def _round_matrix_for_summary(name: str, w: WeightedNeighborGraph) -> np.ndarray:
-    if name == "gradient":
-        # No fixed round map; report on the descended quadratic's matrix.
-        return stacked_laplacian(w)
-    return build_update_matrix(name, w)
-
-
 def cmd_verify(args) -> int:
     data = load_scenario(Path(args.scenario))
     w = _resolve(data, Path(args.scenario).parent)[0]
@@ -417,14 +410,13 @@ def cmd_run(args) -> int:
         steps = args.steps
     # looked up at call time, so a replaced engine is the one called
     traj = getattr(simulate, f"run_{name}")(w, x0, steps=steps, **settings)
-    spectral = spectral_report(_round_matrix_for_summary(name, w), w.n)
     summary = {
         "algorithm": name,
         "steps_run": traj.steps_run,
         "final_consensus_error": _json_number(traj.final_consensus_error),
         "final_residual": _json_number(traj.final_residual),
         "converged": traj.converged,
-        "spectral": spectral.summary_dict(),
+        "spectral": spectral_counts(name, w),
     }
     text = json.dumps(summary, indent=2)
     out = _out_dir(args, data)
@@ -443,11 +435,11 @@ def cmd_analyze(args) -> int:
     if name == "metropolis_tv":
         reports = []
         for k, sub in enumerate(settings["schedule"].subgraphs):
-            rep = spectral_report(build_update_matrix("metropolis_tv", w, sub), w.n)
+            rep = spectral_report(reported_matrix(name, w, sub), w.n)
             reports.append({"subgraph": k, **rep.to_json()})
         payload = {"algorithm": name, "per_subgraph": reports}
     else:
-        rep = spectral_report(_round_matrix_for_summary(name, w), w.n)
+        rep = spectral_report(reported_matrix(name, w), w.n)
         payload = {"algorithm": name, "report": rep.to_json()}
     text = json.dumps(payload, indent=2)
     if getattr(args, "out", None):

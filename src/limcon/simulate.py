@@ -211,22 +211,25 @@ def _damping(g: DirectedGraph, half: bool) -> np.ndarray:
 class RoundOperator:
     """One round x -> x - Delta x of the (m, n) state, held per arc in
     canonical order: arc k from tail j to head i pulls u_k = P_k (x_i - x_j)
-    with its (n, n) block, then the head moves by -head_scale[k] u_k and the
-    tail by -tail_scale[k] u_k (not at all if tail_scale is None).  `delta`
-    is one gather of both arc ends, one einsum pull and one bincount scatter,
-    O(d n^2 + m n) per round; `dense` assembles the same map as an mn x mn
-    matrix.
+    with its (n, n) block, then the head moves by -s_i u_k and, in a
+    two-sided round, the tail by +s_j u_k, s being agent_scale.  A two-sided
+    round with symmetric blocks is I - D L: D = diag(s) and L the symmetric
+    block Laplacian of the blocks.  `delta` is one gather of both arc ends,
+    one einsum pull and one bincount scatter, O(d n^2 + m n) per round;
+    `dense` assembles the same map as an mn x mn matrix.
     """
 
-    def __init__(self, m: int, heads, tails, blocks, head_scale, tail_scale=None):
+    def __init__(self, m: int, heads, tails, blocks, agent_scale, two_sided=True):
         self.m = m
         self.n = blocks.shape[-1]
         self.heads, self.tails, self.blocks = heads, tails, blocks
+        self.agent_scale = agent_scale
         self._ends = np.concatenate([heads, tails])  # one gather takes both ends
-        if tail_scale is None:
-            self._movers, scales = heads[None], head_scale[None]
+        if two_sided:
+            self._movers = np.stack([heads, tails])
+            scales = np.stack([agent_scale[heads], -agent_scale[tails]])
         else:
-            self._movers, scales = np.stack([heads, tails]), np.stack([head_scale, tail_scale])
+            self._movers, scales = heads[None], agent_scale[heads][None]
         # (sides, d, n): each arc's scale repeated over its n entries, so a
         # round's scaling is one flat multiply instead of a broadcast
         self._scales = np.repeat(scales[:, :, None], self.n, axis=2)
@@ -247,8 +250,7 @@ class RoundOperator:
             blocks *= arc_weights[:, None, None]
             keep = arc_weights != 0
             heads, tails, blocks = heads[keep], tails[keep], blocks[keep]
-        scale = np.broadcast_to(np.asarray(agent_scale, dtype=float), (w.m,))
-        return cls(w.m, heads, tails, blocks, scale[heads], -scale[tails] if two_sided else None)
+        return cls(w.m, heads, tails, blocks, np.broadcast_to(np.asarray(agent_scale, dtype=float), (w.m,)), two_sided)
 
     def delta(self, x: np.ndarray) -> np.ndarray:
         ends = x.take(self._ends, 0)
@@ -520,3 +522,192 @@ def spectral_report(mat: np.ndarray, n: int) -> SpectralReport:
         matrix=mat,
         block=n,
     )
+
+
+def reported_matrix(algorithm: str, w: WeightedNeighborGraph, subgraph: DirectedGraph | None = None) -> np.ndarray:
+    """The dense matrix whose spectrum `run` and `analyze` report: the
+    algorithm's round map (for Metropolis, on subgraph, or on the whole
+    graph if None), or for the gradient, whose stepsize varies, the matrix
+    Jbar C'C Jbar' of the quadratic it descends."""
+    if algorithm == "gradient":
+        return stacked_laplacian(w)
+    return build_update_matrix(algorithm, w, subgraph)
+
+
+# The number of eigenvalues below each shift gives spectral_report's four
+# counts: 1 +- tol bracket the ones, +-tol the zeros, +-(1 - tol) the inside.
+_SHIFTS = np.array([1.0 + EIG_COUNT_TOL, 1.0 - EIG_COUNT_TOL, EIG_COUNT_TOL, -EIG_COUNT_TOL, -(1.0 - EIG_COUNT_TOL)])
+
+
+def spectral_counts(algorithm: str, w: WeightedNeighborGraph, subgraph: DirectedGraph | None = None) -> dict:
+    """The four counts of spectral_report(reported_matrix(algorithm, w,
+    subgraph), w.n).summary_dict(), which `run` reports.
+
+    They come from inertia (_inertia_counts) where the graph's breadth-first
+    levels are narrow enough for that to be the faster, and from the dense
+    spectrum otherwise: for the projection maps, which have no inertia
+    form, and where the inertia cannot be trusted.
+    """
+    counts = None
+    if algorithm in ("fixed_step", "metropolis_tv", "gradient"):
+        levels = _bfs_levels(w.graph)
+        rows = w.n * np.diff(levels[1]).astype(float)
+        # measured at one BLAS thread: a level costs about what the dense
+        # eigen-solve of 1e5**(1/3) = 46 rows does, and its eigh with vectors
+        # over five shifts about 150 dense eigen-solves of its own rows
+        if float(w.m * w.n) ** 3 > 1e5 * len(rows) + 150.0 * (rows**3).sum():
+            counts = _inertia_counts(algorithm, w, subgraph, levels)
+    if counts is None:
+        return spectral_report(reported_matrix(algorithm, w, subgraph), w.n).summary_dict()
+    return counts
+
+
+def _inertia_counts(algorithm: str, w: WeightedNeighborGraph, subgraph, levels) -> dict | None:
+    """spectral_counts of a fixed-step, Metropolis or gradient map from the
+    inertia of a block LDL' over the levels of w.graph (_bfs_levels), or
+    None where a pivot is too near singular for it to be trusted.
+
+    The fixed-step and Metropolis maps are I - D L, with D diagonal and
+    positive and L the symmetric block Laplacian of their round operator;
+    the gradient reports on L itself.  By Sylvester's law of inertia the
+    number of eigenvalues below c is then the negative inertia of
+    (1 - c) D^-1 - L, or for the gradient the positive inertia of c I - L.
+    A subgraph's arcs join the same levels as the graph's.
+    """
+    if algorithm == "gradient":
+        op, sigma, sign = RoundOperator.from_weights(w, 1.0), _SHIFTS, 1.0
+    else:
+        op, sigma, sign = _round_operator(algorithm, w.normalized(), subgraph), 1.0 - _SHIFTS, -1.0
+    values = _pivot_eigenvalues(op, sigma, *levels)
+    if values is None:
+        return None
+    below = (sign * values > 0).sum(axis=1)
+    ones, zeros = below[0] - below[1], below[2] - below[3]
+    inside = below[1] - below[4] - zeros
+    return {
+        "ones": int(ones),
+        "zeros": int(zeros),
+        "inside_unit": int(inside),
+        "outside": int(w.m * w.n - ones - zeros - inside),
+    }
+
+
+def _bfs_levels(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The agents in breadth-first order over g's undirected skeleton, each
+    component from its least-degree agent, and the start of each level, with
+    m appended.  These are the levels of Cuthill and McKee (1969): an edge
+    joins a level to itself or to the next, so a matrix with g's sparsity is
+    block tridiagonal over them, and a ring's levels hold two agents."""
+    ends = np.concatenate([g.arc_ends, g.arc_ends[:, ::-1]])
+    ends = ends[np.argsort(ends[:, 1], kind="stable")]
+    first = np.searchsorted(ends[:, 1], np.arange(g.m + 1)).tolist()
+    neighbours = ends[:, 0].tolist()
+    seen = bytearray(g.m)
+    order, starts = [], []
+    for root in np.argsort(np.diff(first), kind="stable").tolist():
+        if seen[root]:
+            continue
+        seen[root] = 1
+        level = [root]
+        while level:
+            starts.append(len(order))
+            order += level
+            after = []
+            for v in level:
+                for u in neighbours[first[v] : first[v + 1]]:
+                    if not seen[u]:
+                        seen[u] = 1
+                        after.append(u)
+            level = after
+    return np.array(order), np.array(starts + [g.m])
+
+
+def _pivot_eigenvalues(
+    op: RoundOperator, sigma: np.ndarray, order: np.ndarray, starts: np.ndarray
+) -> np.ndarray | None:
+    """The eigenvalues, (len(sigma), mn), of the pivot blocks of a block LDL'
+    of each K_s = sigma_s D^-1 - L over the levels (order, starts) of
+    _bfs_levels, with D = diag(op.agent_scale) and L the symmetric block
+    Laplacian of op's two-sided round.  By Sylvester's law of inertia they
+    have the signs of K_s's eigenvalues.
+
+    K is held as each level's diagonal block and the block coupling it to
+    the next level, filled from op's per-arc blocks; no mn x mn array is
+    formed.  A pivot whose inverse would add more than 1e4 ||K|| to the next
+    level is not eliminated alone but together with that level, so no block
+    grows past that; it returns None where such a block would be wider than
+    four of the widest levels.  The factorization does not pivot otherwise, so
+    it also returns None where roundoff may have set a pivot eigenvalue's
+    sign: below size * eps * ||K||, or below ten times its block's size times
+    eps times its block's largest eigenvalue.
+    """
+    m, n = op.m, op.n
+    sizes = np.diff(starts)
+    level, offset = np.empty(m, np.intp), np.empty(m, np.intp)
+    level[order] = np.repeat(np.arange(len(sizes)), sizes)
+    offset[order] = np.arange(m) - np.repeat(starts[:-1], sizes)
+    q = n * sizes
+    # flat: each level's q x q diagonal block, then each level's block below,
+    # q_{k+1} x q_k, that couples it to the next
+    diagonal = np.concatenate([[0], np.cumsum(q * q)])
+    below = diagonal[-1] + np.concatenate([[0], np.cumsum(q[1:] * q[:-1])])
+    # arc k from j to i puts -P_k at (i, i) and (j, j) of K and P_k at (i, j)
+    # and (j, i); the blocks above the diagonal blocks are not stored
+    rows = np.concatenate([op.heads, op.tails, op.heads, op.tails])
+    cols = np.concatenate([op.heads, op.tails, op.tails, op.heads])
+    keep = level[rows] >= level[cols]
+    rows, cols = rows[keep], cols[keep]
+    blocks = np.concatenate([-op.blocks, -op.blocks, op.blocks, op.blocks])[keep]
+    at = level[cols]
+    first = np.where(level[rows] == at, diagonal[at], below[at]) + n * (offset[rows] * q[at] + offset[cols])
+    r = np.arange(n)
+    index = first[:, None, None] + r[:, None] * q[at][:, None, None] + r
+    # float also where op has no arcs, which bincount would count in integers
+    lower = np.bincount(index.ravel(), blocks.ravel(), minlength=below[-1]).astype(float, copy=False)
+    shifted = np.tile(lower, (len(sigma), 1))
+    own = level[:, None]  # each agent's n diagonal entries, in its level's block
+    shifted[:, (diagonal[own] + (n * offset[:, None] + r) * (q[own] + 1)).ravel()] += sigma[:, None] * np.repeat(
+        1.0 / op.agent_scale, n
+    )
+    # ||K||_2 is at most its largest absolute row sum: |sigma| / s on the
+    # diagonal and, from each arc at the agent, two rows of |P_k|
+    row_sums = np.abs(op.blocks).sum(axis=2).max(axis=1, initial=0.0)
+    arcs_at = np.bincount(op._ends, np.tile(row_sums, 2), minlength=m)
+    norm = np.abs(sigma).max() / op.agent_scale.min() + 2.0 * arcs_at.max()
+    widest = q.max()
+    q, diagonal, below = q.tolist(), diagonal.tolist(), below.tolist()
+    pivot = shifted[:, : diagonal[1]].reshape(-1, q[0], q[0])
+    values, widths = [], []
+    # a zero pivot eigenvalue makes an infinite update, which merges
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(len(q) - 1):
+            lam, vectors = np.linalg.eigh(pivot)
+            width = pivot.shape[-1]
+            coupling = shifted[:, below[k] : below[k + 1]].reshape(-1, q[k + 1], q[k])
+            following = shifted[:, diagonal[k + 1] : diagonal[k + 2]].reshape(-1, q[k + 1], q[k + 1])
+            g = coupling @ vectors[:, width - q[k] :]  # only level k of the pivot meets level k + 1
+            schur = (g / lam[:, None, :]) @ g.transpose(0, 2, 1)
+            if np.abs(schur).max() <= 1e4 * norm:
+                values.append(lam)
+                widths.append(width)
+                pivot = following - schur
+            elif width + q[k + 1] > 4 * widest:  # near singular for several levels
+                return None
+            else:
+                merged = np.zeros((len(sigma), width + q[k + 1], width + q[k + 1]))
+                merged[:, :width, :width] = pivot
+                merged[:, width:, width:] = following
+                merged[:, width:, width - q[k] : width] = coupling
+                merged[:, width - q[k] : width, width:] = coupling.transpose(0, 2, 1)
+                pivot = merged
+        values.append(np.linalg.eigh(pivot)[0])
+        widths.append(pivot.shape[-1])
+    values = np.concatenate(values, axis=1)
+    magnitude = np.abs(values)
+    block_starts = np.cumsum([0] + widths[:-1])
+    smallest = np.minimum.reduceat(magnitude, block_starts, axis=1)
+    largest = np.maximum.reduceat(magnitude, block_starts, axis=1)
+    eps = np.finfo(float).eps
+    if not (smallest >= eps * (m * n * norm + 10.0 * np.array(widths) * largest)).all():
+        return None
+    return values

@@ -944,6 +944,30 @@ def test_trajectory_csv_scratch_memory_is_bounded(tmp_path):
     assert peak < 4 * 2**20
 
 
+def test_run_on_a_long_ring_counts_eigenvalues_in_linear_memory(tmp_path, capsys):
+    # the dense 6000 x 6000 round map alone would take 288 MB; the bound is
+    # the one test_fixed_step_memory_is_linear_in_arcs sets for the engine
+    g = symmetric_cycle(2000)
+    data = symmetric_square_scenario(
+        graph={"m": g.m, "arcs": [list(arc) for arc in g.arcs]},
+        n=3,
+        weights={"synthesize": {"mode": "free", "symmetric": True}},
+        algorithm={"name": "fixed_step", "steps": 200},
+    )
+    scenario = write_scenario(tmp_path, "ring.json", data)
+    tracemalloc.start()
+    try:
+        code = main(["run", "--scenario", scenario, "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["steps_run"] == 200
+    assert summary["spectral"]["ones"] == 3
+    assert peak < 64 * 2**20
+
+
 # the last state is finite but past 1e154, whose square overflows, after 64
 # rounds, holds inf after 125 rounds and only nan after 126
 @pytest.mark.parametrize("steps", [64, 125, 400])

@@ -26,19 +26,31 @@ from limcon import (
     kernel_basis,
     local_agreement_residual,
     mixed_norm_2_inf,
+    reported_matrix,
     run_cycle_projection,
     run_fixed_step,
     run_general_projection,
     run_gradient,
     run_metropolis_tv,
+    spectral_counts,
     spectral_report,
     stacked_laplacian,
+    symmetric_closure,
     symmetric_cycle,
+    symmetric_path,
     symmetric_star,
     synthesize_weights,
     synthesize_symmetric_weights,
 )
-from limcon.simulate import CONSENSUS_STREAK, CONSENSUS_TOL, RoundOperator, _consensus_errors, _run
+from limcon.simulate import (
+    CONSENSUS_STREAK,
+    CONSENSUS_TOL,
+    RoundOperator,
+    _bfs_levels,
+    _consensus_errors,
+    _inertia_counts,
+    _run,
+)
 from limcon.wellconfig import agreement_map
 
 from conftest import weight_with_kernel
@@ -1073,3 +1085,93 @@ def test_symmetry_verdict_on_empty_and_infinite_pairs():
     assert np.allclose(mat, mat.T, atol=1e-12, rtol=0.0)
     with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
         spectral_report(mat, 1)
+
+
+def grid_graph(rows, cols):
+    """The symmetric rows x cols grid: corners have 2 neighbours, borders 3, inner agents 4."""
+    right = [(v, v + 1) for v in range(1, rows * cols + 1) if v % cols]
+    down = [(v, v + cols) for v in range(1, (rows - 1) * cols + 1)]
+    return symmetric_closure(DirectedGraph(rows * cols, tuple(right + down)))
+
+
+def dense_counts(name, w, sub=None):
+    return spectral_report(reported_matrix(name, w, sub), w.n).summary_dict()
+
+
+@st.composite
+def unequal_degree_graphs(draw):
+    kind = draw(st.sampled_from(["path", "star", "grid", "cycle"]))
+    if kind == "grid":
+        return grid_graph(draw(st.integers(2, 4)), draw(st.integers(2, 5)))
+    return {"path": symmetric_path, "star": symmetric_star, "cycle": symmetric_cycle}[kind](draw(st.integers(3, 12)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=unequal_degree_graphs(), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_inertia_counts_equal_the_dense_counts(g, n, seed):
+    # random weights of 0..n rows, so some arcs transmit nothing
+    rng = np.random.default_rng(seed)
+    w = WeightedNeighborGraph(g, n, {arc: rng.standard_normal((int(rng.integers(0, n + 1)), n)) for arc in g.arcs})
+    levels = _bfs_levels(g)
+    order, starts = levels
+    assert sorted(order.tolist()) == list(range(g.m))
+    level = np.empty(g.m, int)
+    level[order] = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    assert (np.abs(np.diff(level[g.arc_ends], axis=1)) <= 1).all()
+    subgraphs = []
+    for _ in range(2):
+        pairs = [pair for pair in g.undirected_pairs if rng.random() < 0.5]
+        subgraphs.append(DirectedGraph(g.m, tuple(arc for a, b in pairs for arc in ((a, b), (b, a)))))
+    cases = [("fixed_step", None), ("gradient", None), ("metropolis_tv", None)]
+    for name, sub in cases + [("metropolis_tv", sub) for sub in subgraphs]:
+        dense = dense_counts(name, w, sub)
+        inertia = _inertia_counts(name, w, sub, levels)
+        # None: the factorization could not be trusted, and the dense counts are taken
+        assert inertia is None or inertia == dense, (name, sub)
+        assert spectral_counts(name, w, sub) == dense, (name, sub)
+
+
+def pivots_spied(monkeypatch):
+    """The results of every _pivot_eigenvalues call from here on."""
+    import limcon.simulate
+
+    results = []
+    real = limcon.simulate._pivot_eigenvalues
+    monkeypatch.setattr(limcon.simulate, "_pivot_eigenvalues", lambda *a: results.append(real(*a)) or results[-1])
+    return results
+
+
+def test_inertia_counts_where_levels_are_narrow_dense_counts_elsewhere(monkeypatch):
+    rng = np.random.default_rng(28)
+    pivots = pivots_spied(monkeypatch)
+    for g, banded in ((symmetric_cycle(100), True), (grid_graph(12, 12), True), (complete_symmetric(16), False)):
+        random = WeightedNeighborGraph(g, 3, {arc: rng.standard_normal((int(rng.integers(1, 4)), 3)) for arc in g.arcs})
+        for w in (synthesize_symmetric_weights(g, 3), random):
+            for name in ("fixed_step", "metropolis_tv", "gradient"):
+                pivots.clear()
+                assert spectral_counts(name, w) == dense_counts(name, w), (g.m, name)
+                assert len(pivots) == banded and all(p is not None for p in pivots), (g.m, name)
+    # the projection maps have no inertia form
+    pivots.clear()
+    w = synthesize_weights(symmetric_cycle(100), 3)
+    assert spectral_counts("general_projection", w) == dense_counts("general_projection", w)
+    assert pivots == []
+
+
+def test_near_singular_pivot_falls_back_to_the_dense_counts(monkeypatch):
+    # agent 1, the first level, hears agent 2 through a 1e-4 row and sends
+    # nothing back, so the gradient's first pivot at the shift c = 1e-8,
+    # c I - C'C, is singular to roundoff
+    g = symmetric_path(200)
+    weights = {arc: np.eye(2) for arc in g.arcs}
+    weights[(2, 1)] = np.array([[1e-4, 0.0]])
+    weights[(1, 2)] = np.zeros((0, 2))
+    w = WeightedNeighborGraph(g, 2, weights)
+    pivots = pivots_spied(monkeypatch)
+    assert spectral_counts("gradient", w) == dense_counts("gradient", w)
+    assert pivots == [None]
+    # the same path with every weight the identity is factored
+    pivots.clear()
+    w = identity_weights(g, 2)
+    assert spectral_counts("gradient", w) == dense_counts("gradient", w)
+    assert len(pivots) == 1 and pivots[0] is not None
