@@ -209,7 +209,9 @@ def is_weakly_connected(g: DirectedGraph) -> bool:
 
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
-    """True iff every ordered vertex pair is joined by a directed path."""
+    """True iff every ordered vertex pair is joined by a directed path: one
+    BFS each way, cheaper than an ear growth for the callers that need no
+    decomposition."""
     if len(_reachable(g._out_neighbors, 1)) != g.m:
         return False
     return len(_reachable(g._in_neighbors, 1)) == g.m
@@ -221,12 +223,9 @@ def is_symmetric(g: DirectedGraph) -> bool:
 
 
 def is_directed_cycle(g: DirectedGraph) -> bool:
-    """True iff g is a single directed cycle covering all vertices."""
-    if g.m < 2 or g.d != g.m:
-        return False
-    if any(g.degree(v) != 1 or len(g.out_neighbors(v)) != 1 for v in range(1, g.m + 1)):
-        return False
-    return is_strongly_connected(g)
+    """True iff g is a single directed cycle covering all vertices: strong
+    connectivity with m arcs leaves every vertex one arc in and one out."""
+    return g.m >= 2 and g.d == g.m and is_strongly_connected(g)
 
 
 def is_2_connected(g: DirectedGraph) -> bool:
@@ -234,32 +233,15 @@ def is_2_connected(g: DirectedGraph) -> bool:
 
     Only defined for symmetric graphs; a two-length cycle is the arc pair
     (a, b), (b, a).  On a symmetric graph this means connected and
-    bridgeless, which one depth-first search with low points decides in
-    O(m + d) (Tarjan, 1974).  The search keeps an explicit stack, so long
-    paths cannot exhaust the interpreter's recursion limit.
+    bridgeless, which holds iff the graph has a symmetric ear decomposition
+    (Robbins, 1939), so one symmetric ear growth decides it, in O(d log d).
+    Standalone that is slower than a linear search, most on dense graphs
+    (README), but no command calls it: the decompositions refuse by their
+    own growth.
     """
     if not is_symmetric(g):
         raise ValueError("2-connectivity is defined for symmetric graphs only")
-    adj = g._out_neighbors
-    disc = {1: 0}  # discovery time
-    low = {1: 0}  # earliest discovery time reachable via one back edge
-    stack = [(1, 0, iter(adj[1]))]
-    while stack:
-        v, parent, nbrs = stack[-1]
-        for w in nbrs:
-            if w not in disc:
-                disc[w] = low[w] = len(disc)
-                stack.append((w, v, iter(adj[w])))
-                break
-            if w != parent:
-                low[v] = min(low[v], disc[w])
-        else:
-            stack.pop()
-            if parent:
-                if low[v] > disc[parent]:
-                    return False  # the pair {parent, v} is a bridge
-                low[parent] = min(low[parent], low[v])
-    return len(disc) == g.m
+    return g.m == 1 or _ears(g, symmetric=True) is not None
 
 
 def incidence_matrix(g: DirectedGraph) -> np.ndarray:
@@ -476,11 +458,12 @@ def validate_ear_decomposition(g: DirectedGraph, dec: EarDecomposition) -> None:
         raise ValueError(f"expected {expected} {label}ears, found {len(dec.ears)}")
 
 
-def _extend_to_visited(adj: dict[int, tuple[int, ...]], start: int, visited: set[int], back: int) -> list[Arc]:
+def _extend_to_visited(adj: dict[int, tuple[int, ...]], start: int, visited: set[int], back: int) -> list[Arc] | None:
     # Shortest continuation from an unvisited vertex into the visited set
     # through unvisited vertices, in sorted neighbor order, never stepping
-    # from start straight to back (0 forbids nothing).  It grows every later
-    # ear, and closes the first ear from vertex 1 into a single vertex.
+    # from start straight to back (0 forbids nothing), or None if there is
+    # none.  It grows every later ear, and closes the first ear from vertex 1
+    # into a single vertex.
     parent: dict[int, int] = {start: 0}
     queue = deque([start])
     while queue:
@@ -499,17 +482,24 @@ def _extend_to_visited(adj: dict[int, tuple[int, ...]], start: int, visited: set
             if w not in parent:
                 parent[w] = v
                 queue.append(w)
-    raise ValueError(f"vertex {start} cannot reach the visited set")
+    return None
 
 
-def _grow_ears(g: DirectedGraph, first: list[Arc], symmetric: bool) -> EarDecomposition:
-    # Attach ears to the first cycle until every arc is used.  Each later ear
-    # starts at the smallest unused edge leaving the covered vertices: by arc
-    # key head * m + tail, the canonical order, or for a symmetric ear by
-    # unordered pair and then the covered end (the smaller if both are).  A
-    # symmetric ear walks undirected edges, each lifted to its arc and the
-    # reverse, and may not turn straight back along its first edge.
+def _ears(g: DirectedGraph, symmetric: bool) -> EarDecomposition | None:
+    # The first ear is the shortest route closed at vertex 1 (directed: from 1
+    # to an in-neighbour, closed by its arc; symmetric: out along an edge and
+    # back without retracing it).  Each later ear starts at the smallest unused
+    # edge leaving the covered vertices: by arc key head * m + tail, or for a
+    # symmetric ear by unordered pair, then the covered end (the smaller if
+    # both are); it walks undirected edges, each lifted to both arcs, and may
+    # not turn straight back.  None where the growth gets stuck: iff the graph
+    # is not strongly connected (Whitney, 1932), or, symmetric, not connected
+    # and bridgeless (Robbins, 1939).
     adj = g._out_neighbors
+    ends = adj[1] if symmetric else g.in_neighbors(1)
+    routes = [_extend_to_visited(adj, v, {1}, 1) if symmetric else _extend_to_visited(adj, 1, {v}, 0) for v in ends]
+    if not routes or None in routes:
+        return None
     ears: list[Ear] = []
     used: set[Arc] = set()
     visited: set[int] = set()
@@ -525,15 +515,20 @@ def _grow_ears(g: DirectedGraph, first: list[Arc], symmetric: bool) -> EarDecomp
                 key = ((v, w) if v < w else (w, v)) if symmetric else (w - 1) * g.m + v - 1
                 heapq.heappush(ready, (key, v, w))
 
-    attach("cycle", first)
-    while len(used) < g.d:
+    attach("cycle", min(([(1, v)] + r if symmetric else r + [(v, 1)] for v, r in zip(ends, routes)), key=len))
+    while len(used) < g.d and ready:
         _, u, v = heapq.heappop(ready)
         if (u, v) in used:
             continue
         path = [(u, v)]
         if v not in visited:
-            path += _extend_to_visited(adj, v, visited, u if symmetric else 0)
+            route = _extend_to_visited(adj, v, visited, u if symmetric else 0)
+            if route is None:
+                return None
+            path += route
         attach("cycle" if path[-1][1] == u else "path", path)
+    if len(visited) < g.m:  # an arc the heap never held has an uncovered tail
+        return None
     return EarDecomposition(tuple(ears), symmetric=symmetric)
 
 
@@ -544,14 +539,13 @@ def ear_decomposition(g: DirectedGraph) -> EarDecomposition:
     attaches the first unused arc (canonical order) whose tail is already
     covered, extended by a shortest route back into the covered set.  On
     symmetric graphs this yields only two-length cycles and single-arc paths.
+    The growth itself refuses a graph that is not strongly connected.
     """
     if g.m < 2:
         raise ValueError("ear decomposition needs at least two vertices")
-    if not is_strongly_connected(g):
+    if (dec := _ears(g, symmetric=False)) is None:
         raise ValueError("ear decomposition exists iff the graph is strongly connected")
-    # the shortest route from 1 into an in-neighbour, closed by its arc
-    first = min((_extend_to_visited(g._out_neighbors, 1, {j}, 0) + [(j, 1)] for j in g.in_neighbors(1)), key=len)
-    return _grow_ears(g, first, symmetric=False)
+    return dec
 
 
 def symmetric_ear_decomposition(g: DirectedGraph) -> EarDecomposition:
@@ -561,16 +555,13 @@ def symmetric_ear_decomposition(g: DirectedGraph) -> EarDecomposition:
     to its two arcs; pair_count per ear counts the two-length cycles.  The
     first ear is a shortest cycle through vertex 1; each later ear starts
     from the first unused pair (canonical order) that touches the covered
-    vertices.
+    vertices.  The growth itself refuses a graph that is not 2-connected.
     """
     if not is_symmetric(g):
         raise ValueError("symmetric ear decomposition needs a symmetric graph")
-    if g.m < 2 or not is_2_connected(g):
+    if (dec := _ears(g, symmetric=True)) is None:
         raise ValueError("symmetric ear decomposition exists iff the graph is 2-connected")
-    # an edge out of 1, then the shortest route back that does not retrace it
-    adj = g._out_neighbors
-    first = min(([(1, v)] + _extend_to_visited(adj, v, {1}, 1) for v in adj[1]), key=len)
-    return _grow_ears(g, first, symmetric=True)
+    return dec
 
 
 def directed_cycle(m: int) -> DirectedGraph:

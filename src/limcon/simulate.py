@@ -161,8 +161,8 @@ class Trajectory:
 
 def consensus_error(x) -> float:
     """max_i ||x_i - mean||_2 over the agents, for x the (m, n) state, as
-    _consensus_errors measures the one-state stack: a finite x whose squares
-    overflow is measured at scale 2^-600."""
+    _consensus_errors measures the one-state stack, also where a finite x's
+    sum or squares overflow."""
     return _consensus_errors(np.asarray(x, dtype=float)[None])[0]
 
 
@@ -298,17 +298,25 @@ def _round_operator(algorithm: str, wn: WeightedNeighborGraph, subgraph: Directe
 
 def _consensus_errors(states: np.ndarray) -> list[float]:
     """consensus_error(x) of each state x in the (k, m, n) stack, from one
-    stacked reduction; a state whose error overflows goes through _unsquared."""
+    stacked reduction.  A finite state whose sum or squares overflow is taken
+    at scale 2^-b < 1/m, where neither its sum nor its deviations overflow,
+    and the deviations' squares at their own scale, where none underflows."""
 
-    def spread(x):  # the reductions of mean and np.linalg.norm, without their call overhead
-        d = x - (np.add.reduce(x, axis=-2) / x.shape[-2])[..., None, :]
+    def deviations(x):  # the reductions of mean, without its call overhead
+        return x - (np.add.reduce(x, axis=-2) / x.shape[-2])[..., None, :]
+
+    def spread(d):  # the largest 2-norm of np.linalg.norm, without its call overhead
         return np.sqrt(np.add.reduce(d * d, axis=-1).max(axis=-1))
 
-    with np.errstate(over="ignore"):
-        errors = spread(states)
-    out = errors.tolist()
-    for k in np.flatnonzero(~np.isfinite(errors)):
-        out[k] = float(_unsquared(spread, states[k]))
+    with np.errstate(over="ignore"):  # past the double range the error is inf
+        errors = spread(deviations(states))
+        out = errors.tolist()
+        for k in np.flatnonzero(~np.isfinite(errors)):
+            if np.isfinite(states[k]).all():
+                b = states.shape[-2].bit_length()
+                d = deviations(np.ldexp(states[k], -b))
+                e = math.frexp(np.abs(d).max())[1]
+                out[k] = float(np.ldexp(spread(np.ldexp(d, -e)), b + e))
     return out
 
 

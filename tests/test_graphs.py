@@ -420,6 +420,68 @@ def test_symmetric_ear_decomposition_properties(g):
 
 
 @st.composite
+def refusable_graphs(draw):
+    """Digraphs on 1-8 vertices of any density, some around a Hamiltonian
+    cycle 1 -> 2 -> ... -> m -> 1 and some shaped for refusal: a vertex
+    without arcs, a vertex 1 without in-neighbours, two cycles joined
+    by one arc pair away from vertex 1 (strongly connected, but its closure
+    has a bridge), or m arcs forming two or more disjoint cycles."""
+    m = draw(st.integers(1, 8))
+    arcs = draw(st.sets(st.tuples(st.integers(1, m), st.integers(1, m)).filter(lambda a: a[0] != a[1])))
+    shape = draw(st.sampled_from(["any", "hamiltonian", "isolated", "no arc into 1", "bridge", "cycles"]))
+    if shape == "hamiltonian" and m >= 2:
+        arcs |= {(v, v % m + 1) for v in range(1, m + 1)}
+    elif shape == "isolated":
+        v = draw(st.integers(1, m))
+        arcs = {a for a in arcs if v not in a}
+    elif shape == "no arc into 1":
+        arcs = {(j, i) for j, i in arcs if i != 1}
+    elif shape == "bridge" and m >= 6:
+        cut = draw(st.integers(3, m - 3))  # the halves 1..cut and cut+1..m
+        arcs = {(j, i) for j, i in arcs if (j <= cut) == (i <= cut)}
+        arcs |= {(v, v % cut + 1) for v in range(1, cut + 1)}
+        arcs |= {(v, v + 1 if v < m else cut + 1) for v in range(cut + 1, m + 1)}
+        a, b = draw(st.integers(2, cut)), draw(st.integers(cut + 1, m))
+        arcs |= {(a, b), (b, a)}
+    elif shape == "cycles" and m >= 4:
+        order = draw(st.permutations(range(1, m + 1)))
+        cuts = [0] + sorted(draw(st.sets(st.sampled_from(range(2, m - 1, 2)), min_size=1))) + [m]
+        arcs = set()
+        for start, stop in zip(cuts, cuts[1:]):
+            piece = order[start:stop]
+            arcs |= {(v, piece[(k + 1) % len(piece)]) for k, v in enumerate(piece)}
+    return DirectedGraph(m, tuple(arcs))
+
+
+@settings(max_examples=500, deadline=None)
+@given(refusable_graphs())
+def test_the_growth_refuses_exactly_what_networkx_refuses(g):
+    # the decompositions' own growth is their only connectivity check, so
+    # networkx, not is_2_connected, says which graphs they must refuse
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(range(1, g.m + 1))
+    digraph.add_edges_from(g.arcs)
+    strong = nx.is_strongly_connected(digraph)
+    if g.m < 2:
+        with pytest.raises(ValueError, match="at least two vertices"):
+            ear_decomposition(g)
+    elif strong:
+        validate_ear_decomposition(g, ear_decomposition(g))
+    else:
+        with pytest.raises(ValueError, match="iff the graph is strongly connected"):
+            ear_decomposition(g)
+    closure = symmetric_closure(g)
+    graph = _undirected(closure)
+    if g.m >= 2 and nx.is_connected(graph) and not nx.has_bridges(graph):
+        validate_ear_decomposition(closure, symmetric_ear_decomposition(closure))
+    else:
+        with pytest.raises(ValueError, match="iff the graph is 2-connected"):
+            symmetric_ear_decomposition(closure)
+    one_in_one_out = all(digraph.in_degree(v) == 1 and digraph.out_degree(v) == 1 for v in digraph)
+    assert is_directed_cycle(g) == (g.m >= 2 and one_in_one_out and strong)
+
+
+@st.composite
 def strongly_connected_graphs(draw):
     """A Hamiltonian cycle in random vertex order plus up to 12 random arcs."""
     m = draw(st.integers(2, 8))

@@ -712,6 +712,22 @@ def test_consensus_error_and_residual_are_silent_past_the_squares_overflow():
     assert local_agreement_residual(w, x) == pytest.approx(2.0 * np.sqrt(2.0) * 1e300, rel=1e-15)
 
 
+def test_consensus_error_keeps_small_deviations_where_the_agent_sum_overflows():
+    # the sum 2e308 overflows, while the deviations are 0 and 0.5: measuring
+    # the whole state at a tiny scale would underflow their squares to 0
+    assert consensus_error([[1e308, 0.0], [1e308, 1.0]]) == 0.5
+
+
+def test_a_run_with_a_huge_agreed_component_converges_as_with_a_small_one():
+    # identity weights keep the columns apart, so column 1 spreads alike in
+    # both runs and column 0 stays agreed; the sum of column 0 overflows
+    w = identity_weights(symmetric_cycle(8), 2)
+    huge, small = (run_fixed_step(w, np.column_stack([np.full(8, c), np.arange(8.0)]), 500) for c in (1e308, 1.0))
+    assert small.converged and small.steps_run == 109
+    assert huge.steps_run == small.steps_run and huge.converged
+    assert huge.consensus_errors.tobytes() == small.consensus_errors.tobytes()
+
+
 def test_consensus_error_and_residual_on_consensus():
     w = identity_weights(symmetric_cycle(3), 2)
     x = np.tile([1.0, 2.0], (3, 1))
