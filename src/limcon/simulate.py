@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import DirectedGraph, _integer, is_directed_cycle, is_symmetric
+from .graphs import DirectedGraph, _bfs_levels, _integer, is_directed_cycle, is_symmetric
 from .linalg import matrix_rank, mixed_norm_2_inf, numerical_rank
 from .wellconfig import WeightedNeighborGraph
 
@@ -598,36 +598,6 @@ def _inertia_counts(algorithm: str, w: WeightedNeighborGraph, subgraph, levels) 
         "inside_unit": int(inside),
         "outside": int(w.m * w.n - ones - zeros - inside),
     }
-
-
-def _bfs_levels(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The agents in breadth-first order over g's undirected skeleton, each
-    component from its least-degree agent, and the start of each level, with
-    m appended.  These are the levels of Cuthill and McKee (1969): an edge
-    joins a level to itself or to the next, so a matrix with g's sparsity is
-    block tridiagonal over them, and a ring's levels hold two agents."""
-    ends = np.concatenate([g.arc_ends, g.arc_ends[:, ::-1]])
-    ends = ends[np.argsort(ends[:, 1], kind="stable")]
-    first = np.searchsorted(ends[:, 1], np.arange(g.m + 1)).tolist()
-    neighbours = ends[:, 0].tolist()
-    seen = bytearray(g.m)
-    order, starts = [], []
-    for root in np.argsort(np.diff(first), kind="stable").tolist():
-        if seen[root]:
-            continue
-        seen[root] = 1
-        level = [root]
-        while level:
-            starts.append(len(order))
-            order += level
-            after = []
-            for v in level:
-                for u in neighbours[first[v] : first[v + 1]]:
-                    if not seen[u]:
-                        seen[u] = 1
-                        after.append(u)
-            level = after
-    return np.array(order), np.array(starts + [g.m])
 
 
 def _pivot_eigenvalues(

@@ -5,6 +5,9 @@ textbook formulas instead of library calls, so they share no code path with
 the implementations they check.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -398,13 +401,36 @@ def trajectory_csv_per_row(states):
     return text
 
 
+def consensus_error_exact(x):
+    """max_i ||x_i - mean||_2 with the mean, the deviations and their squares
+    in exact rational arithmetic, so none overflows or underflows, rounded by
+    one float square root."""
+    rows = [[Fraction(v) for v in row] for row in np.asarray(x, dtype=float).tolist()]
+    mean = [sum(column) / len(rows) for column in zip(*rows)]
+    top = max(sum((v - c) ** 2 for v, c in zip(row, mean)) for row in rows)
+    if top == 0:
+        return 0.0
+    # top / 4^k lies in (1/2, 4), where its float and root are normal; 2^k scales back exactly
+    k = (top.numerator.bit_length() - top.denominator.bit_length()) // 2
+    with np.errstate(over="ignore"):  # past the double range the error is inf
+        return float(np.ldexp(math.sqrt(top / Fraction(4) ** k), k))
+
+
 def consensus_error_at_scale(x):
-    """consensus_error_norm(x), taken at scale 2^-600 when a finite x's
-    squares overflow."""
-    value = consensus_error_norm(x)
-    if not np.isfinite(value) and np.isfinite(x).all():
-        return consensus_error_norm(x * 2.0**-600) * 2.0**600
-    return value
+    """consensus_error_norm(x), also where a finite x's squares or agent sum
+    overflow.  Where only the squares do, the largest deviation is past about
+    1e154, and the formula taken at scale 2^-600 rounds as it would without
+    an exponent limit.  Where the sum does, the deviations may be too small
+    for any one scale, and the error is consensus_error_exact(x), which may
+    differ from the formula's in the last bits."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        value = consensus_error_norm(x)
+        if np.isfinite(value) or not np.isfinite(x).all():
+            return value
+        if np.isfinite(x.sum(axis=0)).all():
+            return consensus_error_norm(x * 2.0**-600) * 2.0**600
+    return consensus_error_exact(x)
 
 
 def run_per_round(x0, steps, step, tol, streak_needed):

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import tracemalloc
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from limcon import (
     symmetric_star,
     validate_ear_decomposition,
 )
+from limcon.graphs import _bfs_levels
 
 from oracles import canonical_arcs, is_symmetric_set, is_weakly_connected_bfs, pair_leads, reverse_positions
 
@@ -569,12 +574,80 @@ def _decomposition_corpus():
 
 def test_decompositions_match_the_pinned_digest():
     # pins which later ears both decompositions choose, not just validity
-    import hashlib
-    import json
-
     directed, symmetric = _decomposition_corpus()
     assert len(symmetric) > 150
     payload = json.dumps(
         [ear_decomposition(g).to_json() for g in directed] + [symmetric_ear_decomposition(g).to_json() for g in symmetric]
     )
     assert hashlib.sha256(payload.encode()).hexdigest() == "762a325e1448be91ee6e91a1b9cef5da269efcc31956021e480210c3ba1b13a5"
+
+
+@st.composite
+def searchable_graphs(draw):
+    """Digraphs on 1-12 vertices: random arcs, some with vertices without
+    arcs, some split into components with a directed cycle each, some two
+    such parts joined by a one-way bridge, or by a bridge each way."""
+    m = draw(st.integers(1, 12))
+    arcs = draw(st.sets(st.tuples(st.integers(1, m), st.integers(1, m)).filter(lambda a: a[0] != a[1]), max_size=3 * m))
+    shape = draw(st.sampled_from(["any", "isolated", "components", "one-way bridge", "two-way bridge"]))
+    if shape == "isolated":
+        gone = draw(st.sets(st.integers(1, m)))
+        arcs = {a for a in arcs if not gone & set(a)}
+    elif shape != "any":
+        part = draw(st.lists(st.integers(0, 2 if shape == "components" else 1), min_size=m, max_size=m))
+        arcs = {(j, i) for j, i in arcs if part[j - 1] == part[i - 1]}
+        members = [[v for v in range(1, m + 1) if part[v - 1] == p] for p in sorted(set(part))]
+        for piece in members:
+            arcs |= {(v, piece[(k + 1) % len(piece)]) for k, v in enumerate(piece) if len(piece) > 1}
+        if shape != "components" and len(members) == 2:
+            a, b = draw(st.sampled_from(members[0])), draw(st.sampled_from(members[1]))
+            arcs.add((a, b))
+            if shape == "two-way bridge":
+                arcs.add((draw(st.sampled_from(members[1])), draw(st.sampled_from(members[0]))))
+    return DirectedGraph(m, tuple(arcs))
+
+
+@settings(max_examples=500, deadline=None)
+@given(searchable_graphs())
+def test_strong_connectivity_and_levels_equal_networkx(g):
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(range(g.m))
+    digraph.add_edges_from(g.arc_ends.tolist())
+    assert is_strongly_connected(g) == nx.is_strongly_connected(digraph)
+    # each component's layers from its first agent of least skeleton degree
+    skeleton = digraph.to_undirected()
+    expected, seen = [], set()
+    for root in sorted(digraph, key=digraph.degree):
+        if root not in seen:
+            layers = list(nx.bfs_layers(skeleton, root))
+            expected += map(set, layers)
+            seen.update(*layers)
+    order, starts = _bfs_levels(g)
+    assert [set(order[a:b].tolist()) for a, b in zip(starts, starts[1:])] == expected
+    assert starts[-1] == g.m
+
+
+def test_levels_match_the_pinned_digest():
+    # pins the order within each level, which the networkx layers leave open
+    rng = np.random.default_rng(3030)
+    graphs = [symmetric_cycle(100), directed_cycle(100), complete_symmetric(16)]
+    for _ in range(400):
+        m = int(rng.integers(1, 31))
+        arcs = {(int(j), int(i)) for j, i in rng.integers(1, m + 1, size=(int(rng.integers(0, 3 * m + 1)), 2)) if j != i}
+        graphs.append(DirectedGraph(m, tuple(arcs)))
+    payload = json.dumps([[part.tolist() for part in _bfs_levels(g)] for g in graphs])
+    assert hashlib.sha256(payload.encode()).hexdigest() == "0b787aa8ef20c195ae433d0fb1bf882bf808d520cd595020675e82305c95561e"
+
+
+def test_the_searches_hold_only_what_they_reach():
+    # a billion vertices and one arc pair: no visited array of size m
+    tracemalloc.start()
+    try:
+        g = DirectedGraph(10**9, ((1, 2), (2, 1)))
+        assert not is_strongly_connected(g)
+        with pytest.raises(ValueError, match="strongly connected"):
+            chi(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -42,11 +42,11 @@ from limcon import (
     synthesize_weights,
     synthesize_symmetric_weights,
 )
+from limcon.graphs import _bfs_levels
 from limcon.simulate import (
     CONSENSUS_STREAK,
     CONSENSUS_TOL,
     RoundOperator,
-    _bfs_levels,
     _consensus_errors,
     _inertia_counts,
     _run,
@@ -58,6 +58,8 @@ from oracles import (
     block_diag,
     central_difference_gradient,
     consensus_error_at_scale,
+    consensus_error_exact,
+    consensus_error_norm,
     cycle_step_agents,
     fixed_step_agents,
     general_step_agents,
@@ -726,6 +728,44 @@ def test_a_run_with_a_huge_agreed_component_converges_as_with_a_small_one():
     assert small.converged and small.steps_run == 109
     assert huge.steps_run == small.steps_run and huge.converged
     assert huge.consensus_errors.tobytes() == small.consensus_errors.tobytes()
+
+
+def test_the_per_round_reference_stops_the_huge_agreed_run_where_the_engine_does():
+    # the reference measures the overflowing agent sum of column 0 exactly,
+    # not at a scale where column 1's squares underflow to 0
+    w = identity_weights(symmetric_cycle(8), 2)
+    x0 = np.column_stack([np.full(8, 1e308), np.arange(8.0)])
+    wn = w.normalized()
+    engine = run_fixed_step(w, x0, 500)
+    per_round = run_per_round(x0, 500, lambda t, x: fixed_step_agents(wn, x), CONSENSUS_TOL, CONSENSUS_STREAK)
+    assert per_round[2:] == (engine.steps_run, engine.converged) == (109, True)
+    assert per_round[1][0] == engine.consensus_errors[0] == 3.5
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6), n=st.integers(1, 4))
+def test_consensus_error_is_near_the_exact_error_where_the_formula_overflows(seed, m, n):
+    # column 0 near the top of the double range, so its agent sum or its
+    # squares overflow; the others at any magnitude from 1e-300.  A column is
+    # agreed, at a value whose short significand keeps its float mean exact,
+    # or takes both signs, so its deviations are as wide as its values: where
+    # they are far narrower, the formula's rounded mean alone errs by about
+    # eps |mean|, at any scale
+    rng = np.random.default_rng(seed)
+    columns = []
+    for c in range(n):
+        top = 1.79e308 if c == 0 else 10.0 ** rng.uniform(-300, 308)
+        if rng.random() < 0.5:
+            significand = int(rng.integers(2**19, 2**20)) * int(rng.choice([-1, 1]))
+            columns.append(np.full(m, np.ldexp(float(significand), np.frexp(top)[1] - 20)))
+        else:
+            signs = rng.permutation(np.r_[1.0, -1.0, rng.choice([-1.0, 1.0], m - 2)])
+            columns.append(signs * rng.uniform(0.5, 1.0, m) * top)
+    x = np.column_stack(columns)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(consensus_error_norm(x))
+    exact, mine = consensus_error_exact(x), consensus_error(x)
+    assert abs(mine - exact) <= 4.5e-16 * exact or mine == exact == np.inf
 
 
 def test_consensus_error_and_residual_on_consensus():
