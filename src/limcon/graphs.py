@@ -222,10 +222,10 @@ def _component_labels(m: int, edges: np.ndarray) -> np.ndarray:
         a, b = root[edges[:, 0]], root[edges[:, 1]]
         split = a != b
         if not split.any():
-            return np.unique(root, return_inverse=True)[1]
+            return (np.cumsum(root == np.arange(m)) - 1)[root]  # each root's rank among the roots
         np.minimum.at(root, np.maximum(a, b)[split], np.minimum(a, b)[split])
-        while not np.array_equal(root[root], root):
-            root = root[root]
+        while not ((jumped := root[root]) == root).all():
+            root = jumped
 
 
 def is_weakly_connected(g: DirectedGraph) -> bool:
@@ -271,8 +271,14 @@ def is_2_connected(g: DirectedGraph) -> bool:
 
 def incidence_matrix(g: DirectedGraph) -> np.ndarray:
     """m x d matrix: column k of arc (j, i) has +1 at row i and -1 at row j."""
-    out = np.zeros((g.m, g.d))
-    out[g.arc_ends.T, np.arange(g.d)] = [[-1.0], [1.0]]  # the tails' row, then the heads'
+    return _incidence(g.m, g.arc_ends)
+
+
+def _incidence(m: int, ends: np.ndarray) -> np.ndarray:
+    """The incidence matrix of the (k, 2) zero-based (tail, head) ends on m
+    vertices, a multigraph's too."""
+    out = np.zeros((m, len(ends)))
+    out[ends.T, np.arange(len(ends))] = [[-1.0], [1.0]]  # the tails' row, then the heads'
     return out
 
 

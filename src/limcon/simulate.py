@@ -298,23 +298,34 @@ def _round_operator(algorithm: str, wn: WeightedNeighborGraph, subgraph: Directe
 
 def _consensus_errors(states: np.ndarray) -> list[float]:
     """consensus_error(x) of each state x in the (k, m, n) stack, from one
-    stacked reduction.  A finite state whose sum or squares overflow is taken
-    at scale 2^-b < 1/m, where neither its sum nor its deviations overflow,
-    and the deviations' squares at their own scale, where none underflows."""
+    stacked reduction.  A column whose agents all hold one value is agreed:
+    its mean is that value, so its deviations are exactly zero, not the
+    roundoff of a float mean.  A finite state whose sum or squares overflow
+    is taken at scale 2^-b < 1/m, where neither its sum nor its deviations
+    overflow, and the deviations' squares at their own scale, where none
+    underflows.  Which columns agree is read once, on the unscaled states."""
+    agreed = None  # no column agrees
+    # a run's agents 0 and 1 differ in most columns, so the full check is rarely made
+    if states.shape[-2] > 1 and (states[..., 0, :] == states[..., 1, :]).any():
+        agreed = np.logical_and.reduce(states == states[..., :1, :], axis=-2)
 
-    def deviations(x):  # the reductions of mean, without its call overhead
-        return x - (np.add.reduce(x, axis=-2) / x.shape[-2])[..., None, :]
+    def deviations(x, agreed):  # the reductions of mean, without its call overhead
+        mean = np.add.reduce(x, axis=-2) / x.shape[-2]
+        if agreed is not None:
+            # an agreed column whose sum overflows keeps its inf mean, so that its state is taken at scale
+            np.copyto(mean, x[..., 0, :], where=agreed & np.isfinite(mean))
+        return x - mean[..., None, :]
 
     def spread(d):  # the largest 2-norm of np.linalg.norm, without its call overhead
         return np.sqrt(np.add.reduce(d * d, axis=-1).max(axis=-1))
 
     with np.errstate(over="ignore"):  # past the double range the error is inf
-        errors = spread(deviations(states))
+        errors = spread(deviations(states, agreed))
         out = errors.tolist()
         for k in np.flatnonzero(~np.isfinite(errors)):
             if np.isfinite(states[k]).all():
                 b = states.shape[-2].bit_length()
-                d = deviations(np.ldexp(states[k], -b))
+                d = deviations(np.ldexp(states[k], -b), None if agreed is None else agreed[k])
                 e = math.frexp(np.abs(d).max())[1]
                 out[k] = float(np.ldexp(spread(np.ldexp(d, -e)), b + e))
     return out

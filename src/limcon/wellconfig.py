@@ -20,6 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .graphs import (
+    MAX_VERTICES,
     Arc,
     DirectedGraph,
     EarDecomposition,
@@ -27,12 +28,12 @@ from .graphs import (
     _check_keys,
     _component_labels,
     _expect,
+    _incidence,
     _vertex,
     backlinked_cycle_graph,
     broadcast_pair_graph,
     directed_cycle,
     ear_decomposition,
-    incidence_matrix,
     is_weakly_connected,
     symmetric_closure,
     symmetric_ear_decomposition,
@@ -358,9 +359,18 @@ def is_well_configured(w: WeightedNeighborGraph, rtol: float = RANK_RTOL, arc_or
 def _kernels(stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each slot's kernel from one batched SVD of the (slots, r, n) stacks,
     cut at RANK_RTOL times the largest singular value over all slots: vh, and the
-    (slots, n) mask of the rows of vh[k] past slot k's rank, which span it."""
-    _, s, vh = np.linalg.svd(stacks)
-    return vh, np.arange(stacks.shape[2]) >= np.sum(s > RANK_RTOL * s.max(initial=0.0), axis=1)[:, None]
+    (slots, n) mask of the rows of vh[k] past slot k's rank, which span it.
+    Slots holding the same bytes share one decomposition, bit for bit the one
+    each would get: synthesized weights repeat a few blocks over many arcs."""
+    slots, r, n = stacks.shape
+    # each slot's bytes as one key, after a zero column so that an empty slot has bytes too
+    keys = np.zeros((slots, 1 + r * n))
+    keys[:, 1:] = stacks.reshape(slots, r * n)
+    rows = keys.view(np.dtype((np.void, keys.strides[0])))
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    _, s, vh = np.linalg.svd(stacks[first])
+    s, vh = s[inverse.ravel()], vh[inverse.ravel()]
+    return vh, np.arange(n) >= np.sum(s > RANK_RTOL * s.max(initial=0.0), axis=1)[:, None]
 
 
 def disagreement_overlap_dim(w: WeightedNeighborGraph) -> int:
@@ -368,26 +378,52 @@ def disagreement_overlap_dim(w: WeightedNeighborGraph) -> int:
     the stacked weights), in per-arc signal space.
 
     Zero overlap is the second, equivalent formulation of well-configuration
-    for weakly connected graphs.  The image has the orthonormal basis
-    Q (x) I_n, for Q the QR basis of incidence' less the first agent of each
-    weak component: one component's columns sum to zero, so the rest span
-    the image independently, and Q is exactly m - c wide for c components,
-    without a rank decision.  The kernel is block diagonal, one orthonormal
-    block K_k per arc.  The overlap is the count of principal angles at zero
-    between them: the singular values of (I - bb')a, for a the narrower basis
-    and b the other, are the sines, and those at most RANK_RTOL count,
-    absolutely, since the orthonormal bases fix their scale.  That matrix is
-    assembled from Q and the K_k, never from the dn-row bases.  The stacked
-    singular values are the union of the per-arc ones, so each arc is cut at
-    RANK_RTOL times the largest singular value over all arcs: the same rank
-    decision as one SVD of the whole stacked matrix.  _proves_by_ears shares these kernels; the dense
-    oracles stay the independent check of both.
+    for weakly connected graphs.  Each arc's kernel comes from one batched
+    SVD of the stacked per-arc weights (one per distinct weight), cut at
+    RANK_RTOL times the largest singular value over all arcs: the stacked
+    singular values are the union of the per-arc ones, so this is the rank
+    decision of one SVD of the whole stacked matrix.  _proves_by_ears shares
+    these kernels.
+
+    An arc whose kernel is empty forces its signal x_i - x_j to zero, so its
+    ends are contracted: agents joined by such arcs form one component, and
+    the overlap of w is the overlap of the quotient multigraph, whose arcs
+    are those between two components, each kept as its own block with its
+    own kernel.  Parallel and antiparallel arcs stay separate, so the
+    contraction reads only the kernels above and makes no rank decision of
+    its own.  (The primary verdict contracts by a different rule: the pairs
+    whose stack [C_ab; C_ba] has full column rank.)  Where no arc contracts,
+    the quotient is the graph itself.
+
+    The image has the orthonormal basis Q (x) I_n, for Q the QR basis of the
+    quotient's incidence transpose less the first component of each weak
+    component: its columns sum to zero, so the rest span the image
+    independently, and Q is exactly c' - c wide for c' components and c weak
+    components, without a rank decision.  The kernel is block diagonal, one
+    orthonormal block K_k per kept arc.  The overlap is the count of
+    principal angles at zero between them: the singular values of (I - bb')a,
+    for a the narrower basis and b the other, are the sines, and those at
+    most RANK_RTOL count, absolutely, since the orthonormal bases fix their
+    scale.  That matrix is assembled from Q and the K_k, never from the
+    dn-row bases.  The cost is O(d n^3) for the kernels plus one SVD of the
+    quotient's residual: on a ring of 2000 agents with symmetric synthesis
+    the quotient is a triangle, and a call takes milliseconds and about 1 MB
+    where the whole graph's residual took seconds and 217 MB (README).  The
+    dense oracles and the exact tests stay the independent checks of both
+    this count and the primary verdict.
     """
-    g = w.graph
-    first = np.unique(_component_labels(g.m, g.arc_ends), return_index=True)[1]
-    q = np.linalg.qr(np.delete(incidence_matrix(g).T, first, axis=1))[0]
-    (d, r), n = q.shape, w.n
+    g, n = w.graph, w.n
     vh, in_kernel = _kernels(w.padded_weights())
+    ends, width = g.arc_ends, g.m
+    contract = ~in_kernel.any(axis=1)
+    if contract.any():
+        labels = _component_labels(g.m, ends[contract])
+        ends = labels[ends]
+        kept = ends[:, 0] != ends[:, 1]
+        ends, width, vh, in_kernel = ends[kept], int(labels.max()) + 1, vh[kept], in_kernel[kept]
+    first = np.unique(_component_labels(width, ends), return_index=True)[1]
+    q = np.linalg.qr(np.delete(_incidence(width, ends).T, first, axis=1))[0]
+    d, r = q.shape
     owner = np.nonzero(in_kernel)[0]  # the arc of each kernel column
     if len(owner) < r * n:
         # column (k, t) is (I - QQ')[:, k] (x) v_kt
@@ -550,11 +586,38 @@ def weights_to_json(w: WeightedNeighborGraph) -> dict:
     }
 
 
+def _is_entry(entry) -> bool:
+    """True when the {j, i, C} entry passes _weight_table's checks of its
+    keys, its two vertex numbers and the kind of C."""
+    if type(entry) is not dict or entry.keys() != {"j", "i", "C"}:
+        return False
+    j, i = entry["j"], entry["i"]
+    vertices = type(j) is int and type(i) is int and 0 < j <= MAX_VERTICES and 0 < i <= MAX_VERTICES
+    return vertices and type(entry["C"]) is list
+
+
 def _weight_table(entries, where: str) -> dict[Arc, np.ndarray]:
-    """The JSON array of {j, i, C} entries as {(j, i): C}, each arc listed once."""
-    table = {}
+    """The JSON array of {j, i, C} entries as {(j, i): C}, each arc listed once.
+
+    Well-formed entries convert together, in one _array call per row count.
+    Otherwise the entries are read again one by one, so that the error
+    names the first malformed entry."""
     entry_at, j_at, i_at, c_at = (f"{where}[]{key}" for key in ("", ".j", ".i", ".C"))
-    for entry in _expect(entries, where, list):
+    listed = _expect(entries, where, list)
+    if all(map(_is_entry, listed)):
+        table = {(entry["j"], entry["i"]): entry["C"] for entry in listed}
+        if len(table) == len(listed):
+            groups: dict[int, list[Arc]] = {}
+            for arc, c in table.items():
+                groups.setdefault(len(c), []).append(arc)
+            try:
+                for arcs in groups.values():
+                    table.update(zip(arcs, _array([table[arc] for arc in arcs], c_at)))
+                return table
+            except ValueError:  # a malformed C, named below
+                pass
+    table = {}
+    for entry in listed:
         _check_keys(entry, entry_at, required=("j", "i", "C"))
         arc = (_vertex(entry["j"], j_at), _vertex(entry["i"], i_at))
         if arc in table:

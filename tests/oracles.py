@@ -386,9 +386,12 @@ def one_eigenspace_dim_dense(a, rtol=1e-10):
 
 
 def consensus_error_norm(x):
-    """max_i ||x_i - mean||_2 from x.mean and np.linalg.norm."""
+    """max_i ||x_i - mean||_2 from x.mean and np.linalg.norm.  A column whose
+    entries all equal its first is agreed, and its mean is that entry: its
+    deviations are exactly zero, not the roundoff of the float mean."""
     x = np.asarray(x, dtype=float)
-    return float(np.max(np.linalg.norm(x - x.mean(axis=0), axis=1)))
+    mean = np.where((x == x[0]).all(axis=0), x[0], x.mean(axis=0))
+    return float(np.max(np.linalg.norm(x - mean, axis=1)))
 
 
 def trajectory_csv_per_row(states):

@@ -32,7 +32,7 @@ from limcon import (
     symmetric_star,
     validate_ear_decomposition,
 )
-from limcon.graphs import _bfs_levels
+from limcon.graphs import _bfs_levels, _component_labels
 
 from oracles import canonical_arcs, is_symmetric_set, is_weakly_connected_bfs, pair_leads, reverse_positions
 
@@ -625,6 +625,24 @@ def test_strong_connectivity_and_levels_equal_networkx(g):
     order, starts = _bfs_levels(g)
     assert [set(order[a:b].tolist()) for a, b in zip(starts, starts[1:])] == expected
     assert starts[-1] == g.m
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(0, 30), data=st.data())
+def test_component_labels_number_networkx_components_by_first_agent(m, data):
+    # loops, repeated edges and isolated agents included
+    agent = st.integers(0, m - 1)
+    edges = data.draw(st.lists(st.tuples(agent, agent), max_size=3 * m)) if m else []
+    edges = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(m))
+    graph.add_edges_from(edges.tolist())
+    expected = np.zeros(m, dtype=np.intp)
+    for label, component in enumerate(sorted(nx.connected_components(graph), key=min)):
+        expected[sorted(component)] = label
+    labels = _component_labels(m, edges)
+    assert labels.dtype == np.intp
+    assert labels.tolist() == expected.tolist()
 
 
 def test_levels_match_the_pinned_digest():

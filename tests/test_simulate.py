@@ -59,7 +59,6 @@ from oracles import (
     central_difference_gradient,
     consensus_error_at_scale,
     consensus_error_exact,
-    consensus_error_norm,
     cycle_step_agents,
     fixed_step_agents,
     general_step_agents,
@@ -762,8 +761,8 @@ def test_consensus_error_is_near_the_exact_error_where_the_formula_overflows(see
             signs = rng.permutation(np.r_[1.0, -1.0, rng.choice([-1.0, 1.0], m - 2)])
             columns.append(signs * rng.uniform(0.5, 1.0, m) * top)
     x = np.column_stack(columns)
-    with np.errstate(over="ignore"):
-        assert not np.isfinite(consensus_error_norm(x))
+    with np.errstate(over="ignore"):  # the plain mean formula, which zeroes no agreed column
+        assert not np.isfinite(np.linalg.norm(x - x.mean(axis=0), axis=1)).all()
     exact, mine = consensus_error_exact(x), consensus_error(x)
     assert abs(mine - exact) <= 4.5e-16 * exact or mine == exact == np.inf
 
@@ -773,6 +772,29 @@ def test_consensus_error_and_residual_on_consensus():
     x = np.tile([1.0, 2.0], (3, 1))
     assert consensus_error(x) == 0.0
     assert local_agreement_residual(w, x) == 0.0
+
+
+def test_an_exactly_agreed_state_reads_consensus_error_zero():
+    # the float mean of three copies of 123456789.1 rounds, so that every
+    # deviation from it read 1.49e-8, above CONSENSUS_TOL
+    x = np.full((3, 1), 123456789.1)
+    assert consensus_error(x) == 0.0
+    traj = run_fixed_step(identity_weights(symmetric_cycle(3), 1), x, 50)
+    assert traj.converged and traj.steps_run < 50
+    assert traj.states.tobytes() == np.broadcast_to(x, traj.states.shape).tobytes()
+    assert not traj.consensus_errors.any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    row=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
+    m=st.integers(1, 9),
+)
+def test_a_state_with_every_column_agreed_reads_zero(row, m):
+    # at any magnitude, also where the agent sum or the squares overflow
+    x = np.tile(row, (m, 1))
+    assert consensus_error(x) == 0.0
+    assert _consensus_errors(np.stack([x, -x, np.ldexp(x, -1074)])) == [0.0, 0.0, 0.0]
 
 
 def test_residual_zero_implies_consensus_on_well_configured():

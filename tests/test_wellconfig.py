@@ -36,7 +36,7 @@ from limcon import (
     weights_to_json,
 )
 from limcon.linalg import kernel_basis
-from limcon.wellconfig import SYNTHESIS_MODES, _proves_by_ears, agreement_map
+from limcon.wellconfig import RANK_RTOL, SYNTHESIS_MODES, _kernels, _proves_by_ears, agreement_map
 
 from conftest import (
     random_strongly_connected,
@@ -534,6 +534,28 @@ def test_weights_json_refuses_wrong_types(change, message):
         weights_from_json(data)
 
 
+def test_weight_file_entries_convert_as_one_by_one():
+    # row counts 0, 1 and 2, a one-dimensional C, and a row count shared by a
+    # matrix and a vector, which cannot convert together
+    g = DirectedGraph(4, ((1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (3, 1)))
+    given = {(1, 2): [], (2, 3): [[1, 2]], (3, 4): [[3.5, 4], [5, 6]], (4, 1): [7, 8], (1, 3): [[0, 1]], (3, 1): []}
+    data = {"m": 4, "n": 2, "arcs": [{"j": j, "i": i, "C": c} for (j, i), c in given.items()]}
+    w = weights_from_json(data)
+    for arc, c in given.items():
+        assert w.weight(arc).tobytes() == np.array(c, dtype=float).reshape(-1, 2).tobytes()
+    # the first malformed entry is named, also past one whose row count converted
+    data["arcs"][2]["C"] = [[1, "x"], [2, 3]]
+    data["arcs"][4].pop("j")
+    with pytest.raises(ValueError, match=r"^weight-file arcs\[\]\.C must be a rectangular array of numbers"):
+        weights_from_json(data)
+    data["arcs"][2]["C"] = [[1, 2], [3, 4]]
+    with pytest.raises(ValueError, match=r"^weight-file arcs\[\]: missing keys \['j'\]$"):
+        weights_from_json(data)
+    data["arcs"][4]["j"] = 2
+    with pytest.raises(ValueError, match=r"^weight-file arcs: arc \(2, 3\) is listed twice$"):
+        weights_from_json(data)
+
+
 @pytest.mark.parametrize(
     "data, message",
     [
@@ -719,6 +741,103 @@ def test_overlap_never_forms_the_lifted_image():
     finally:
         tracemalloc.stop()
     assert peak < image_bytes / 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_kernels_of_repeated_blocks_are_each_slots_own_bit_for_bit(seed):
+    # equal blocks share one decomposition; 0.0 and -0.0 blocks are told
+    # apart, and blocks without entries (r = 0 or n = 0) are shared too
+    rng = np.random.default_rng(seed)
+    r, n = (int(v) for v in rng.integers(0, 4, size=2))
+    scale = 10.0 ** int(rng.integers(-8, 9))
+    pool = [np.zeros((r, n)), -np.zeros((r, n)), np.eye(r, n), rng.standard_normal((r, n)) * scale]
+    picks = rng.integers(len(pool), size=int(rng.integers(0, 12)))
+    stacks = np.zeros((len(picks), r, n))
+    for slot, k in enumerate(picks):
+        stacks[slot] = pool[k]
+    vh, in_kernel = _kernels(stacks)
+    _, s, vh_each = np.linalg.svd(stacks)
+    assert vh.shape == vh_each.shape and vh.tobytes() == vh_each.tobytes()
+    assert np.array_equal(in_kernel, np.arange(n) >= np.sum(s > RANK_RTOL * s.max(initial=0.0), axis=1)[:, None])
+
+
+def test_overlap_on_a_long_ring_contracts_in_linear_memory():
+    # all but three pairs carry identity weights, so the quotient is a
+    # triangle; the graph's own cut space alone would be 4000 x 1999 (64 MB)
+    g, n = symmetric_cycle(2000), 3
+    w = synthesize_symmetric_weights(g, n)
+    cut = WeightedNeighborGraph(g, n, {**w.weights, (1, 2): np.zeros((1, n)), (2, 1): np.zeros((1, n))})
+    for v, expected in ((w, 0), (cut, n - 1)):
+        tracemalloc.start()
+        try:
+            assert disagreement_overlap_dim(v) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+def _between_two_components(kernel_axes):
+    """Agents {1, 2} and {3, 4}, each pair joined both ways by identity
+    weights, so contracted; then arcs (1, 3) and (2, 4), parallel, and
+    (4, 1), antiparallel to them, with kernels along the given axes of R^2."""
+    g, n = DirectedGraph(4, ((1, 2), (2, 1), (3, 4), (4, 3), (1, 3), (2, 4), (4, 1))), 2
+    weights = {arc: np.eye(n) for arc in g.arcs}
+    between = zip(((1, 3), (2, 4), (4, 1)), kernel_axes)
+    weights.update((arc, np.delete(np.eye(n), axis, axis=0)) for arc, axis in between)
+    return WeightedNeighborGraph(g, n, weights)
+
+
+def _two_weak_components_contracted():
+    """Weak components {1, 2, 3, 4} and {5, 6}, n = 2: identity weights on
+    (1, 2), (2, 1) and (2, 3), and all-zero weights on (3, 4) and (5, 6)."""
+    g = DirectedGraph(6, ((1, 2), (2, 1), (2, 3), (3, 4), (5, 6)))
+    weights = {arc: np.eye(2) for arc in ((1, 2), (2, 1), (2, 3))}
+    return WeightedNeighborGraph(g, 2, {**weights, (3, 4): np.zeros((1, 2)), (5, 6): np.zeros((1, 2))})
+
+
+@pytest.mark.parametrize(
+    "w, expected",
+    [
+        (_between_two_components((0, 0, 0)), 1),  # the kernels share axis 0
+        (_between_two_components((0, 1, 0)), 0),  # the parallel arcs meet only in 0
+        (_between_two_components((1, 1, 0)), 0),  # the antiparallel arc does
+        (identity_weights(complete_symmetric(4), 2), 0),  # every arc contracts
+        (identity_weights(DirectedGraph(5, ((1, 2), (3, 4), (4, 5))), 3), 0),  # into one agent per weak component
+        (_two_weak_components_contracted(), 2 * (4 - 2)),  # {1, 2, 3} contract: four agents in two weak components
+    ],
+    ids=[
+        "shared-axis",
+        "parallel-apart",
+        "antiparallel-apart",
+        "all-contract",
+        "all-contract-disconnected",
+        "some-contract-disconnected",
+    ],
+)
+def test_overlap_keeps_parallel_and_antiparallel_arcs_of_the_quotient(w, expected):
+    assert disagreement_overlap_dim(w) == disagreement_overlap_dim_dense(w) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), share=st.floats(0.0, 1.0))
+def test_overlap_with_contracted_arcs_matches_dense_oracle(seed, share):
+    # a share of the arcs get a trivial kernel, from an identity, a tall
+    # Gaussian or a 10^k-scaled square Gaussian weight; a scale far below the
+    # strongest arc's counts as rank deficient in both, by the same cut
+    rng = np.random.default_rng(seed)
+    w = random_weakly_connected_wng(rng, m=int(rng.integers(2, 8)))
+    n, weights = w.n, dict(w.weights)
+    for arc in w.graph.arcs:
+        if rng.random() < share:
+            weights[arc] = (
+                np.eye(n),
+                rng.standard_normal((n + int(rng.integers(1, 3)), n)),
+                rng.standard_normal((n, n)) * 10.0 ** int(rng.integers(-6, 7)),
+            )[int(rng.integers(3))]
+    v = WeightedNeighborGraph(w.graph, n, weights)
+    assert disagreement_overlap_dim(v) == disagreement_overlap_dim_dense(v)
 
 
 def rescaled_wng(seed, exponents):
