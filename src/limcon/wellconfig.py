@@ -282,6 +282,22 @@ def _require_weakly_connected(g: DirectedGraph) -> None:
         )
 
 
+def _svd_of_distinct(stacks: np.ndarray, compute_uv: bool = True):
+    """np.linalg.svd of the (slots, r, n) stacks, bit for bit, taken once per
+    distinct slot: slots holding the same bytes share one decomposition, and
+    synthesized weights repeat a few blocks over many arcs."""
+    slots, r, n = stacks.shape
+    # each slot's bytes as one key, after a zero column so that an empty slot has bytes too
+    keys = np.zeros((slots, 1 + r * n))
+    keys[:, 1:] = stacks.reshape(slots, r * n)
+    rows = keys.view(np.dtype((np.void, keys.strides[0])))
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    out = np.linalg.svd(stacks[first], compute_uv=compute_uv)
+    if not compute_uv:
+        return out[inverse.ravel()]
+    return tuple(part[inverse.ravel()] for part in out)
+
+
 def _pair_stacks(w: WeightedNeighborGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per adjacent pair, by lead arc: its canonical index, each arc's pair, and the
     zero-padded (pairs, r, n) stacks [C_ab; C_ba] (one arc's rows if the other is absent)."""
@@ -301,11 +317,12 @@ def _pair_values(w: WeightedNeighborGraph) -> tuple[np.ndarray, np.ndarray, floa
 
     Up to row signs, the pair's rows of the agreement map hold the stack in
     b's columns and its negative in a's, so their singular values are
-    sqrt(2) times the stack's.  All stacks share one SVD without vectors.
+    sqrt(2) times the stack's.  The distinct stacks share one SVD without
+    vectors.
     """
     first, slot, stack = _pair_stacks(w)
     rows = np.bincount(slot, weights=w.row_counts, minlength=len(first))
-    s = np.sqrt(2.0) * np.linalg.svd(stack, compute_uv=False)
+    s = np.sqrt(2.0) * _svd_of_distinct(stack, compute_uv=False)
     smallest = s[:, w.n - 1] if s.shape[1] >= w.n else np.zeros(len(first))
     return w.graph.arc_ends[first], np.where(rows >= w.n, smallest, 0.0), float(s.max(initial=0.0))
 
@@ -357,20 +374,12 @@ def is_well_configured(w: WeightedNeighborGraph, rtol: float = RANK_RTOL, arc_or
 
 
 def _kernels(stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each slot's kernel from one batched SVD of the (slots, r, n) stacks,
-    cut at RANK_RTOL times the largest singular value over all slots: vh, and the
-    (slots, n) mask of the rows of vh[k] past slot k's rank, which span it.
-    Slots holding the same bytes share one decomposition, bit for bit the one
-    each would get: synthesized weights repeat a few blocks over many arcs."""
-    slots, r, n = stacks.shape
-    # each slot's bytes as one key, after a zero column so that an empty slot has bytes too
-    keys = np.zeros((slots, 1 + r * n))
-    keys[:, 1:] = stacks.reshape(slots, r * n)
-    rows = keys.view(np.dtype((np.void, keys.strides[0])))
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    _, s, vh = np.linalg.svd(stacks[first])
-    s, vh = s[inverse.ravel()], vh[inverse.ravel()]
-    return vh, np.arange(n) >= np.sum(s > RANK_RTOL * s.max(initial=0.0), axis=1)[:, None]
+    """Each slot's kernel from one SVD of the (slots, r, n) stacks per distinct
+    slot, cut at RANK_RTOL times the largest singular value over all slots: vh,
+    and the (slots, n) mask of the rows of vh[k] past slot k's rank, which span
+    it.  The other rows of vh[k] span slot k's row space."""
+    _, s, vh = _svd_of_distinct(stacks)
+    return vh, np.arange(stacks.shape[2]) >= np.sum(s > RANK_RTOL * s.max(initial=0.0), axis=1)[:, None]
 
 
 def disagreement_overlap_dim(w: WeightedNeighborGraph) -> int:
@@ -398,49 +407,71 @@ def disagreement_overlap_dim(w: WeightedNeighborGraph) -> int:
     The image has the orthonormal basis Q (x) I_n, for Q the QR basis of the
     quotient's incidence transpose less the first component of each weak
     component: its columns sum to zero, so the rest span the image
-    independently, and Q is exactly c' - c wide for c' components and c weak
-    components, without a rank decision.  The kernel is block diagonal, one
-    orthonormal block K_k per kept arc.  The overlap is the count of
-    principal angles at zero between them: the singular values of (I - bb')a,
-    for a the narrower basis and b the other, are the sines, and those at
-    most RANK_RTOL count, absolutely, since the orthonormal bases fix their
-    scale.  That matrix is assembled from Q and the K_k, never from the
-    dn-row bases.  The cost is O(d n^3) for the kernels plus one SVD of the
-    quotient's residual: on a ring of 2000 agents with symmetric synthesis
+    independently, and Q is exactly r = c' - c wide for c' components and c
+    weak components, without a rank decision.  The kernel is block diagonal,
+    one orthonormal block K_k per kept arc, kappa columns in all.  The
+    overlap is the count of principal angles at zero between them: the
+    singular values of (I - bb')a, for a the narrower basis and b the other,
+    are the sines, and the width of a less the count of sines above
+    RANK_RTOL is the overlap.  The cut is absolute, since the orthonormal
+    bases fix the scale.
+
+    (I - bb')a is never formed.  It is an orthonormal basis times a smaller
+    matrix with the same sines, assembled from the factors of the d' kept
+    arcs, never from the d'n-row bases:
+    - kernel narrower: I - QQ' = NN', for N the last d' - r columns of the
+      complete QR, an orthonormal basis of the cycle space.  The ranked
+      matrix is (N' (x) I_n)K, (d' - r)n x kappa, whose column (k, t) is
+      N[k, :] (x) v_kt.
+    - image narrower: I - K_k K_k' = W_k'W_k, for W_k the rows of the same
+      vh that lie outside arc k's kernel, an orthonormal basis of its row
+      space.  The ranked matrix is W(Q (x) I_n), (d'n - kappa) x rn, whose
+      row (k, s) is Q[k, :] (x) w_ks.
+    On the benchmark's random strongly connected digraph (m = 60, d = 180,
+    n = 4, one kernel direction per arc) that is 484 rows where the
+    residual had 720, and its SVD takes about 3.7 ms against 4.6 ms (one
+    BLAS thread on an Intel Xeon); the complete QR costs about 0.5 ms more
+    than the reduced one.  On a ring of 2000 agents with symmetric synthesis
     the quotient is a triangle, and a call takes milliseconds and about 1 MB
     where the whole graph's residual took seconds and 217 MB (README).  The
     dense oracles and the exact tests stay the independent checks of both
     this count and the primary verdict.
     """
+    return _overlap_dim(w, np.unique(_component_labels(w.m, w.graph.arc_ends), return_index=True)[1])
+
+
+def _overlap_dim(w: WeightedNeighborGraph, firsts: np.ndarray) -> int:
+    """disagreement_overlap_dim(w), given the first agent of each of w's weak
+    components: a contraction stays inside one weak component, so each one's
+    first component in the quotient is its first agent's."""
     g, n = w.graph, w.n
     vh, in_kernel = _kernels(w.padded_weights())
-    ends, width = g.arc_ends, g.m
+    ends, labels = g.arc_ends, np.arange(g.m)
     contract = ~in_kernel.any(axis=1)
     if contract.any():
         labels = _component_labels(g.m, ends[contract])
         ends = labels[ends]
         kept = ends[:, 0] != ends[:, 1]
-        ends, width, vh, in_kernel = ends[kept], int(labels.max()) + 1, vh[kept], in_kernel[kept]
-    first = np.unique(_component_labels(width, ends), return_index=True)[1]
-    q = np.linalg.qr(np.delete(_incidence(width, ends).T, first, axis=1))[0]
-    d, r = q.shape
-    owner = np.nonzero(in_kernel)[0]  # the arc of each kernel column
-    if len(owner) < r * n:
-        # column (k, t) is (I - QQ')[:, k] (x) v_kt
-        p = -q @ q[owner].T
-        p[owner, np.arange(len(owner))] += 1.0
-        residual = np.einsum("lc,ca->lac", p, vh[in_kernel]).reshape(d * n, len(owner))
+        ends, vh, in_kernel = ends[kept], vh[kept], in_kernel[kept]
+    incidence = np.delete(_incidence(int(labels.max()) + 1, ends).T, labels[firsts], axis=1)
+    r = incidence.shape[1]
+    kappa = int(in_kernel.sum())
+    if kappa < r * n:
+        # row (i, s) of column (k, t) is N[k, i] v_kt[s]
+        cycles = np.linalg.qr(incidence, mode="complete")[0][:, r:]
+        owner = np.nonzero(in_kernel)[0]
+        ranked = np.einsum("ci,cs->isc", cycles[owner], vh[in_kernel]).reshape(cycles.shape[1] * n, kappa)
     else:
-        # block (k, j) is Q[k, j] (I - K_k K_k')
-        kernel = vh * in_kernel[:, :, None]
-        residual = np.einsum("kj,kab->kajb", q, np.eye(n) - kernel.transpose(0, 2, 1) @ kernel)
-        residual = residual.reshape(d * n, r * n)
-    return int(np.sum(np.linalg.svd(residual, compute_uv=False) <= RANK_RTOL))
+        # column (j, s) of row (k, t) is Q[k, j] w_kt[s]
+        q = np.linalg.qr(incidence)[0]
+        owner = np.nonzero(~in_kernel)[0]
+        ranked = np.einsum("cj,cs->cjs", q[owner], vh[~in_kernel]).reshape(len(owner), r * n)
+    return min(kappa, r * n) - int(np.sum(np.linalg.svd(ranked, compute_uv=False) > RANK_RTOL))
 
 
 def is_well_configured_via_overlap(w: WeightedNeighborGraph) -> bool:
     _require_weakly_connected(w.graph)
-    return disagreement_overlap_dim(w) == 0
+    return _overlap_dim(w, np.zeros(1, dtype=np.intp)) == 0  # one weak component, whose first agent is agent 1
 
 
 def _proves_by_ears(w: WeightedNeighborGraph, decomposition: EarDecomposition) -> bool:

@@ -36,7 +36,15 @@ from limcon import (
     weights_to_json,
 )
 from limcon.linalg import kernel_basis
-from limcon.wellconfig import RANK_RTOL, SYNTHESIS_MODES, _kernels, _proves_by_ears, agreement_map
+from limcon.wellconfig import (
+    RANK_RTOL,
+    SYNTHESIS_MODES,
+    _kernels,
+    _pair_stacks,
+    _pair_values,
+    _proves_by_ears,
+    agreement_map,
+)
 
 from conftest import (
     random_strongly_connected,
@@ -760,6 +768,123 @@ def test_kernels_of_repeated_blocks_are_each_slots_own_bit_for_bit(seed):
     _, s, vh_each = np.linalg.svd(stacks)
     assert vh.shape == vh_each.shape and vh.tobytes() == vh_each.tobytes()
     assert np.array_equal(in_kernel, np.arange(n) >= np.sum(s > RANK_RTOL * s.max(initial=0.0), axis=1)[:, None])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_pair_values_of_repeated_stacks_are_each_stacks_own_bit_for_bit(seed):
+    # equal pair stacks share one decomposition; 0.0 and -0.0 weights are
+    # told apart, and a graph without arcs or without rows has empty stacks
+    rng = np.random.default_rng(seed)
+    n, r = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+    m = int(rng.integers(2, 7))
+    g = random_strongly_connected(rng, m, extra_arcs=int(rng.integers(0, 4)))
+    g = (g, symmetric_closure(g), DirectedGraph(m, ()))[int(rng.integers(3))]
+    scale = 10.0 ** int(rng.integers(-8, 9))
+    pool = [np.zeros((r, n)), -np.zeros((r, n)), np.eye(r, n), rng.standard_normal((r, n)) * scale]
+    w = WeightedNeighborGraph(g, n, {arc: pool[int(rng.integers(len(pool)))] for arc in g.arcs})
+    pairs, smallest, sigma = _pair_values(w)
+    # the reference: each stack's own SVD, nothing shared
+    first, slot, stack = _pair_stacks(w)
+    s = np.sqrt(2.0) * np.linalg.svd(stack, compute_uv=False)
+    rows = np.bincount(slot, weights=w.row_counts, minlength=len(first))
+    each = np.where(rows >= n, s[:, n - 1] if s.shape[1] >= n else 0.0, 0.0)
+    assert np.array_equal(pairs, g.arc_ends[first])
+    assert smallest.shape == each.shape and smallest.tobytes() == each.tobytes()
+    assert np.float64(sigma).tobytes() == np.float64(s.max(initial=0.0)).tobytes()
+
+
+def _generic_twin(rng, m, n, extra_arcs, cut):
+    """A random strongly connected digraph with a generic rank-(n - 1) weight
+    on every arc.  With cut, a planted cut as the benchmark's digraph family
+    makes one: the arcs across (S, rest) annihilate one shared direction v,
+    so "v on S, 0 elsewhere" agrees locally without being consensus."""
+    g = random_strongly_connected(rng, m, extra_arcs=extra_arcs)
+    weights = {arc: rng.standard_normal((n - 1, n)) for arc in g.arcs}
+    if cut:
+        side = set(rng.choice(np.arange(1, m + 1), size=int(rng.integers(1, m)), replace=False).tolist())
+        v = random_subspace(rng, n, 1)
+        weights.update((arc, c - c @ v @ v.T) for arc, c in weights.items() if (arc[0] in side) != (arc[1] in side))
+    return WeightedNeighborGraph(g, n, weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["kernel", "image", "forest"]), cut=st.booleans())
+def test_overlap_matches_dense_oracle_on_either_side(seed, shape, cut):
+    # The overlap ranks a complement of the narrower basis: the cycle space
+    # when the kernel is narrower, the arcs' row spaces when the image is.
+    # Nothing contracts in the first two shapes, so the quotient is the graph
+    # and _overlap_widths tells the side.
+    rng = np.random.default_rng(seed)
+    if shape == "kernel":
+        # one kernel direction per arc on fewer than (m - 1)n arcs; a cycle
+        # longer than n fails even without the cut
+        m, n = int(rng.integers(3, 9)), int(rng.integers(2, 5))
+        w = _generic_twin(rng, m, n, int(rng.integers(0, (m - 1) * n - m)), cut)
+        image, ker = _overlap_widths(w)
+        assert ker < image
+        dim = disagreement_overlap_dim(w)
+        assert dim >= 1 or not cut
+    elif shape == "image":
+        # symmetric synthesis on K_m, m >= n; with cut, every arc at agent 1
+        # silenced by no rows or an all-zero row, so agent 1 is free
+        n = int(rng.integers(3, 5))
+        m = int(rng.integers(n, 8))
+        w = synthesize_symmetric_weights(complete_symmetric(m), n)
+        if cut:
+            silent = (np.zeros((0, n)), np.zeros((1, n)))
+            weights = {arc: silent[int(rng.integers(2))] if 1 in arc else c for arc, c in w.weights.items()}
+            w = WeightedNeighborGraph(w.graph, n, weights)
+        image, ker = _overlap_widths(w)
+        assert image <= ker
+        dim = disagreement_overlap_dim(w)
+        assert dim >= n if cut else dim == 0
+    else:
+        # a random forest (two trees with cut): no cycle space, so the image
+        # is the whole signal space and the overlap is the whole kernel; arcs
+        # with n or more rows contract, which leaves a forest
+        m, n = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+        arcs = []
+        for v in range(2, m + 1):
+            if not (cut and v == m // 2 + 1):
+                u = int(rng.integers(1, v))
+                arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+        rows = {arc: int(rng.integers(0, n + 2)) for arc in arcs}
+        weights = {arc: rng.standard_normal((k, n)) for arc, k in rows.items()}
+        w = WeightedNeighborGraph(DirectedGraph(m, arcs), n, weights)
+        dim = disagreement_overlap_dim(w)
+        assert dim == sum(max(n - k, 0) for k in rows.values())
+    assert dim == disagreement_overlap_dim_dense(w)
+
+
+def test_overlap_ranks_the_complement(monkeypatch):
+    # The ranked matrix has (d - m + 1)n rows when the kernel is narrower
+    # and dn - kappa when the image is, where (I - bb')a has dn.  The first
+    # graph has the benchmark digraph twin's shape: m = 60, d = 180, n = 4,
+    # one kernel direction per arc.  The second is K16 with symmetric
+    # synthesis, n = 3: one kernel direction on each of its 240 arcs.
+    rng = np.random.default_rng(5)
+    arcs = {(j, i % 60 + 1) for j, i in zip(range(1, 61), range(1, 61))}
+    while len(arcs) < 180:
+        j, i = (int(v) for v in rng.integers(1, 61, size=2))
+        if j != i:
+            arcs.add((j, i))
+    g = DirectedGraph(60, tuple(arcs))
+    twin = WeightedNeighborGraph(g, 4, {arc: rng.standard_normal((3, 4)) for arc in g.arcs})
+    k16 = synthesize_symmetric_weights(complete_symmetric(16), 3)
+    svd, ranked = np.linalg.svd, []
+
+    def spy(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            ranked.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    # (180 - 59) * 4 rows by 180 kernel columns; 240 * 3 - 240 rows by 15 * 3 image columns
+    for w, shape in ((twin, (484, 180)), (k16, (480, 45))):
+        ranked.clear()
+        assert disagreement_overlap_dim(w) == 0
+        assert ranked == [shape]
 
 
 def test_overlap_on_a_long_ring_contracts_in_linear_memory():
