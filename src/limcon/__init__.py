@@ -59,7 +59,6 @@ from .wellconfig import (
     agreement_map,
     backlinked_cycle_criterion,
     broadcast_pair_criterion,
-    consensus_span,
     cycle_criterion,
     disagreement_overlap_dim,
     identity_weights,

@@ -124,13 +124,6 @@ class DirectedGraph:
     def out_neighbors(self, j: int) -> tuple[int, ...]:
         return self._out_neighbors[j]
 
-    def degree(self, i: int) -> int:
-        """Number of neighbors of agent i (in-degree)."""
-        return len(self._in_neighbors[i])
-
-    def has_arc(self, arc: Arc) -> bool:
-        return bool(self.arc_indices(np.subtract([arc], 1))[0] >= 0)
-
     @cached_property
     def undirected_pairs(self) -> tuple[tuple[int, int], ...]:
         """Unordered endpoint pairs (a, b), a < b, of the underlying graph."""
@@ -660,7 +653,7 @@ def _candidate_ears(g: DirectedGraph, used: frozenset[Arc], visited: frozenset[i
                     stack.append((w, trail + [arc], interior | {w}))
 
 
-def chi(g: DirectedGraph, *, max_vertices: int = CHI_MAX_VERTICES, max_arcs: int = CHI_MAX_ARCS) -> int:
+def chi(g: DirectedGraph) -> int:
     """Exact min over all ear decompositions of the max ear length.
 
     Exhaustive backtracking over decompositions with memoized used-arc
@@ -668,10 +661,10 @@ def chi(g: DirectedGraph, *, max_vertices: int = CHI_MAX_VERTICES, max_arcs: int
     """
     if g.m < 2 or not is_strongly_connected(g):
         raise ValueError("chi is defined for strongly connected graphs with >= 2 vertices")
-    if g.m > max_vertices or g.d > max_arcs:
+    if g.m > CHI_MAX_VERTICES or g.d > CHI_MAX_ARCS:
         raise ValueError(
             f"enumeration infeasible: graph has m={g.m}, d={g.d}, cap is "
-            f"m<={max_vertices}, d<={max_arcs}"
+            f"m<={CHI_MAX_VERTICES}, d<={CHI_MAX_ARCS}"
         )
     all_arcs = frozenset(g.arcs)
     memo: dict[frozenset[Arc], float] = {}

@@ -5,9 +5,9 @@ A kernel is a plain ndarray whose columns form an orthonormal basis; the
 trivial kernel in R^n is an (n, 0) array.  Rank decisions flow through one
 tolerance (RANK_RTOL), relative to the largest singular value.  Only the
 overlap verifier (wellconfig.disagreement_overlap_dim) applies it absolutely,
-to principal-angle sines whose orthonormal inputs fix the scale.  Two entry
-points take another tolerance: is_well_configured(rtol=), which
-`verify --tol` sets, and WeightedNeighborGraph.normalized(rtol).
+to principal-angle sines whose orthonormal inputs fix the scale.  One entry
+point takes another tolerance: is_well_configured(rtol=), which
+`verify --tol` sets.
 """
 
 from __future__ import annotations

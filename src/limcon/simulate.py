@@ -133,21 +133,18 @@ class Schedule:
 
 @dataclass
 class Trajectory:
-    """Recorded run: stacked states and per-round consensus errors, with the
-    residuals under its weights computed on first read.  It does not name
-    the engine that made it; the caller knows which one it ran."""
+    """Recorded run: stacked states, per-round consensus errors and the
+    weights it ran on.  It does not name the engine that made it; the caller
+    knows which one it ran."""
 
     states: np.ndarray  # (rounds+1, m, n)
     consensus_errors: np.ndarray
     converged: bool
-    steps_run: int
     weights: WeightedNeighborGraph = field(repr=False)
 
-    @cached_property
-    def residuals(self) -> np.ndarray:
-        tails, heads = self.weights.graph.arc_ends.T
-        c = self.weights.padded_weights()
-        return np.array([_agreement_residual(c, heads, tails, x) for x in self.states])
+    @property
+    def steps_run(self) -> int:
+        return len(self.states) - 1
 
     @property
     def final_consensus_error(self) -> float:
@@ -176,16 +173,13 @@ def _unsquared(norm, x: np.ndarray) -> float:
     return value
 
 
-def _agreement_residual(c: np.ndarray, heads: np.ndarray, tails: np.ndarray, x: np.ndarray) -> float:
-    # norm of the stacked C_k (x_i - x_j); the Gram form sqrt(diff' P_k diff) loses half the digits near zero
-    return _unsquared(lambda y: float(np.linalg.norm(np.matmul(c, (y[heads] - y[tails])[:, :, None]))), x)
-
-
 def local_agreement_residual(w: WeightedNeighborGraph, x) -> float:
     """||C Jbar' x||_2: zero iff every transmitted view of the state agrees."""
     tails, heads = w.graph.arc_ends.T
     state = np.asarray(x, dtype=float).reshape(w.m, w.n)
-    return _agreement_residual(w.padded_weights(), heads, tails, state)
+    c = w.padded_weights()
+    # norm of the stacked C_k (x_i - x_j); the Gram form sqrt(diff' P_k diff) loses half the digits near zero
+    return _unsquared(lambda y: float(np.linalg.norm(np.matmul(c, (y[heads] - y[tails])[:, :, None]))), state)
 
 
 def _coerce_state(x0, m: int, n: int) -> np.ndarray:
@@ -359,7 +353,6 @@ def _run(w: WeightedNeighborGraph, x0, steps: int, step) -> Trajectory:
         states=np.stack(states),
         consensus_errors=np.array(errors),
         converged=streak >= CONSENSUS_STREAK,
-        steps_run=len(states) - 1,
         weights=w,
     )
 

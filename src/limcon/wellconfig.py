@@ -71,7 +71,8 @@ class WeightedNeighborGraph:
     weights: Mapping[Arc, np.ndarray]
     rows: np.ndarray = field(init=False, repr=False)  # (total rows, n)
     row_counts: np.ndarray = field(init=False, repr=False)  # (d,)
-    _normalized: dict = field(default_factory=dict, init=False, repr=False)  # rtol -> normalized()
+    _row_starts: np.ndarray = field(init=False, repr=False)  # (d,) each arc's first row in rows
+    _normalized: WeightedNeighborGraph | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -97,12 +98,13 @@ class WeightedNeighborGraph:
         if not finite.all():
             bad = arcs[np.searchsorted(stops, np.argmin(finite), side="right")]
             raise ValueError(f"weight for arc {bad} has non-finite entries")
-        rows.flags.writeable = False
-        counts.flags.writeable = False
-        views = {arc: rows[stop - count : stop] for arc, count, stop in zip(arcs, counts.tolist(), stops.tolist())}
+        starts = stops - counts
+        rows.flags.writeable = counts.flags.writeable = starts.flags.writeable = False
+        views = {arc: rows[start:stop] for arc, start, stop in zip(arcs, starts.tolist(), stops.tolist())}
         object.__setattr__(self, "weights", MappingProxyType(views))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "row_counts", counts)
+        object.__setattr__(self, "_row_starts", starts)
 
     @property
     def m(self) -> int:
@@ -114,31 +116,29 @@ class WeightedNeighborGraph:
     def kernel(self, arc: Arc) -> np.ndarray:
         return kernel_basis(self.weights[arc])
 
-    def normalized(self, rtol: float = RANK_RTOL) -> "WeightedNeighborGraph":
+    def normalized(self) -> "WeightedNeighborGraph":
         """Replace every weight by an orthonormal basis of its row space.
 
         Kernels are preserved, so the well-configuration verdict is too; the
         algorithms that use projections assume this form.  The arcs with one
-        row count share one stacked SVD, gathered from `rows`, bit for bit
-        what a separate SVD of each gives: the right singular vectors above
-        rtol times its own largest singular value.  Arcs without rows keep
-        their empty weight.  The result is kept per rtol, so the engines, the
-        dense round maps and the scheduled subgraphs all share one copy.
+        row count share one stacked SVD per distinct weight, gathered from
+        `rows`, bit for bit what a separate SVD of each gives: the right
+        singular vectors above RANK_RTOL times its own largest singular
+        value.  Arcs without rows keep their empty weight.  The result is
+        kept, so the engines, the dense round maps and the scheduled
+        subgraphs all share one copy.
         """
-        if rtol in self._normalized:
-            return self._normalized[rtol]
-        counts = self.row_counts
-        starts = np.cumsum(counts) - counts
-        bases = dict(self.weights)
-        for r in set(counts.tolist()) - {0}:
-            group = np.flatnonzero(counts == r)
-            _, s, vh = np.linalg.svd(self.rows[starts[group, None] + np.arange(r)])
-            # an all-zero weight has s[0] = 0 and so rank 0
-            ranks = np.sum(s > rtol * s[:, :1], axis=1)
-            bases.update((self.graph.arcs[k], vh[t, : ranks[t]]) for t, k in enumerate(group.tolist()))
-        out = WeightedNeighborGraph(self.graph, self.n, bases)
-        self._normalized[rtol] = out
-        return out
+        if self._normalized is None:
+            counts = self.row_counts
+            bases = dict(self.weights)
+            for r in set(counts.tolist()) - {0}:
+                group = np.flatnonzero(counts == r)
+                _, s, vh = _svd_of_distinct(self.rows[self._row_starts[group, None] + np.arange(r)])
+                # an all-zero weight has s[0] = 0 and so rank 0
+                ranks = np.sum(s > RANK_RTOL * s[:, :1], axis=1)
+                bases.update((self.graph.arcs[k], vh[t, : ranks[t]]) for t, k in enumerate(group.tolist()))
+            object.__setattr__(self, "_normalized", WeightedNeighborGraph(self.graph, self.n, bases))
+        return self._normalized
 
     def padded_weights(self) -> np.ndarray:
         """(d, r, n) stack of the weights in canonical arc order, each padded
@@ -153,19 +153,13 @@ def _stack_rows(w: WeightedNeighborGraph, slot: np.ndarray, start: np.ndarray, s
     counts = w.row_counts
     out = np.zeros((slots, int((start + counts).max(initial=0)), w.n))
     arc = np.repeat(np.arange(len(counts)), counts)
-    first = np.cumsum(counts) - counts  # each arc's first row in w.rows
-    out[slot[arc], start[arc] + np.arange(len(arc)) - first[arc]] = w.rows
+    out[slot[arc], start[arc] + np.arange(len(arc)) - w._row_starts[arc]] = w.rows
     return out
 
 
 def identity_weights(g: DirectedGraph, n: int) -> WeightedNeighborGraph:
     """Full-information weights: every arc transmits the whole state."""
     return WeightedNeighborGraph(g, n, {arc: np.eye(n) for arc in g.arcs})
-
-
-def consensus_span(m: int, n: int) -> np.ndarray:
-    """Orthonormal basis of the consensus subspace of R^(mn)."""
-    return np.kron(np.ones((m, 1)), np.eye(n)) / np.sqrt(m)
 
 
 def _resolve_order(w: WeightedNeighborGraph, arc_order) -> np.ndarray:
@@ -199,7 +193,7 @@ def agreement_map(w: WeightedNeighborGraph, arc_order=None, labels=None) -> np.n
     width = int(labels.max()) + 1
     counts = w.row_counts[arcs]
     # row t of the k-th arc in arcs is row t of its block in w.rows
-    shift = (np.cumsum(w.row_counts) - w.row_counts)[arcs] - (np.cumsum(counts) - counts)
+    shift = w._row_starts[arcs] - (np.cumsum(counts) - counts)
     c = w.rows[np.repeat(shift, counts) + np.arange(counts.sum())]
     out = np.zeros((len(c), width * n))
     rows = np.arange(len(out))[:, None]
@@ -428,14 +422,12 @@ def disagreement_overlap_dim(w: WeightedNeighborGraph) -> int:
       space.  The ranked matrix is W(Q (x) I_n), (d'n - kappa) x rn, whose
       row (k, s) is Q[k, :] (x) w_ks.
     On the benchmark's random strongly connected digraph (m = 60, d = 180,
-    n = 4, one kernel direction per arc) that is 484 rows where the
-    residual had 720, and its SVD takes about 3.7 ms against 4.6 ms (one
-    BLAS thread on an Intel Xeon); the complete QR costs about 0.5 ms more
-    than the reduced one.  On a ring of 2000 agents with symmetric synthesis
-    the quotient is a triangle, and a call takes milliseconds and about 1 MB
-    where the whole graph's residual took seconds and 217 MB (README).  The
-    dense oracles and the exact tests stay the independent checks of both
-    this count and the primary verdict.
+    n = 4, one kernel direction per arc) that is 484 rows, and its SVD takes
+    about 3.7 ms (one BLAS thread on an Intel Xeon).  On a ring of 2000
+    agents with symmetric synthesis the quotient is a triangle, and a call
+    takes milliseconds and about 1 MB.  The dense oracles and the exact
+    tests stay the independent checks of both this count and the primary
+    verdict.
     """
     return _overlap_dim(w, np.unique(_component_labels(w.m, w.graph.arc_ends), return_index=True)[1])
 
@@ -446,13 +438,10 @@ def _overlap_dim(w: WeightedNeighborGraph, firsts: np.ndarray) -> int:
     first component in the quotient is its first agent's."""
     g, n = w.graph, w.n
     vh, in_kernel = _kernels(w.padded_weights())
-    ends, labels = g.arc_ends, np.arange(g.m)
-    contract = ~in_kernel.any(axis=1)
-    if contract.any():
-        labels = _component_labels(g.m, ends[contract])
-        ends = labels[ends]
-        kept = ends[:, 0] != ends[:, 1]
-        ends, vh, in_kernel = ends[kept], vh[kept], in_kernel[kept]
+    labels = _component_labels(g.m, g.arc_ends[~in_kernel.any(axis=1)])  # each agent its own where nothing contracts
+    ends = labels[g.arc_ends]
+    kept = ends[:, 0] != ends[:, 1]
+    ends, vh, in_kernel = ends[kept], vh[kept], in_kernel[kept]
     incidence = np.delete(_incidence(int(labels.max()) + 1, ends).T, labels[firsts], axis=1)
     r = incidence.shape[1]
     kappa = int(in_kernel.sum())

@@ -87,13 +87,13 @@ def fixed_step_agents(w_norm, x):
             cij = w_norm.weight((i, j))
             cji = w_norm.weight((j, i))
             acc += (cij.T @ cij + cji.T @ cji) @ (x[i - 1] - x[j - 1])
-        out[i - 1] = x[i - 1] - acc / (2.0 * (g.degree(i) + 1))
+        out[i - 1] = x[i - 1] - acc / (2.0 * (len(g.in_neighbors(i)) + 1))
     return out
 
 
 def metropolis_step_agents(w_norm, x, sub):
     """One Metropolis round on the scheduled subgraph, agent by agent."""
-    degrees = {v: sub.degree(v) for v in range(1, sub.m + 1)}
+    degrees = {v: len(sub.in_neighbors(v)) for v in range(1, sub.m + 1)}
     out = x.copy()
     for i in range(1, sub.m + 1):
         acc = np.zeros(w_norm.n)
@@ -138,7 +138,7 @@ def general_step_agents(w_norm, x):
         for j in g.in_neighbors(i):
             c = w_norm.weight((j, i))
             acc += c.T @ (c @ (x[i - 1] - x[j - 1]))
-        out[i - 1] = x[i - 1] - acc / (g.degree(i) + 1.0)
+        out[i - 1] = x[i - 1] - acc / (len(g.in_neighbors(i)) + 1.0)
     return out
 
 
@@ -214,6 +214,12 @@ def exact_nullity(rows):
     return n_cols - rank
 
 
+def consensus_span(m, n):
+    """Orthonormal basis of the consensus subspace of R^(mn): the n
+    coordinate directions repeated on every agent, scaled to unit norm."""
+    return np.kron(np.ones((m, 1)), np.eye(n)) / np.sqrt(m)
+
+
 def row_space_basis(a, rtol=1e-10):
     """Orthonormal rows spanning the row space of a, from one full SVD;
     (0, n) if a is zero."""
@@ -281,17 +287,16 @@ def block_diag(blocks):
 
 def spanning_incidence_matrix(g, sub):
     """Incidence matrix of sub padded with zero columns, indexed by g's arcs."""
-    inc = _incidence(g.m, g.arcs)
-    inc[:, [not sub.has_arc(arc) for arc in g.arcs]] = 0.0
+    inc, arcs = _incidence(g.m, g.arcs), set(sub.arcs)
+    inc[:, [arc not in arcs for arc in g.arcs]] = 0.0
     return inc
 
 
 def spanning_weight_matrix(g, sub):
     """d x d diagonal of sub's Metropolis weights 1 / (1 + max(d_i, d_j)),
     indexed by g's arcs; arcs of g absent from sub get zero."""
-    return np.diag(
-        [1.0 / (1.0 + max(sub.degree(i), sub.degree(j))) if sub.has_arc((j, i)) else 0.0 for j, i in g.arcs]
-    )
+    degree, arcs = {v: len(sub.in_neighbors(v)) for v in range(1, sub.m + 1)}, set(sub.arcs)
+    return np.diag([1.0 / (1.0 + max(degree[i], degree[j])) if (j, i) in arcs else 0.0 for j, i in g.arcs])
 
 
 def stacked_laplacian_kron(w, sub=None, arc_weights=None):
@@ -313,7 +318,7 @@ def update_matrix_kron(algorithm, w_norm, sub=None):
     I - Dbar Jbar+ C'C Jbar' (projections)."""
     g, n = w_norm.graph, w_norm.n
     eye = np.eye(g.m * n)
-    degrees = np.array([g.degree(v) for v in range(1, g.m + 1)], dtype=float)
+    degrees = np.array([len(g.in_neighbors(v)) for v in range(1, g.m + 1)], dtype=float)
     if algorithm == "fixed_step":
         damp = np.diag(np.repeat(1.0 / (2.0 * (degrees + 1.0)), n))
         return eye - damp @ stacked_laplacian_kron(w_norm)

@@ -1082,8 +1082,8 @@ def test_run_computes_the_residual_of_the_final_state_only(tmp_path, capsys, mon
     import limcon.simulate
 
     states = []
-    real = limcon.simulate._agreement_residual
-    monkeypatch.setattr(limcon.simulate, "_agreement_residual", lambda c, h, t, x: states.append(x) or real(c, h, t, x))
+    real = limcon.simulate.local_agreement_residual
+    monkeypatch.setattr(limcon.simulate, "local_agreement_residual", lambda w, x: states.append(x) or real(w, x))
     scenario = write_scenario(tmp_path, "s.json", symmetric_square_scenario(algorithm={"name": "fixed_step", "steps": 30}))
     assert main(["run", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 0
     summary = json.loads(capsys.readouterr().out)

@@ -47,11 +47,11 @@ def test_arcs_with_an_end_outside_the_vertices_are_not_in_the_graph():
     # (5, 1) and (0, 2) would alias the keys of (1, 2) and (4, 1), which exist
     g = complete_symmetric(4)
     for arc in ((5, 1), (0, 1), (1, 5), (0, 2), (1, 0)):
-        assert not g.has_arc(arc)
+        assert g.arc_indices(np.subtract([arc], 1)).tolist() == [-1]
         with pytest.raises(ValueError, match="ear 0 uses arcs not in the graph"):
             validate_ear_decomposition(g, EarDecomposition((Ear("cycle", (arc,)),)))
-    assert all(g.has_arc(arc) for arc in g.arcs)
-    assert not DirectedGraph(2, ()).has_arc((0, 1))
+    assert g.arc_indices(np.subtract(g.arcs, 1)).tolist() == list(range(g.d))
+    assert DirectedGraph(2, ()).arc_indices(np.subtract([(0, 1)], 1)).tolist() == [-1]
 
 
 def test_constructor_rejections():
@@ -155,7 +155,7 @@ def test_constructor_matches_the_per_arc_oracle(case):
 
 def test_degree_sum_equals_arc_count(sc_corpus):
     for g in sc_corpus.values():
-        assert sum(g.degree(v) for v in range(1, g.m + 1)) == g.d
+        assert sum(len(g.in_neighbors(v)) for v in range(1, g.m + 1)) == g.d
 
 
 def test_neighbors_are_sorted_and_a_vertex_without_arcs_has_none(sc_corpus):
@@ -166,7 +166,7 @@ def test_neighbors_are_sorted_and_a_vertex_without_arcs_has_none(sc_corpus):
         for v in range(1, h.m + 1):
             assert h.in_neighbors(v) == tuple(sorted(j for j, i in arcs if i == v))
             assert h.out_neighbors(v) == tuple(sorted(i for j, i in arcs if j == v))
-        assert h.degree(h.m) == 0 and h.out_neighbors(h.m) == ()
+        assert h.in_neighbors(h.m) == () and h.out_neighbors(h.m) == ()
 
 
 def test_weak_connectivity():
@@ -349,7 +349,6 @@ def test_chi_cap_is_enforced():
     big = complete_symmetric(5)  # 20 arcs
     with pytest.raises(ValueError, match="enumeration infeasible"):
         chi(big)
-    assert chi(big, max_arcs=20, max_vertices=8) == 2
 
 
 def test_is_directed_cycle():

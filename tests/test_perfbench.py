@@ -1,9 +1,11 @@
 """The benchmark's runs as tests, traced and untraced: their output checks
 must pass, and every metric that BENCHMARK.json names for the run (per-layer
-traced, end-to-end untraced) must come out, finite."""
+traced, end-to-end untraced) must come out, finite.  A numpy floating-point
+warning in a run fails it."""
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +22,7 @@ def checked_metrics(workload: str, trace: int, section: str) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "201", "--seconds", "0", "--trace", str(trace)],
         cwd=ROOT,
+        env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"},
         capture_output=True,
         text=True,
         timeout=300,

@@ -17,7 +17,6 @@ from limcon import (
     build_update_matrix,
     complete_symmetric,
     consensus_error,
-    consensus_span,
     directed_cycle,
     directed_path,
     identity_weights,
@@ -55,10 +54,12 @@ from limcon.wellconfig import agreement_map
 
 from conftest import weight_with_kernel
 from oracles import (
+    agreement_map_kron,
     block_diag,
     central_difference_gradient,
     consensus_error_at_scale,
     consensus_error_exact,
+    consensus_span,
     cycle_step_agents,
     fixed_step_agents,
     general_step_agents,
@@ -103,7 +104,7 @@ def test_damping_matches_per_agent_degrees(sc_corpus):
 
     for g in [*sc_corpus.values(), DirectedGraph(3, ((1, 2),))]:
         for half in (True, False):
-            loop = [1.0 / ((2.0 if half else 1.0) * (g.degree(i) + 1)) for i in range(1, g.m + 1)]
+            loop = [1.0 / ((2.0 if half else 1.0) * (len(g.in_neighbors(i)) + 1)) for i in range(1, g.m + 1)]
             assert np.array_equal(_damping(g, half), loop)
 
 
@@ -639,7 +640,7 @@ def test_trajectory_records_initial_state_and_lengths():
     x0 = np.arange(6.0).reshape(3, 2)
     traj = run_fixed_step(w, x0, 7)
     assert np.array_equal(traj.states[0], x0)
-    assert len(traj.states) == len(traj.consensus_errors) == len(traj.residuals)
+    assert len(traj.states) == len(traj.consensus_errors) == traj.steps_run + 1 == 8
 
 
 def test_zero_steps_trajectory():
@@ -657,10 +658,11 @@ def test_initial_state_shape_checks():
     assert traj.states.shape[1:] == (3, 2)
 
 
-def test_residuals_are_computed_on_first_read_per_state():
+def test_final_residual_is_the_last_states_residual():
     rng = np.random.default_rng(23)
     g = symmetric_cycle(4)
     w = synthesize_weights(g, 3, mode="nonzero-kernels")
+    amap = agreement_map_kron(w)
     x0 = rng.standard_normal((4, 3))
     runs = [
         run_fixed_step(w, x0, 40),
@@ -670,13 +672,13 @@ def test_residuals_are_computed_on_first_read_per_state():
         run_fixed_step(w, x0, 0),
     ]
     for traj in runs:
-        assert "residuals" not in vars(traj)
-        # final_residual reads the last state alone
-        final = traj.final_residual
-        assert "residuals" not in vars(traj)
-        loop = np.array([local_agreement_residual(w, x) for x in traj.states])
-        assert traj.residuals.tobytes() == loop.tobytes()
-        assert final == traj.residuals[-1]
+        per_state = np.array([local_agreement_residual(w, x) for x in traj.states])
+        dense = np.linalg.norm(traj.states.reshape(len(traj.states), -1) @ amap.T, axis=1)
+        assert np.allclose(per_state, dense, rtol=1e-12, atol=1e-15)
+        # the flat state reads the same, and final_residual is the last state's, bit for bit
+        flat = np.array([local_agreement_residual(w, x.ravel()) for x in traj.states])
+        assert flat.tobytes() == per_state.tobytes()
+        assert np.float64(traj.final_residual).tobytes() == per_state[-1].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -1003,7 +1005,7 @@ def test_residual_is_precise_at_a_planted_witness():
     report = is_well_configured(w)
     assert not report
     assert local_agreement_residual(w, report.witness) <= 1e-12
-    assert run_general_projection(w, report.witness, 0).residuals[0] <= 1e-12
+    assert run_general_projection(w, report.witness, 0).final_residual <= 1e-12
 
 
 def test_fixed_step_memory_is_linear_in_arcs():
